@@ -29,7 +29,6 @@ from .planner import (
     MissionOutcome,
     Mode,
     PlannerConfig,
-    guard_l0_to_l1,
     guard_l1_to_l0,
     run_mission,
     step_planner,

@@ -10,18 +10,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import shutil
 import sys
 from pathlib import Path
 
 from .frames import Configuration
-from .lqr import are_residual, solve_are_axis
+from .lqr import are_residual
 from .oracle import verify_mission
-from .planner import run_mission, solve_gains
+from .planner import ROW_COLUMNS as CSV_COLUMNS, PlannerConfig, run_mission, solve_gains
 from .scenario import ScenarioError, load_scenario
 from .scene import render_scene_depth, write_pfm
-
-CSV_COLUMNS = ["t", "mode", "px", "py", "pz", "vx", "vy", "vz", "ux", "uy", "uz", "event"]
 
 _STATUS_EXIT = {"reached_goal": 0, "stuck": 2, "timed_out": 3}
 
@@ -48,10 +47,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_render(args) -> int:
     sc = load_scenario(args.scenario)
-    pose = args.pose or [sc.x0.p[0], sc.x0.p[1], sc.x0.p[2], 0.0, 0.0, 0.0]
-    if len(pose) == 3:
-        pose = list(pose) + [0.0, 0.0, 0.0]
-    q = Configuration(*pose)
+    pose = args.pose or list(sc.x0.p)
+    if len(pose) not in (3, 6):
+        raise ValueError(f"--pose takes 3 or 6 values (x y z [phi theta psi]), got {len(pose)}")
+    try:
+        q = Configuration(*pose)
+    except ValueError as e:
+        raise ValueError(f"invalid --pose {e}") from e
     depth = render_scene_depth(sc.scene, q, sc.intrinsics)
     write_pfm(args.out, depth)
     print(f"wrote {sc.intrinsics.width}x{sc.intrinsics.height} depth image to {args.out}")
@@ -74,17 +76,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gains(args) -> int:
-    if args.scenario:
-        cfg = load_scenario(args.scenario).planner
-        weights = {"l0": cfg.weights_l0, "l1": cfg.weights_l1}
-        gains = solve_gains(cfg)
-    else:
-        from .planner import PlannerConfig
-
-        cfg = PlannerConfig()
-        weights = {"l0": cfg.weights_l0, "l1": cfg.weights_l1}
-        gains = {m: solve_are_axis(w) for m, w in weights.items()}
-    for mode, g in gains.items():
+    cfg = load_scenario(args.scenario).planner if args.scenario else PlannerConfig()
+    weights = {"l0": cfg.weights_l0, "l1": cfg.weights_l1}
+    for mode, g in solve_gains(cfg).items():
         res = are_residual(g, weights[mode])
         print(f"mode {mode}: kp = {g.kp:.6f}  kv = {g.kv:.6f}  ARE residual = {res:.3e}")
     return 0
@@ -109,6 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="x y z [phi theta psi]; defaults to the scenario start",
     )
     render.add_argument("--out", required=True, help="output .pfm path")
+    # argparse reads "-5.8e-05" as an option; let pose values use exponent form
+    render._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|nan)$", re.I)
     render.set_defaults(func=_cmd_render)
 
     verify = sub.add_parser("verify", help="oracle-check a previous run directory")

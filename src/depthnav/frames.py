@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .validation import coerce, integer, real
+
 __all__ = [
     "Configuration",
     "CameraIntrinsics",
@@ -54,8 +56,9 @@ class Configuration:
     psi: float = 0.0
 
     def __post_init__(self):
+        coerce(self, real, "x", "y", "z")
         for name in ("phi", "theta", "psi"):
-            object.__setattr__(self, name, normalize_angle(getattr(self, name)))
+            object.__setattr__(self, name, normalize_angle(real(name, getattr(self, name))))
 
     @property
     def position(self) -> np.ndarray:
@@ -81,12 +84,14 @@ class CameraIntrinsics:
     max_depth: float = 10.0
 
     def __post_init__(self):
-        if self.fsx <= 0 or self.fsy <= 0:
-            raise ValueError("focal lengths must be positive")
-        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
-        if not (0 < self.z_near < self.max_depth):
-            raise ValueError("need 0 < z_near < max_depth")
+        coerce(self, real, "fsx", "fsy", "z_near", "max_depth", positive=True)
+        coerce(self, real, "cx", "cy")
+        coerce(self, integer, "width", "height", minimum=1)
+        for name, size in (("cx", self.width), ("cy", self.height)):
+            if not 0 <= getattr(self, name) < size:
+                raise ValueError(f"{name}: principal point outside the image, got {getattr(self, name)}")
+        if not self.z_near < self.max_depth:
+            raise ValueError(f"z_near: must be below max_depth, got {self.z_near}")
 
 
 def _rx(a: float) -> np.ndarray:
@@ -129,31 +134,22 @@ def world_to_camera_rotation(q: Configuration) -> np.ndarray:
     return _R_BC @ rotation_zxy(q.phi, q.theta, q.psi).T
 
 
-def camera_center(q: Configuration, body_offset: np.ndarray | None = None) -> np.ndarray:
-    """Camera center in world coordinates; body_offset is in the body frame."""
-    c = q.position
-    if body_offset is not None:
-        c = c + rotation_zxy(q.phi, q.theta, q.psi) @ np.asarray(body_offset, dtype=float)
-    return c
-
-
-def world_to_camera(p_w, q: Configuration, body_offset: np.ndarray | None = None) -> np.ndarray:
+def world_to_camera(p_w, q: Configuration) -> np.ndarray:
     """Rigid transform of world point(s) into the camera frame of q.
 
-    Accepts a single point (3,) or an array of points (N, 3).
+    Accepts a single point (3,) or an array of points (N, 3). The camera
+    center is the vehicle position.
     """
     p_w = np.asarray(p_w, dtype=float)
     R = world_to_camera_rotation(q)
-    c = camera_center(q, body_offset)
-    return (p_w - c) @ R.T
+    return (p_w - q.position) @ R.T
 
 
-def camera_to_world(p_s, q: Configuration, body_offset: np.ndarray | None = None) -> np.ndarray:
+def camera_to_world(p_s, q: Configuration) -> np.ndarray:
     """Inverse of :func:`world_to_camera`."""
     p_s = np.asarray(p_s, dtype=float)
     R = world_to_camera_rotation(q)
-    c = camera_center(q, body_offset)
-    return p_s @ R + c
+    return p_s @ R + q.position
 
 
 def project(p_s, intr: CameraIntrinsics):

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .validation import coerce, real, vector
+
 __all__ = [
     "StateVec",
     "ModeWeights",
@@ -32,10 +34,7 @@ class StateVec:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.v))):
-            raise ValueError("state components must be finite")
+        coerce(self, vector, "p", "v")
 
     @staticmethod
     def rest(p) -> "StateVec":
@@ -51,8 +50,8 @@ class ModeWeights:
     r: float
 
     def __post_init__(self):
-        if self.qp <= 0 or self.qv < 0 or self.r <= 0:
-            raise ValueError("need qp > 0, qv >= 0, r > 0")
+        coerce(self, real, "qp", "r", positive=True)
+        coerce(self, real, "qv", nonnegative=True)
 
 
 @dataclass(frozen=True)
@@ -101,14 +100,13 @@ def are_residual(g: AxisGain, w: ModeWeights) -> float:
     return float(np.abs(res).max())
 
 
+def _law(p, v, x_ref: StateVec, g: AxisGain) -> np.ndarray:
+    return -g.kp * (p - x_ref.p) - g.kv * (v - x_ref.v)
+
+
 def control(x: StateVec, x_ref: StateVec, g: AxisGain) -> np.ndarray:
     """State-feedback acceleration command, identical gains on each axis."""
-    return -g.kp * (x.p - x_ref.p) - g.kv * (x.v - x_ref.v)
-
-
-def _deriv(p, v, x_ref: StateVec, g: AxisGain):
-    u = -g.kp * (p - x_ref.p) - g.kv * (v - x_ref.v)
-    return v, u
+    return _law(x.p, x.v, x_ref, g)
 
 
 def rollout(
@@ -132,26 +130,24 @@ def rollout(
     if abs(n_steps * ts - tau) > 1e-9:
         raise ValueError("tau must be an integral multiple of ts")
 
-    def clamp(u):
-        if u_max is None:
-            return u
-        return np.clip(u, -u_max, u_max)
+    def law(p, v):
+        u = _law(p, v, x_ref, g)
+        return u if u_max is None else np.clip(u, -u_max, u_max)
 
     samples = []
     p = x0.p.copy()
     v = x0.v.copy()
     h = ts / 10.0
     for _ in range(n_steps + 1):
-        u = clamp(-g.kp * (p - x_ref.p) - g.kv * (v - x_ref.v))
-        samples.append((StateVec(p.copy(), v.copy()), u))
+        samples.append((StateVec(p.copy(), v.copy()), law(p, v)))
         for _ in range(10):
-            k1p, k1v = v, clamp(-g.kp * (p - x_ref.p) - g.kv * (v - x_ref.v))
+            k1p, k1v = v, law(p, v)
             p2, v2 = p + 0.5 * h * k1p, v + 0.5 * h * k1v
-            k2p, k2v = v2, clamp(-g.kp * (p2 - x_ref.p) - g.kv * (v2 - x_ref.v))
+            k2p, k2v = v2, law(p2, v2)
             p3, v3 = p + 0.5 * h * k2p, v + 0.5 * h * k2v
-            k3p, k3v = v3, clamp(-g.kp * (p3 - x_ref.p) - g.kv * (v3 - x_ref.v))
+            k3p, k3v = v3, law(p3, v3)
             p4, v4 = p + h * k3p, v + h * k3v
-            k4p, k4v = v4, clamp(-g.kp * (p4 - x_ref.p) - g.kv * (v4 - x_ref.v))
+            k4p, k4v = v4, law(p4, v4)
             p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return LookAheadTrajectory(start_time=start_time, ts=ts, samples=samples[: n_steps + 1], mode=mode)
+    return LookAheadTrajectory(start_time=start_time, ts=ts, samples=samples, mode=mode)

@@ -27,8 +27,8 @@ class OracleReport:
 
 def brute_force_collision(scene: Scene, p, rho: float) -> bool:
     """True iff a sphere of radius rho at p intersects any primitive (closed)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not rho > 0:  # NaN included
+        raise ValueError(f"rho: must be positive, got {rho!r}")
     return any(prim.distance(p) <= rho for prim in scene.primitives)
 
 
@@ -59,6 +59,4 @@ def verify_mission(rows, scene: Scene, rho: float, refine: int = 10) -> OracleRe
         prev = p
     flags = [brute_force_collision(scene, p, rho) for p in points]
     clearance = min((min_clearance(scene, p, rho) for p in points), default=CLEARANCE_SENTINEL)
-    if not scene.primitives:
-        clearance = CLEARANCE_SENTINEL
     return OracleReport(flags=flags, min_clearance=clearance, violation_count=sum(flags))

@@ -18,9 +18,10 @@ import numpy as np
 
 from .collision import Verdict, find_escape, waypoints2collision
 from .frames import CameraIntrinsics, Configuration
-from .lqr import AxisGain, LookAheadTrajectory, ModeWeights, StateVec, are_residual, rollout, solve_are_axis
+from .lqr import LookAheadTrajectory, ModeWeights, StateVec, are_residual, rollout, solve_are_axis
 from .oracle import brute_force_collision
 from .scene import RobotModel, Scene, render_scene_depth
+from .validation import coerce, integer, real
 
 __all__ = [
     "Mode",
@@ -28,11 +29,11 @@ __all__ = [
     "PlannerConfig",
     "PlannerState",
     "MissionOutcome",
-    "guard_l0_to_l1",
     "guard_l1_to_l0",
     "step_planner",
     "run_mission",
     "EVENT_PRIORITY",
+    "ROW_COLUMNS",
 ]
 
 
@@ -48,6 +49,9 @@ class GoalRegion:
     x_goal: float
     y_ref: float = 0.0
     z_ref: float = 0.0
+
+    def __post_init__(self):
+        coerce(self, real, "x_goal", "y_ref", "z_ref")
 
     def contains(self, p) -> bool:
         return float(p[0]) >= self.x_goal
@@ -66,22 +70,23 @@ class PlannerConfig:
     mission_timeout: float = 60.0
     weights_l0: ModeWeights = ModeWeights(1.0, 0.1, 3.0)
     weights_l1: ModeWeights = ModeWeights(1.0, 0.1, 0.1)
-    u_max: float | None = None
-    blind_radius: float | None = None  # None: derived from intrinsics and rho
+    u_max: float | None = None  # None: unclamped inputs
 
     def __post_init__(self):
-        if min(self.tau, self.ts, self.d_l, self.eps_reach, self.mission_timeout) <= 0:
-            raise ValueError("planner times and tolerances must be positive")
-        if self.max_rings < 1:
-            raise ValueError("max_rings must be at least 1")
-        n = round(self.tau / self.ts)
-        if abs(n * self.ts - self.tau) > 1e-9:
-            raise ValueError("tau must be an integral multiple of ts")
+        coerce(self, real, "tau", "ts", "d_l", "eps_reach", "mission_timeout", positive=True)
+        coerce(self, integer, "max_rings", minimum=1)
+        if self.u_max is not None:
+            coerce(self, real, "u_max", positive=True)
+        if abs(self.horizon_samples * self.ts - self.tau) > 1e-9:
+            raise ValueError("tau: must be an integral multiple of ts")
 
     @property
     def horizon_samples(self) -> int:
         return round(self.tau / self.ts)
 
+
+# executed-trajectory row fields, in trajectory.csv column order
+ROW_COLUMNS = ["t", "mode", "px", "py", "pz", "vx", "vy", "vz", "ux", "uy", "uz", "event"]
 
 # event vocabulary for log rows, most significant first
 EVENT_PRIORITY = (
@@ -130,17 +135,12 @@ class MissionOutcome:
         return self.status == "reached_goal"
 
 
-def guard_l0_to_l1(lookahead: LookAheadTrajectory, verdict: Verdict, index) -> bool:
-    """Fires when any sampled state of the lookahead is under collision."""
-    return verdict is Verdict.COLLISION
-
-
 def guard_l1_to_l0(x: StateVec, x_esc: StateVec, eps_reach: float) -> bool:
     """Fires once the escape point is physically reached."""
     return float(np.linalg.norm(x.p - x_esc.p)) <= eps_reach
 
 
-def _blind_radius(intr: CameraIntrinsics, robot: RobotModel) -> float:
+def _blind_zone_radius(intr: CameraIntrinsics, robot: RobotModel) -> float:
     """Distance below which an on-axis robot footprint cannot fit the image."""
     margin = min(intr.cx, intr.cy, intr.width - intr.cx, intr.height - intr.cy)
     return intr.z_near + robot.rho + robot.rho * max(intr.fsx, intr.fsy) / margin
@@ -209,7 +209,7 @@ def step_planner(
     # (too close to the camera for their footprint disc to fit the image)
     # are not re-checked
     positions = la.positions()
-    blind = cfg.blind_radius if cfg.blind_radius is not None else _blind_radius(intr, robot)
+    blind = _blind_zone_radius(intr, robot)
     cam = q_c.position
     check_idx = [
         i for i in range(1, len(positions)) if np.linalg.norm(positions[i] - cam) > blind
@@ -248,20 +248,8 @@ def step_planner(
 
 
 def _row(t: float, mode_label: str, s: StateVec, u, event: str) -> dict:
-    return {
-        "t": round(t, 9),
-        "mode": mode_label,
-        "px": float(s.p[0]),
-        "py": float(s.p[1]),
-        "pz": float(s.p[2]),
-        "vx": float(s.v[0]),
-        "vy": float(s.v[1]),
-        "vz": float(s.v[2]),
-        "ux": float(u[0]),
-        "uy": float(u[1]),
-        "uz": float(u[2]),
-        "event": event,
-    }
+    values = [round(t, 9), mode_label, *s.p.tolist(), *s.v.tolist(), *u.tolist(), event]
+    return dict(zip(ROW_COLUMNS, values))
 
 
 def solve_gains(cfg: PlannerConfig) -> dict:

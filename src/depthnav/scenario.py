@@ -1,15 +1,16 @@
 """Scenario files: JSON configuration for missions, with field-path
 validation errors.
 
-All units are SI, all angles radians. Unspecified sections fall back to the
-defaults below (640x480 camera with 10 m range, rho = 0.35 m sphere, planner
-timings tau = 0.8 s / ts = 0.2 s).
+All units are SI, all angles radians. Unspecified sections fall back to
+defaults: the 640x480 camera with 10 m range below, and the library types'
+own defaults (rho = 0.35 m sphere, planner timings tau = 0.8 s / ts = 0.2 s).
+Each type validates its own fields; parsing only adds the section path.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,133 +34,96 @@ class ScenarioConfig:
     x0: StateVec
     goal: GoalRegion
     scene: Scene
-    seed: int = 0
 
 
 _DEFAULT_INTR = dict(
     fsx=385.0, fsy=385.0, cx=320.0, cy=240.0, width=640, height=480,
     z_near=0.3, max_depth=10.0,
 )
+_DEFAULT_BOUNDS = {"min": [-50, -50, -50], "max": [50, 50, 50]}
+# JSON type name -> constructor and the keys of its positional arguments
+_PRIMITIVES = {
+    "box": (Box, ("min", "max")),
+    "sphere": (Sphere, ("center", "radius")),
+    "wall": (Wall, ("point", "normal", "half_extents")),
+}
 
 
-def _get(d: dict, key: str, default, path: str):
-    v = d.get(key, default)
-    if v is None:
-        raise ScenarioError(f"missing required field {path}.{key}")
+def _object(v, path: str) -> dict:
+    if not isinstance(v, dict):
+        raise ScenarioError(f"invalid {path}: must be a JSON object")
     return v
 
 
-def _weights(d, path):
-    try:
-        return ModeWeights(float(d["qp"]), float(d["qv"]), float(d["r"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ScenarioError(f"invalid weights at {path}: {e}") from e
+def _get(d: dict, key: str, path: str):
+    if d.get(key) is None:
+        raise ScenarioError(f"missing required field {path}.{key}")
+    return d[key]
 
 
-def _primitive(d: dict, path: str):
-    kind = _get(d, "type", None, path)
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a field it rejects becomes a ScenarioError at path."""
     try:
-        if kind == "box":
-            return Box(tuple(d["min"]), tuple(d["max"]))
-        if kind == "sphere":
-            return Sphere(tuple(d["center"]), float(d["radius"]))
-        if kind == "wall":
-            return Wall(tuple(d["point"]), tuple(d["normal"]), tuple(d["half_extents"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ScenarioError(f"invalid primitive at {path}: {e}") from e
-    raise ScenarioError(f"unknown primitive type {kind!r} at {path}.type")
+        return make(*args, **kwargs)
+    except (TypeError, ValueError) as e:
+        raise ScenarioError(f"invalid {path}.{e}") from e
 
 
 def parse_scenario(data: dict) -> ScenarioConfig:
-    """Validate a parsed scenario dict; raises ScenarioError naming the field."""
-    intr_d = {**_DEFAULT_INTR, **data.get("intrinsics", {})}
-    try:
-        intr = CameraIntrinsics(
-            fsx=float(intr_d["fsx"]), fsy=float(intr_d["fsy"]),
-            cx=float(intr_d["cx"]), cy=float(intr_d["cy"]),
-            width=int(intr_d["width"]), height=int(intr_d["height"]),
-            z_near=float(intr_d["z_near"]), max_depth=float(intr_d["max_depth"]),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"invalid intrinsics: {e}") from e
+    """Map a parsed scenario dict onto the library types, which validate
+    their own fields; raises ScenarioError naming the offending field."""
+    intr_d = {**_DEFAULT_INTR, **_object(data.get("intrinsics", {}), "intrinsics")}
+    intr = _build("intrinsics", CameraIntrinsics, **{k: intr_d[k] for k in _DEFAULT_INTR})
+    robot_d = _object(data.get("robot", {}), "robot")
+    robot = _build("robot", RobotModel, robot_d.get("rho", RobotModel.rho))
 
-    try:
-        robot = RobotModel(float(data.get("robot", {}).get("rho", 0.35)))
-    except ValueError as e:
-        raise ScenarioError(f"invalid robot.rho: {e}") from e
+    pl = _object(data.get("planner", {}), "planner")
+    kwargs = {f.name: pl[f.name] for f in fields(PlannerConfig) if f.name in pl}
+    for key in ("weights_l0", "weights_l1"):
+        if key in pl:
+            path = f"planner.{key}"
+            w = _object(pl[key], path)
+            kwargs[key] = _build(path, ModeWeights, *(_get(w, k, path) for k in ("qp", "qv", "r")))
+    planner = _build("planner", PlannerConfig, **kwargs)
 
-    pl = data.get("planner", {})
-    for key in ("tau", "ts", "d_l", "eps_reach", "mission_timeout"):
-        if key in pl and (not isinstance(pl[key], (int, float)) or pl[key] <= 0):
-            raise ScenarioError(f"validation error at planner.{key}: must be > 0")
-    try:
-        planner = PlannerConfig(
-            tau=float(pl.get("tau", 0.8)),
-            ts=float(pl.get("ts", 0.2)),
-            d_l=float(pl.get("d_l", 0.5)),
-            eps_reach=float(pl.get("eps_reach", 0.15)),
-            max_rings=int(pl.get("max_rings", 20)),
-            mission_timeout=float(pl.get("mission_timeout", 60.0)),
-            weights_l0=_weights(pl.get("weights_l0", {"qp": 1, "qv": 0.1, "r": 3}), "planner.weights_l0"),
-            weights_l1=_weights(pl.get("weights_l1", {"qp": 1, "qv": 0.1, "r": 0.1}), "planner.weights_l1"),
-            u_max=pl.get("u_max"),
-        )
-    except ValueError as e:
-        raise ScenarioError(f"validation error at planner: {e}") from e
+    start = _object(data.get("start", {}), "start")
+    x0 = _build("start", StateVec, _get(start, "p", "start"), start.get("v", [0.0, 0.0, 0.0]))
 
-    start = data.get("start", {})
-    p0 = np.asarray(_get(start, "p", None, "start"), dtype=float)
-    v0 = np.asarray(start.get("v", [0.0, 0.0, 0.0]), dtype=float)
-    if p0.shape != (3,) or v0.shape != (3,):
-        raise ScenarioError("validation error at start.p/start.v: need 3 components")
-    x0 = StateVec(p0, v0)
-
-    goal_d = _get(data, "goal", None, "")
-    goal = GoalRegion(
-        x_goal=float(_get(goal_d, "x_goal", None, "goal")),
-        y_ref=float(goal_d.get("y_ref", p0[1])),
-        z_ref=float(goal_d.get("z_ref", p0[2])),
+    goal_d = _object(data.get("goal", {}), "goal")
+    goal = _build(
+        "goal", GoalRegion, _get(goal_d, "x_goal", "goal"),
+        goal_d.get("y_ref", x0.p[1]), goal_d.get("z_ref", x0.p[2]),
     )
 
-    bounds_d = data.get("world_bounds", {"min": [-50, -50, -50], "max": [50, 50, 50]})
-    try:
-        bounds = Box(tuple(bounds_d["min"]), tuple(bounds_d["max"]))
-    except (KeyError, ValueError) as e:
-        raise ScenarioError(f"invalid world_bounds: {e}") from e
+    bounds_d = _object(data.get("world_bounds", _DEFAULT_BOUNDS), "world_bounds")
+    bounds = _build(
+        "world_bounds", Box, _get(bounds_d, "min", "world_bounds"), _get(bounds_d, "max", "world_bounds")
+    )
+    lo, hi = bounds.bounds()
 
+    scene_d = data.get("scene", [])
+    if not isinstance(scene_d, list):
+        raise ScenarioError("invalid scene: must be a JSON list")
     prims = []
-    for i, pd in enumerate(data.get("scene", [])):
-        prim = _primitive(pd, f"scene[{i}]")
-        if not _inside_bounds(prim, bounds):
-            raise ScenarioError(f"scene[{i}] lies outside world_bounds")
+    for i, pd in enumerate(scene_d):
+        path = f"scene[{i}]"
+        kind = _get(_object(pd, path), "type", path)
+        if not isinstance(kind, str) or kind not in _PRIMITIVES:
+            raise ScenarioError(f"unknown primitive type {kind!r} at {path}.type")
+        make, keys = _PRIMITIVES[kind]
+        prim = _build(path, make, *(_get(pd, k, path) for k in keys))
+        p_lo, p_hi = prim.bounds()
+        if not (np.all(p_lo >= lo) and np.all(p_hi <= hi)):
+            raise ScenarioError(f"{path} lies outside world_bounds")
         prims.append(prim)
-    scene = Scene(tuple(prims), bounds)
 
-    lo = np.asarray(bounds.min_corner)
-    hi = np.asarray(bounds.max_corner)
-    if not (np.all(p0 >= lo) & np.all(p0 <= hi)):
-        raise ScenarioError("validation error at start.p: outside world_bounds")
+    if not (np.all(x0.p >= lo) and np.all(x0.p <= hi)):
+        raise ScenarioError("invalid start.p: outside world_bounds")
 
     return ScenarioConfig(
         intrinsics=intr, robot=robot, planner=planner, x0=x0, goal=goal,
-        scene=scene, seed=int(data.get("seed", 0)),
+        scene=Scene(tuple(prims), bounds),
     )
-
-
-def _inside_bounds(prim, bounds: Box) -> bool:
-    lo = np.asarray(bounds.min_corner)
-    hi = np.asarray(bounds.max_corner)
-    if isinstance(prim, Box):
-        return bool(np.all(np.asarray(prim.min_corner) >= lo) and np.all(np.asarray(prim.max_corner) <= hi))
-    if isinstance(prim, Sphere):
-        c = np.asarray(prim.center)
-        return bool(np.all(c - prim.radius >= lo) and np.all(c + prim.radius <= hi))
-    # wall: conservative check on its corner points
-    u, v = prim.axes()
-    p0 = np.asarray(prim.point)
-    hu, hv = prim.half_extents
-    corners = [p0 + su * hu * u + sv * hv * v for su in (-1, 1) for sv in (-1, 1)]
-    return all(np.all(c >= lo) and np.all(c <= hi) for c in corners)
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -16,11 +16,11 @@ import numpy as np
 from .frames import (
     CameraIntrinsics,
     Configuration,
-    camera_center,
     project,
     world_to_camera,
     world_to_camera_rotation,
 )
+from .validation import coerce, point, real
 
 __all__ = [
     "Box",
@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 
+# Primitive protocol (Box, Sphere, Wall): distance(p) for the oracle;
+# intersect(origin, dirs, inv_dirs, dir_sq, z_near), the per-ray depth of the
+# nearest surface crossing at or beyond z_near (inf where none) over a ray
+# grid with unit camera-z; bounds(), the world-frame AABB as (lo, hi).
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box given by min/max corners (meters, world frame)."""
@@ -45,15 +51,34 @@ class Box:
     max_corner: tuple
 
     def __post_init__(self):
-        lo, hi = np.asarray(self.min_corner, float), np.asarray(self.max_corner, float)
-        if not np.all(lo < hi):
-            raise ValueError("box min corner must be strictly below max corner")
+        coerce(self, point, "min_corner", "max_corner")
+        if not np.all(np.asarray(self.min_corner) < self.max_corner):
+            raise ValueError("min_corner: must be strictly below max_corner")
 
     def distance(self, p) -> float:
         lo = np.asarray(self.min_corner, float)
         hi = np.asarray(self.max_corner, float)
         closest = np.clip(np.asarray(p, float), lo, hi)
         return float(np.linalg.norm(closest - p))
+
+    def intersect(self, origin, dirs, inv_dirs, dir_sq, z_near) -> np.ndarray:
+        lo = np.asarray(self.min_corner, float)
+        hi = np.asarray(self.max_corner, float)
+        with np.errstate(invalid="ignore"):
+            t1 = (lo - origin) * inv_dirs
+            t2 = (hi - origin) * inv_dirs
+            lo_t = np.minimum(t1, t2)
+            hi_t = np.maximum(t1, t2)
+        # 0 * inf slab degeneracies (ray origin on a slab plane) become NaN;
+        # fmax/fmin ignore NaN, matching the unbounded-slab convention
+        t_near = np.fmax(np.fmax(lo_t[..., 0], lo_t[..., 1]), lo_t[..., 2])
+        t_far = np.fmin(np.fmin(hi_t[..., 0], hi_t[..., 1]), hi_t[..., 2])
+        hit = t_near <= t_far
+        first = np.where(t_near >= z_near, t_near, t_far)
+        return np.where(hit & (first >= z_near), first, np.inf)
+
+    def bounds(self):
+        return np.asarray(self.min_corner), np.asarray(self.max_corner)
 
 
 @dataclass(frozen=True)
@@ -64,12 +89,28 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        coerce(self, point, "center")
+        coerce(self, real, "radius", positive=True)
 
     def distance(self, p) -> float:
         d = float(np.linalg.norm(np.asarray(p, float) - np.asarray(self.center, float)))
         return max(d - self.radius, 0.0)
+
+    def intersect(self, origin, dirs, inv_dirs, dir_sq, z_near) -> np.ndarray:
+        c = np.asarray(self.center, float)
+        oc = origin - c
+        b = 2.0 * (dirs @ oc)
+        cc = float(oc @ oc) - self.radius**2
+        disc = b * b - 4.0 * dir_sq * cc
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        t1 = (-b - sq) / (2.0 * dir_sq)
+        t2 = (-b + sq) / (2.0 * dir_sq)
+        first = np.where(t1 >= z_near, t1, t2)
+        return np.where((disc >= 0.0) & (first >= z_near), first, np.inf)
+
+    def bounds(self):
+        c = np.asarray(self.center)
+        return c - self.radius, c + self.radius
 
 
 @dataclass(frozen=True)
@@ -84,12 +125,10 @@ class Wall:
     half_extents: tuple  # (hu, hv), meters
 
     def __post_init__(self):
-        n = np.asarray(self.normal, float)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-            raise ValueError("wall normal must be unit length")
-        hu, hv = self.half_extents
-        if hu <= 0 or hv <= 0:
-            raise ValueError("wall half extents must be positive")
+        coerce(self, point, "point", "normal")
+        coerce(self, point, "half_extents", n=2, positive=True)
+        if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
+            raise ValueError(f"normal: must be unit length, got {self.normal!r}")
 
     def axes(self):
         n = np.asarray(self.normal, float)
@@ -102,7 +141,6 @@ class Wall:
     def distance(self, p) -> float:
         p = np.asarray(p, float)
         p0 = np.asarray(self.point, float)
-        n = np.asarray(self.normal, float)
         u, v = self.axes()
         rel = p - p0
         cu = np.clip(rel @ u, -self.half_extents[0], self.half_extents[0])
@@ -110,7 +148,8 @@ class Wall:
         closest = p0 + cu * u + cv * v
         return float(np.linalg.norm(p - closest))
 
-    def intersect(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    def intersect(self, origin, dirs, inv_dirs, dir_sq, z_near) -> np.ndarray:
+        origins = origin[None, None, :]
         p0 = np.asarray(self.point, float)
         n = np.asarray(self.normal, float)
         u, v = self.axes()
@@ -122,11 +161,15 @@ class Wall:
         in_rect = (np.abs(rel @ u) <= self.half_extents[0]) & (
             np.abs(rel @ v) <= self.half_extents[1]
         )
-        ok = (np.abs(denom) > 1e-15) & (t >= 0.0) & in_rect
+        ok = (np.abs(denom) > 1e-15) & (t >= z_near) & in_rect
         return np.where(ok, t, np.inf)
 
-
-Primitive = Box | Sphere | Wall
+    def bounds(self):
+        u, v = self.axes()
+        p0 = np.asarray(self.point)
+        hu, hv = self.half_extents
+        corners = [p0 + su * hu * u + sv * hv * v for su in (-1, 1) for sv in (-1, 1)]
+        return np.min(corners, axis=0), np.max(corners, axis=0)
 
 
 @dataclass(frozen=True)
@@ -158,8 +201,7 @@ class RobotModel:
     rho: float = 0.35
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        coerce(self, real, "rho", positive=True)
 
 
 @dataclass
@@ -222,54 +264,13 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
     """
     R_ws = world_to_camera_rotation(q)
     dirs, inv_dirs, dir_sq = _world_rays(intr, R_ws)
-    origin = camera_center(q)
+    origin = q.position
     depth = np.full(dirs.shape[:2], np.inf)
     for prim in scene.primitives:
-        t = _first_hit(prim, origin, dirs, inv_dirs, dir_sq, intr.z_near)
+        t = prim.intersect(origin, dirs, inv_dirs, dir_sq, intr.z_near)
         np.minimum(depth, t, out=depth)
     depth = np.where(np.isfinite(depth), np.minimum(depth, intr.max_depth), intr.max_depth)
     return DepthImage(intr.width, intr.height, depth.astype(np.float32))
-
-
-def _first_hit(
-    prim: Primitive,
-    origin: np.ndarray,
-    dirs: np.ndarray,
-    inv_dirs: np.ndarray,
-    dir_sq: np.ndarray,
-    z_near: float,
-) -> np.ndarray:
-    """Nearest surface crossing with t >= z_near, inf when none."""
-    if isinstance(prim, Box):
-        lo = np.asarray(prim.min_corner, float)
-        hi = np.asarray(prim.max_corner, float)
-        with np.errstate(invalid="ignore"):
-            t1 = (lo - origin) * inv_dirs
-            t2 = (hi - origin) * inv_dirs
-            lo_t = np.minimum(t1, t2)
-            hi_t = np.maximum(t1, t2)
-        # 0 * inf slab degeneracies (ray origin on a slab plane) become NaN;
-        # fmax/fmin ignore NaN, matching the unbounded-slab convention
-        t_near = np.fmax(np.fmax(lo_t[..., 0], lo_t[..., 1]), lo_t[..., 2])
-        t_far = np.fmin(np.fmin(hi_t[..., 0], hi_t[..., 1]), hi_t[..., 2])
-        hit = t_near <= t_far
-        first = np.where(t_near >= z_near, t_near, t_far)
-        return np.where(hit & (first >= z_near), first, np.inf)
-    if isinstance(prim, Sphere):
-        c = np.asarray(prim.center, float)
-        oc = origin - c
-        b = 2.0 * (dirs @ oc)
-        cc = float(oc @ oc) - prim.radius**2
-        disc = b * b - 4.0 * dir_sq * cc
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        t1 = (-b - sq) / (2.0 * dir_sq)
-        t2 = (-b + sq) / (2.0 * dir_sq)
-        first = np.where(t1 >= z_near, t1, t2)
-        return np.where((disc >= 0.0) & (first >= z_near), first, np.inf)
-    if isinstance(prim, Wall):
-        t = prim.intersect(origin[None, None, :], dirs)
-        return np.where(t >= z_near, t, np.inf)
-    raise TypeError(f"unknown primitive {type(prim)!r}")
 
 
 def render_robot_footprint(

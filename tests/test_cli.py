@@ -86,6 +86,30 @@ class TestRender:
              "--out", str(b)])
         assert np.array_equal(read_pfm(a).values, read_pfm(b).values)
 
+    def test_negative_exponent_pose(self, tmp_path):
+        a = tmp_path / "a.pfm"
+        b = tmp_path / "b.pfm"
+        corridor = str(SCENARIO_DIR / "corridor.json")
+        assert cli(["render", corridor, "--pose", "0", "-5.8e-05", "1.2", "--out", str(a)]) == 0
+        assert cli(["render", corridor, "--pose", "0", "-0.000058", "1.2", "--out", str(b)]) == 0
+        assert np.array_equal(read_pfm(a).values, read_pfm(b).values)
+
+    @pytest.mark.parametrize("pose", [["0", "0"], ["0", "0", "1.2", "0", "0", "0", "0"]])
+    def test_wrong_pose_length_exit_one(self, tmp_path, capsys, pose):
+        out = tmp_path / "depth.pfm"
+        assert cli(["render", str(SCENARIO_DIR / "corridor.json"), "--pose", *pose,
+                    "--out", str(out)]) == 1
+        assert "--pose takes 3 or 6 values" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pose", [["nan", "0", "1.2"], ["0", "0", "1.2", "0", "-inf", "0"]])
+    def test_non_finite_pose_exit_one(self, tmp_path, capsys, pose):
+        out = tmp_path / "depth.pfm"
+        assert cli(["render", str(SCENARIO_DIR / "corridor.json"), "--pose", *pose,
+                    "--out", str(out)]) == 1
+        assert "--pose" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGains:
     def test_prints_both_modes(self, capsys):

@@ -1,0 +1,80 @@
+"""Every numeric scenario field rejects NaN, infinity, a wrong sign and a
+string: ``depthnav run`` exits 1 and names the field path on stderr, with no
+traceback and no mission run."""
+
+import copy
+import json
+
+import pytest
+
+from depthnav.cli import cli
+from depthnav.scenario import parse_scenario
+
+from conftest import SCENARIO_DIR
+
+BASE = json.loads((SCENARIO_DIR / "corridor.json").read_text())
+BASE["planner"]["u_max"] = 5.0
+BASE["scene"] = [
+    {"type": "box", "min": [3.5, -0.7, 0.0], "max": [4.1, 0.7, 3.0]},
+    {"type": "sphere", "center": [6.0, -1.8, 1.2], "radius": 0.6},
+    {"type": "wall", "point": [9.0, 2.0, 1.0], "normal": [-1.0, 0.0, 0.0], "half_extents": [0.5, 0.5]},
+]
+
+NAN, INF, NEG, STR = float("nan"), float("inf"), -1.0, "x"
+ALL = (NAN, INF, NEG, STR)
+SIGNED = (NAN, INF, STR)  # -1 is a valid value for these fields
+
+# (key path into the scenario dict, bad values, field path the error must name)
+FIELDS = [
+    *((("intrinsics", k), ALL, f"intrinsics.{k}")
+      for k in ("fsx", "fsy", "cx", "cy", "width", "height", "z_near", "max_depth")),
+    (("robot", "rho"), ALL, "robot.rho"),
+    *((("planner", k), ALL, f"planner.{k}")
+      for k in ("tau", "ts", "d_l", "eps_reach", "max_rings", "mission_timeout", "u_max")),
+    *((("planner", w, k), ALL, f"planner.{w}.{k}")
+      for w in ("weights_l0", "weights_l1") for k in ("qp", "qv", "r")),
+    *((("start", k, i), SIGNED, f"start.{k}") for k in ("p", "v") for i in range(3)),
+    (("start", "p"), ([0.0, 1.2], [[0.0], [0.0, 1.2]]), "start.p"),
+    *((("goal", k), SIGNED, f"goal.{k}") for k in ("x_goal", "y_ref", "z_ref")),
+    *((("world_bounds", k, 0), SIGNED, f"world_bounds.{k}") for k in ("min", "max")),
+    (("scene", 0, "min", 1), SIGNED, "scene[0].min"),
+    (("scene", 0, "max", 2), SIGNED, "scene[0].max"),
+    (("scene", 1, "center", 0), SIGNED, "scene[1].center"),
+    (("scene", 1, "radius"), ALL, "scene[1].radius"),
+    (("scene", 2, "point", 2), SIGNED, "scene[2].point"),
+    (("scene", 2, "normal", 0), SIGNED, "scene[2].normal"),
+    (("scene", 2, "half_extents", 1), ALL, "scene[2].half_extents"),
+]
+
+CASES = [
+    pytest.param(keys, value, path, id=f"{'.'.join(map(str, keys))}={value}")
+    for keys, values, path in FIELDS
+    for value in values
+]
+
+
+def _with(keys, value):
+    data = copy.deepcopy(BASE)
+    node = data
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    return data
+
+
+def test_base_scenario_is_valid():
+    sc = parse_scenario(copy.deepcopy(BASE))
+    assert len(sc.scene.primitives) == 3
+    assert sc.planner.u_max == 5.0
+
+
+@pytest.mark.parametrize("keys, value, path", CASES)
+def test_run_rejects_invalid_field(tmp_path, capsys, keys, value, path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_with(keys, value)))
+    out = tmp_path / "run"
+    assert cli(["run", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert path in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -30,8 +30,10 @@ class TestBruteForceCollision:
         assert not brute_force_collision(Scene(), [0.0, 0.0, 0.0], 0.35)
 
     def test_rejects_nonpositive_rho(self):
-        with pytest.raises(ValueError):
-            brute_force_collision(Scene(), [0.0, 0.0, 0.0], 0.0)
+        # NaN compares false with everything: it must not read as "no collision"
+        for rho in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                brute_force_collision(Scene(), [0.0, 0.0, 0.0], rho)
 
 
 class TestMinClearance:

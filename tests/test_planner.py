@@ -8,8 +8,6 @@ from depthnav import (
     PlannerConfig,
     Scene,
     StateVec,
-    Verdict,
-    guard_l0_to_l1,
     guard_l1_to_l0,
     load_scenario,
     run_mission,
@@ -36,11 +34,6 @@ def empty():
 
 
 class TestGuards:
-    def test_l0_to_l1_fires_only_on_collision(self):
-        assert guard_l0_to_l1(None, Verdict.COLLISION, 2)
-        assert not guard_l0_to_l1(None, Verdict.FREE, None)
-        assert not guard_l0_to_l1(None, Verdict.OUT_OF_VIEW, 2)
-
     def test_l1_to_l0_distance_threshold(self):
         esc = StateVec.rest([1.0, 0.0, 0.0])
         assert guard_l1_to_l0(StateVec.rest([1.0, 0.0, 0.0]), esc, 0.15)
