@@ -60,17 +60,25 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _cell(key: str, v):
+    try:
+        return v if key in ("mode", "event") else float(v)
+    except (TypeError, ValueError):
+        return v  # verify_mission names a bad position cell with its row
+
+
 def _cmd_verify(args) -> int:
     run_dir = Path(args.run_dir)
     sc = load_scenario(run_dir / "scenario.json")
     with open(run_dir / "trajectory.csv", newline="") as f:
-        rows = [
-            {k: (v if k in ("mode", "event") else float(v)) for k, v in row.items()}
-            for row in csv.DictReader(f)
-        ]
+        rows = [{k: _cell(k, v) for k, v in row.items()} for row in csv.DictReader(f)]
     report = verify_mission(rows, sc.scene, sc.robot.rho)
     print(f"checked {len(report.flags)} swept samples")
     print(f"violations: {report.violation_count}")
+    if report.first_violation is not None:
+        row = rows[report.first_violation]
+        print(f"first violation: row {report.first_violation}, t = {row.get('t')} s, "
+              f"mode {row.get('mode')}, event {row.get('event')}")
     print(f"min clearance: {report.min_clearance:.6g} m")
     return 0 if report.violation_count == 0 else 1
 

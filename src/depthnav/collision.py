@@ -121,18 +121,18 @@ def find_escape(
     if check_configuration(p_hit, depth, q_c, robot, intr) is Verdict.FREE:
         return EscapeResult(p_hit)
     R_sw = world_to_camera_rotation(q_c).T
-    world_dirs = [(name, R_sw @ d) for name, d in _DIRECTIONS]
-    alive = {name: True for name, _ in world_dirs}
+    world_dirs = [R_sw @ d for _, d in _DIRECTIONS]
+    alive = [True] * len(world_dirs)
     for k in range(1, max_rings + 1):
-        if not any(alive.values()):
+        if not any(alive):
             break
-        for name, d in world_dirs:
-            if not alive[name]:
+        for i, d in enumerate(world_dirs):
+            if not alive[i]:
                 continue
             cand = p_hit + k * d_l * d
             v = check_configuration(cand, depth, q_c, robot, intr)
             if v is Verdict.FREE:
                 return EscapeResult(cand)
             if v is Verdict.OUT_OF_VIEW:
-                alive[name] = False
+                alive[i] = False
     return EscapeResult(None)

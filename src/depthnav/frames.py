@@ -26,7 +26,6 @@ __all__ = [
     "world_to_camera",
     "camera_to_world",
     "project",
-    "pixel_in_bounds",
 ]
 
 
@@ -164,8 +163,3 @@ def project(p_s, intr: CameraIntrinsics):
         return None
     return (intr.fsx * xs / zs + intr.cx, intr.fsy * ys / zs + intr.cy)
 
-
-def pixel_in_bounds(r, intr: CameraIntrinsics) -> bool:
-    """Membership of a continuous pixel coordinate in the valid image set."""
-    rx, ry = r
-    return 0.0 <= rx < intr.width and 0.0 <= ry < intr.height

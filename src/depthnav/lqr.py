@@ -69,10 +69,7 @@ class AxisGain:
 class LookAheadTrajectory:
     """One horizon of closed-loop samples: (state, input) every ts seconds."""
 
-    start_time: float
-    ts: float
     samples: list  # list[(StateVec, np.ndarray)]
-    mode: str
 
     def positions(self) -> np.ndarray:
         return np.array([s.p for s, _ in self.samples])
@@ -115,8 +112,6 @@ def rollout(
     g: AxisGain,
     tau: float,
     ts: float,
-    start_time: float = 0.0,
-    mode: str = "l0",
     u_max: float | None = None,
 ) -> LookAheadTrajectory:
     """Integrate the closed loop over one horizon, sampling every ts seconds.
@@ -150,4 +145,4 @@ def rollout(
             k4p, k4v = v4, law(p4, v4)
             p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return LookAheadTrajectory(start_time=start_time, ts=ts, samples=samples, mode=mode)
+    return LookAheadTrajectory(samples)

@@ -6,57 +6,69 @@ fact. Boundary contact (distance exactly rho) counts as collision.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scene import Scene
+from .validation import real
 
-__all__ = ["OracleReport", "brute_force_collision", "min_clearance", "verify_mission"]
+__all__ = ["OracleReport", "brute_force_collision", "verify_mission"]
 
 CLEARANCE_SENTINEL = sys.float_info.max  # empty scene / nothing to measure
+REFINE = 10  # sweep points per executed segment (ts / REFINE spacing)
 
 
 @dataclass
 class OracleReport:
-    flags: list  # per checked sample, True = intersection
-    min_clearance: float
-    violation_count: int
+    flags: list  # per swept point, True = intersection
+    min_clearance: float  # sphere surface to the nearest primitive; < 0 inside
+
+    @property
+    def violation_count(self) -> int:
+        return sum(self.flags)
+
+    @property
+    def first_violation(self) -> int | None:
+        """Row ending the first violating segment (sweep point j ends at row ceil(j / REFINE))."""
+        return next((-(-j // REFINE) for j, f in enumerate(self.flags) if f), None)
 
 
 def brute_force_collision(scene: Scene, p, rho: float) -> bool:
     """True iff a sphere of radius rho at p intersects any primitive (closed)."""
-    if not rho > 0:  # NaN included
-        raise ValueError(f"rho: must be positive, got {rho!r}")
+    rho = real("rho", rho, positive=True)  # a NaN rho would read as "no collision"
     return any(prim.distance(p) <= rho for prim in scene.primitives)
 
 
-def min_clearance(scene: Scene, p, rho: float) -> float:
-    """Distance from the sphere surface to the nearest primitive; negative
-    when intersecting, sentinel when the scene is empty."""
-    if not scene.primitives:
-        return CLEARANCE_SENTINEL
-    return min(prim.distance(p) for prim in scene.primitives) - rho
-
-
-def verify_mission(rows, scene: Scene, rho: float, refine: int = 10) -> OracleReport:
+def verify_mission(rows, scene: Scene, rho: float) -> OracleReport:
     """Sweep the executed trajectory as a sphere and report intersections.
 
-    Checks every executed sample plus `refine - 1` linearly interpolated
-    midpoints per segment (ts/refine spacing).
+    Checks every executed sample plus REFINE - 1 linearly interpolated
+    midpoints per segment. Each point's nearest-primitive distance is
+    computed once; it gives both the flag (distance <= rho) and the
+    clearance (distance - rho). A missing or non-finite position is
+    rejected with its row index and column.
     """
+    rho = real("rho", rho, positive=True)
     if not rows:
         raise ValueError("empty trajectory log")
     points = []
     prev = None
-    for row in rows:
-        p = np.array([row["px"], row["py"], row["pz"]])
+    for i, row in enumerate(rows):
+        try:
+            p = np.array([real(key, row[key]) for key in ("px", "py", "pz")])
+        except KeyError as e:
+            raise ValueError(f"trajectory row {i}: missing column {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"trajectory row {i}: {e}") from e
         if prev is not None:
-            for k in range(1, refine):
-                points.append(prev + (p - prev) * (k / refine))
+            for k in range(1, REFINE):
+                points.append(prev + (p - prev) * (k / REFINE))
         points.append(p)
         prev = p
-    flags = [brute_force_collision(scene, p, rho) for p in points]
-    clearance = min((min_clearance(scene, p, rho) for p in points), default=CLEARANCE_SENTINEL)
-    return OracleReport(flags=flags, min_clearance=clearance, violation_count=sum(flags))
+    prims = scene.primitives
+    nearest = [min((prim.distance(p) for prim in prims), default=math.inf) for p in points]
+    clearance = min(nearest) - rho if prims else CLEARANCE_SENTINEL
+    return OracleReport([d <= rho for d in nearest], clearance)

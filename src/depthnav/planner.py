@@ -146,11 +146,6 @@ def _blind_zone_radius(intr: CameraIntrinsics, robot: RobotModel) -> float:
     return intr.z_near + robot.rho + robot.rho * max(intr.fsx, intr.fsy) / margin
 
 
-def _config_at(p) -> Configuration:
-    # heading held toward +x; the planner does not plan yaw
-    return Configuration(float(p[0]), float(p[1]), float(p[2]))
-
-
 def step_planner(
     scene: Scene,
     state: PlannerState,
@@ -162,16 +157,14 @@ def step_planner(
 ) -> PlannerState:
     """One planning tick at the executor's current time.
 
-    Renders a fresh depth image from the current configuration, generates or
-    re-checks one candidate lookahead, and appends / defers / replans per the
-    automaton guards.
+    In l0, renders a fresh depth image from the current configuration,
+    generates or re-checks one candidate lookahead, and appends / defers /
+    replans per the automaton guards; in l1, appends the next escape lookahead.
     """
     exec_state = state.exec_sample[0]
 
     # l1 -> l0: escape physically reached; resume toward goal from the actual state
-    if state.mode is Mode.ESCAPE and state.x_esc is not None and guard_l1_to_l0(
-        exec_state, state.x_esc, cfg.eps_reach
-    ):
+    if state.mode is Mode.ESCAPE and guard_l1_to_l0(exec_state, state.x_esc, cfg.eps_reach):
         state.log("escape_reached")
         del state.appended[state.exec_idx + 1 :]
         state.deferred = None
@@ -182,28 +175,21 @@ def step_planner(
     if state.deferred is None and unexecuted > cfg.horizon_samples:
         return state  # buffer holds a full horizon; nothing to generate
 
-    q_c = _config_at(exec_state.p)
-    # escape-mode lookaheads are not image-checked, so skip the render there
-    depth = None if state.mode is Mode.ESCAPE else render_scene_depth(scene, q_c, intr)
+    x_start = state.appended[-1][0]
+    if state.mode is Mode.ESCAPE:
+        # escape maneuvers head to an already-verified free point while
+        # cutting across the view cone; they are executed without a render
+        # or image re-check (end-to-end safety is covered by the 3D oracle
+        # sweep). A lookahead is only ever deferred in l0.
+        la = rollout(x_start, state.x_esc, gains["l1"], cfg.tau, cfg.ts, u_max=cfg.u_max)
+        state.appended.extend((s, u, state.mode.value) for s, u in la.samples[1:])
+        return state
 
-    if state.deferred is not None:
-        la = state.deferred
-    else:
-        x_start = state.appended[-1][0]
-        if state.mode is Mode.GO_TO_GOAL:
-            x_ref, gain = goal.reference(), gains["l0"]
-        else:
-            x_ref, gain = state.x_esc, gains["l1"]
-        la = rollout(
-            x_start,
-            x_ref,
-            gain,
-            cfg.tau,
-            cfg.ts,
-            start_time=(len(state.appended) - 1) * cfg.ts,
-            mode=state.mode.value,
-            u_max=cfg.u_max,
-        )
+    q_c = Configuration(*exec_state.p.tolist())  # heading held toward +x: no yaw planning
+    depth = render_scene_depth(scene, q_c, intr)
+    la = state.deferred
+    if la is None:
+        la = rollout(x_start, goal.reference(), gains["l0"], cfg.tau, cfg.ts, u_max=cfg.u_max)
 
     # the junction sample and samples inside the robot's current blind zone
     # (too close to the camera for their footprint disc to fit the image)
@@ -214,19 +200,15 @@ def step_planner(
     check_idx = [
         i for i in range(1, len(positions)) if np.linalg.norm(positions[i] - cam) > blind
     ]
-    if not check_idx or state.mode is Mode.ESCAPE:
-        # escape maneuvers head to an already-verified free point while
-        # cutting across the view cone; they are executed without image
-        # re-checks (end-to-end safety is covered by the 3D oracle sweep)
-        verdict, hit_idx = Verdict.FREE, None
-    else:
+    verdict, hit_idx = Verdict.FREE, None
+    if check_idx:
         verdict, j = waypoints2collision(
             [positions[i] for i in check_idx], depth, q_c, robot, intr
         )
         hit_idx = check_idx[j] if j is not None else None
 
     if verdict is Verdict.FREE:
-        state.appended.extend((s, u, la.mode) for s, u in la.samples[1:])
+        state.appended.extend((s, u, state.mode.value) for s, u in la.samples[1:])
         state.deferred = None
     elif verdict is Verdict.OUT_OF_VIEW:
         state.deferred = la
@@ -284,18 +266,18 @@ def run_mission(
         appended=[(x0, np.zeros(3), Mode.GO_TO_GOAL.value)],
     )
     rows: list = []
-    pending = []  # events to attach to the current tick's row
+    starved = False  # the executor could not advance at the end of the last tick
     while True:
         t = state.tick * cfg.ts
         n_before = len(state.events)
         step_planner(scene, state, cfg, goal, intr, robot, gains)
-        tick_events = pending + [e["event"] for e in state.events[n_before:]]
-        pending = []
+        tick_events = [e["event"] for e in state.events[n_before:]]
+        if starved:
+            tick_events.append("starvation")
         s, u, mode_label = state.exec_sample
 
         status = None
-        if state.stuck:
-            tick_events.append("stuck")
+        if state.stuck:  # step_planner logged "stuck" in this tick
             status = "stuck"
         elif goal.contains(s.p):
             tick_events.append("goal")
@@ -314,8 +296,7 @@ def run_mission(
                 events=list(state.events),
             )
 
-        if state.exec_idx < len(state.appended) - 1:
+        starved = state.exec_idx == len(state.appended) - 1
+        if not starved:
             state.exec_idx += 1
-        else:
-            pending.append("starvation")
         state.tick += 1

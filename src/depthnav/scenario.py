@@ -41,17 +41,23 @@ _DEFAULT_INTR = dict(
     z_near=0.3, max_depth=10.0,
 )
 _DEFAULT_BOUNDS = {"min": [-50, -50, -50], "max": [50, 50, 50]}
+_SECTIONS = ("intrinsics", "robot", "planner", "start", "goal", "world_bounds", "scene")
 # JSON type name -> constructor and the keys of its positional arguments
 _PRIMITIVES = {
     "box": (Box, ("min", "max")),
     "sphere": (Sphere, ("center", "radius")),
     "wall": (Wall, ("point", "normal", "half_extents")),
 }
+_PRIMITIVE_KEYS = {"type"}.union(*(keys for _, keys in _PRIMITIVES.values()))
 
 
-def _object(v, path: str) -> dict:
+def _object(v, path: str, keys) -> dict:
+    """v as a JSON object whose keys all lie in keys; path is '' for the root."""
     if not isinstance(v, dict):
         raise ScenarioError(f"invalid {path}: must be a JSON object")
+    for key in v:
+        if key not in keys:
+            raise ScenarioError(f"unknown field {path + '.' if path else ''}{key}")
     return v
 
 
@@ -71,31 +77,33 @@ def _build(path: str, make, *args, **kwargs):
 
 def parse_scenario(data: dict) -> ScenarioConfig:
     """Map a parsed scenario dict onto the library types, which validate
-    their own fields; raises ScenarioError naming the offending field."""
-    intr_d = {**_DEFAULT_INTR, **_object(data.get("intrinsics", {}), "intrinsics")}
-    intr = _build("intrinsics", CameraIntrinsics, **{k: intr_d[k] for k in _DEFAULT_INTR})
-    robot_d = _object(data.get("robot", {}), "robot")
+    their own fields; raises ScenarioError naming the offending field, and
+    rejects a key no section defines with its path."""
+    _object(data, "", _SECTIONS)
+    intr_d = {**_DEFAULT_INTR, **_object(data.get("intrinsics", {}), "intrinsics", _DEFAULT_INTR)}
+    intr = _build("intrinsics", CameraIntrinsics, **intr_d)
+    robot_d = _object(data.get("robot", {}), "robot", ("rho",))
     robot = _build("robot", RobotModel, robot_d.get("rho", RobotModel.rho))
 
-    pl = _object(data.get("planner", {}), "planner")
-    kwargs = {f.name: pl[f.name] for f in fields(PlannerConfig) if f.name in pl}
+    planner_keys = [f.name for f in fields(PlannerConfig)]
+    kwargs = dict(_object(data.get("planner", {}), "planner", planner_keys))
     for key in ("weights_l0", "weights_l1"):
-        if key in pl:
+        if key in kwargs:
             path = f"planner.{key}"
-            w = _object(pl[key], path)
+            w = _object(kwargs[key], path, ("qp", "qv", "r"))
             kwargs[key] = _build(path, ModeWeights, *(_get(w, k, path) for k in ("qp", "qv", "r")))
     planner = _build("planner", PlannerConfig, **kwargs)
 
-    start = _object(data.get("start", {}), "start")
+    start = _object(data.get("start", {}), "start", ("p", "v"))
     x0 = _build("start", StateVec, _get(start, "p", "start"), start.get("v", [0.0, 0.0, 0.0]))
 
-    goal_d = _object(data.get("goal", {}), "goal")
+    goal_d = _object(data.get("goal", {}), "goal", ("x_goal", "y_ref", "z_ref"))
     goal = _build(
         "goal", GoalRegion, _get(goal_d, "x_goal", "goal"),
         goal_d.get("y_ref", x0.p[1]), goal_d.get("z_ref", x0.p[2]),
     )
 
-    bounds_d = _object(data.get("world_bounds", _DEFAULT_BOUNDS), "world_bounds")
+    bounds_d = _object(data.get("world_bounds", _DEFAULT_BOUNDS), "world_bounds", ("min", "max"))
     bounds = _build(
         "world_bounds", Box, _get(bounds_d, "min", "world_bounds"), _get(bounds_d, "max", "world_bounds")
     )
@@ -107,10 +115,11 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     prims = []
     for i, pd in enumerate(scene_d):
         path = f"scene[{i}]"
-        kind = _get(_object(pd, path), "type", path)
+        kind = _get(_object(pd, path, _PRIMITIVE_KEYS), "type", path)
         if not isinstance(kind, str) or kind not in _PRIMITIVES:
             raise ScenarioError(f"unknown primitive type {kind!r} at {path}.type")
         make, keys = _PRIMITIVES[kind]
+        _object(pd, path, ("type", *keys))
         prim = _build(path, make, *(_get(pd, k, path) for k in keys))
         p_lo, p_hi = prim.bounds()
         if not (np.all(p_lo >= lo) and np.all(p_hi <= hi)):
@@ -122,7 +131,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
 
     return ScenarioConfig(
         intrinsics=intr, robot=robot, planner=planner, x0=x0, goal=goal,
-        scene=Scene(tuple(prims), bounds),
+        scene=Scene(tuple(prims)),
     )
 
 

@@ -8,7 +8,7 @@ ray length. Pixels with no hit hold exactly max_depth.
 
 from __future__ import annotations
 
-import struct
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,24 +174,27 @@ class Wall:
 
 @dataclass(frozen=True)
 class Scene:
-    """Immutable list of obstacle primitives inside compact world bounds."""
+    """Immutable list of obstacle primitives."""
 
     primitives: tuple = ()
-    bounds: Box = Box((-50.0, -50.0, -50.0), (50.0, 50.0, 50.0))
 
 
 @dataclass
 class DepthImage:
     """Per-pixel z-depth of the scene, row-major float32, meters."""
 
-    width: int
-    height: int
     values: np.ndarray  # shape (height, width), float32
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
-        if self.values.shape != (self.height, self.width):
-            raise ValueError("depth buffer shape mismatch")
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -219,40 +222,30 @@ class RobotFootprint:
     pixel_radius: float = 0.0
 
 
-_ray_cache: dict = {}
-_dir_cache: dict = {}
-_DIR_CACHE_MAX = 8
-
-
+@functools.lru_cache(maxsize=None)
 def _pixel_rays(intr: CameraIntrinsics) -> np.ndarray:
     """Camera-frame ray directions through pixel centers, unit z component."""
-    key = intr
-    rays = _ray_cache.get(key)
-    if rays is None:
-        xs = (np.arange(intr.width) + 0.5 - intr.cx) / intr.fsx
-        ys = (np.arange(intr.height) + 0.5 - intr.cy) / intr.fsy
-        gx, gy = np.meshgrid(xs, ys)
-        rays = np.stack([gx, gy, np.ones_like(gx)], axis=-1)
-        _ray_cache[key] = rays
-    return rays
+    xs = (np.arange(intr.width) + 0.5 - intr.cx) / intr.fsx
+    ys = (np.arange(intr.height) + 0.5 - intr.cy) / intr.fsy
+    gx, gy = np.meshgrid(xs, ys)
+    return np.stack([gx, gy, np.ones_like(gx)], axis=-1)
 
 
-def _world_rays(intr: CameraIntrinsics, R_ws: np.ndarray):
-    """World-frame ray grid plus derived per-pixel constants, cached per
-    (intrinsics, orientation): the grid is reused across renders and its
-    reciprocal / squared norm across primitives."""
-    key = (intr, R_ws.tobytes())
-    entry = _dir_cache.get(key)
-    if entry is None:
-        dirs = _pixel_rays(intr) @ R_ws  # camera->world: R_ws.T applied per ray
-        with np.errstate(divide="ignore"):
-            inv_dirs = 1.0 / dirs
-        dir_sq = np.einsum("...i,...i->...", dirs, dirs)
-        if len(_dir_cache) >= _DIR_CACHE_MAX:
-            _dir_cache.clear()
-        entry = (dirs, inv_dirs, dir_sq)
-        _dir_cache[key] = entry
-    return entry
+@functools.lru_cache(maxsize=8)
+def _world_rays(intr: CameraIntrinsics, R_ws_bytes: bytes):
+    """World-frame ray grid plus derived per-pixel constants for the
+    world-to-camera rotation whose bytes are R_ws_bytes: the grid is reused
+    across renders and its reciprocal / squared norm across primitives.
+
+    Keyed by the matrix bytes, not the Euler angles: 0.0 and -0.0 are equal
+    keys but give reciprocals of opposite infinite sign.
+    """
+    R_ws = np.frombuffer(R_ws_bytes).reshape(3, 3)
+    dirs = _pixel_rays(intr) @ R_ws  # camera->world: R_ws.T applied per ray
+    with np.errstate(divide="ignore"):
+        inv_dirs = 1.0 / dirs
+    dir_sq = np.einsum("...i,...i->...", dirs, dirs)
+    return dirs, inv_dirs, dir_sq
 
 
 def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -> DepthImage:
@@ -262,15 +255,14 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
     intersections along each pixel ray, clamped to max_depth; max_depth
     where nothing is hit. Deterministic.
     """
-    R_ws = world_to_camera_rotation(q)
-    dirs, inv_dirs, dir_sq = _world_rays(intr, R_ws)
+    dirs, inv_dirs, dir_sq = _world_rays(intr, world_to_camera_rotation(q).tobytes())
     origin = q.position
     depth = np.full(dirs.shape[:2], np.inf)
     for prim in scene.primitives:
         t = prim.intersect(origin, dirs, inv_dirs, dir_sq, intr.z_near)
         np.minimum(depth, t, out=depth)
     depth = np.where(np.isfinite(depth), np.minimum(depth, intr.max_depth), intr.max_depth)
-    return DepthImage(intr.width, intr.height, depth.astype(np.float32))
+    return DepthImage(depth.astype(np.float32))
 
 
 def render_robot_footprint(
@@ -325,5 +317,4 @@ def read_pfm(path) -> DepthImage:
         w, h = (int(v) for v in f.readline().split())
         scale = float(f.readline())
         data = np.frombuffer(f.read(w * h * 4), dtype="<f4" if scale < 0 else ">f4")
-    values = np.flipud(data.reshape(h, w)).copy()
-    return DepthImage(w, h, values)
+    return DepthImage(np.flipud(data.reshape(h, w)).copy())

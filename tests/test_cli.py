@@ -46,24 +46,78 @@ class TestVerify:
         out = tmp_path / "run"
         cli(["run", str(SCENARIO_DIR / "corridor.json"), "--out", str(out)])
         assert cli(["verify", str(out)]) == 0
-        assert "violations: 0" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "violations: 0" in text
+        assert "first violation" not in text
 
     def test_violating_run_exit_one(self, tmp_path, capsys):
         out = tmp_path / "run"
         cli(["run", str(SCENARIO_DIR / "corridor.json"), "--out", str(out)])
         # adversarial fixture: drag one logged sample into the pillar
-        traj = out / "trajectory.csv"
-        with open(traj, newline="") as f:
-            rows = list(csv.DictReader(f))
-        rows[len(rows) // 2]["px"], rows[len(rows) // 2]["py"], rows[len(rows) // 2]["pz"] = (
-            "3.8", "0.0", "1.5",
-        )
-        with open(traj, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
-            w.writeheader()
-            w.writerows(rows)
+        _rewrite(out, lambda rows: rows[len(rows) // 2].update(px="3.8", py="0.0", pz="1.5"))
         assert cli(["verify", str(out)]) == 1
         assert "violations: 0" not in capsys.readouterr().out
+
+    def test_names_first_violation(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cli(["run", str(SCENARIO_DIR / "empty.json"), "--out", str(out)])
+        # a box across the straight path at x = 3.0; rho 0.35 reaches it from x = 2.65
+        scenario = json.loads((out / "scenario.json").read_text())
+        scenario["scene"] = [{"type": "box", "min": [3.0, -5.0, 0.0], "max": [3.2, 5.0, 3.0]}]
+        (out / "scenario.json").write_text(json.dumps(scenario))
+        capsys.readouterr()
+        assert cli(["verify", str(out)]) == 1
+        with open(out / "trajectory.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        i = next(i for i, r in enumerate(rows) if float(r["px"]) >= 2.65)
+        row = rows[i]
+        text = capsys.readouterr().out
+        assert (
+            f"first violation: row {i}, t = {float(row['t'])} s, "
+            f"mode {row['mode']}, event {row['event']}"
+        ) in text
+        assert "min clearance: -0.35 m" in text
+
+    @pytest.mark.parametrize("column", ["px", "py", "pz"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc", ""])
+    def test_rejects_non_finite_position(self, tmp_path, capsys, column, value):
+        out = tmp_path / "run"
+        cli(["run", str(SCENARIO_DIR / "empty.json"), "--out", str(out)])
+        _rewrite(out, lambda rows: rows[3].update({column: value}))
+        capsys.readouterr()
+        assert cli(["verify", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: trajectory row 3: {column}" in captured.err
+        assert "violations" not in captured.out
+
+    def test_rejects_all_nan_positions(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cli(["run", str(SCENARIO_DIR / "corridor.json"), "--out", str(out)])
+        _rewrite(out, lambda rows: [r.update(px="nan") for r in rows])
+        assert cli(["verify", str(out)]) == 1
+        assert "error: trajectory row 0: px" in capsys.readouterr().err
+
+    def test_rejects_missing_position_column(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cli(["run", str(SCENARIO_DIR / "empty.json"), "--out", str(out)])
+        _rewrite(out, lambda rows: [r.pop("px") for r in rows])
+        assert cli(["verify", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: trajectory row 0: missing column 'px'" in err
+        assert "Traceback" not in err
+
+
+def _rewrite(run_dir, edit):
+    """Apply edit to the rows of run_dir's trajectory.csv and write them back,
+    with the columns the edited rows still have."""
+    path = run_dir / "trajectory.csv"
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    edit(rows)
+    with open(path, "w", newline="") as f:
+        w = csv.DictWriter(f, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows(rows)
 
 
 class TestRender:

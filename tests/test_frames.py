@@ -12,7 +12,7 @@ from depthnav import (
     rotation_zxy,
     world_to_camera,
 )
-from depthnav.frames import normalize_angle, pixel_in_bounds, world_to_camera_rotation
+from depthnav.frames import normalize_angle, world_to_camera_rotation
 
 
 class TestRotationZxy:
@@ -110,12 +110,6 @@ class TestProject:
             r1 = np.array(project(p, intr))
             r2 = np.array(project(lam * p, intr))
             assert np.allclose(r1, r2, atol=1e-9)
-
-    def test_pixel_in_bounds(self, intr):
-        assert pixel_in_bounds((0.0, 0.0), intr)
-        assert pixel_in_bounds((639.9, 479.9), intr)
-        assert not pixel_in_bounds((640.0, 100.0), intr)
-        assert not pixel_in_bounds((-0.1, 100.0), intr)
 
 
 class TestConfiguration:

@@ -78,3 +78,32 @@ def test_run_rejects_invalid_field(tmp_path, capsys, keys, value, path):
     assert path in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# (key path of the unknown key, the field path the error must name)
+UNKNOWN = [
+    (("seed",), "seed"),
+    (("intrinsics", "fx"), "intrinsics.fx"),
+    (("robot", "rh0"), "robot.rh0"),
+    (("planner", "umax"), "planner.umax"),
+    (("planner", "weights_l0", "q"), "planner.weights_l0.q"),
+    (("planner", "weights_l1", "R"), "planner.weights_l1.R"),
+    (("start", "vel"), "start.vel"),
+    (("goal", "x"), "goal.x"),
+    (("world_bounds", "lo"), "world_bounds.lo"),
+    (("scene", 0, "radius"), "scene[0].radius"),  # a key of another primitive type
+    (("scene", 1, "centre"), "scene[1].centre"),
+    (("scene", 2, "min"), "scene[2].min"),
+]
+
+
+@pytest.mark.parametrize("keys, path", UNKNOWN, ids=[path for _, path in UNKNOWN])
+def test_run_rejects_unknown_key(tmp_path, capsys, keys, path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_with(keys, 0.1)))
+    out = tmp_path / "run"
+    assert cli(["run", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: unknown field {path}\n" in err
+    assert "Traceback" not in err
+    assert not out.exists()

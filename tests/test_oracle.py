@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from depthnav import Box, OracleReport, Scene, Sphere, brute_force_collision, verify_mission
-from depthnav.oracle import CLEARANCE_SENTINEL, min_clearance
+from depthnav.oracle import CLEARANCE_SENTINEL
 
 
 def _rows(points, ts=0.2):
@@ -34,15 +34,8 @@ class TestBruteForceCollision:
         for rho in (0.0, float("nan")):
             with pytest.raises(ValueError):
                 brute_force_collision(Scene(), [0.0, 0.0, 0.0], rho)
-
-
-class TestMinClearance:
-    def test_empty_scene_sentinel(self):
-        assert min_clearance(Scene(), [0.0, 0.0, 0.0], 0.35) == CLEARANCE_SENTINEL
-
-    def test_negative_when_intersecting(self):
-        scene = Scene((Sphere((0.0, 0.0, 0.0), 1.0),))
-        assert min_clearance(scene, [1.2, 0.0, 0.0], 0.35) < 0.0
+            with pytest.raises(ValueError):
+                verify_mission(_rows([[0, 0, 0], [1, 0, 0]]), Scene(), rho)
 
 
 class TestVerifyMission:
