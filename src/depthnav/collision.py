@@ -60,7 +60,7 @@ def check_configuration(
         return Verdict.OUT_OF_VIEW
     ix = fp.pixels[:, 0]
     iy = fp.pixels[:, 1]
-    if np.all(fp.farthest_depth < depth.values[iy, ix]):
+    if np.all(fp.farthest_depth < depth.at(iy, ix)):
         return Verdict.FREE
     return Verdict.COLLISION
 

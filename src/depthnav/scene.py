@@ -9,6 +9,7 @@ ray length. Pixels with no hit hold exactly max_depth.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,22 +180,52 @@ class Scene:
     primitives: tuple = ()
 
 
-@dataclass
 class DepthImage:
-    """Per-pixel z-depth of the scene, row-major float32, meters."""
+    """Per-pixel z-depth of the scene, row-major float32, meters.
 
-    values: np.ndarray  # shape (height, width), float32
+    ``DepthImage(values)`` holds a finished image. The image
+    :func:`render_scene_depth` returns has cast nothing yet: :meth:`at`
+    casts the pixels it reads, once, and ``values`` casts the rest.
+    """
 
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float32)
+    def __init__(self, values, cast=None):
+        self._values = np.ascontiguousarray(values, dtype=np.float32)
+        # cast(y0, y1, x0, x1) returns the depth of that pixel rectangle;
+        # when given, values is only the buffer the casts fill
+        self._cast = cast
+        self._unknown = None if cast is None else np.ones(self._values.shape, bool)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._unknown is not None:
+            self._fill(0, self.height, 0, self.width)
+            self._cast = self._unknown = None
+        return self._values
+
+    def at(self, iy, ix) -> np.ndarray:
+        """Depth at the pixels (iy[k], ix[k]), cast on first read."""
+        if self._unknown is not None and len(iy):
+            self._fill(int(np.min(iy)), int(np.max(iy)) + 1, int(np.min(ix)), int(np.max(ix)) + 1)
+        return self._values[iy, ix]
+
+    def _fill(self, y0, y1, x0, x1) -> None:
+        """Cast the bounding rectangle of the rectangle's unknown pixels."""
+        todo = self._unknown[y0:y1, x0:x1]
+        rows = np.flatnonzero(todo.any(axis=1))
+        if rows.size == 0:
+            return
+        cols = np.flatnonzero(todo.any(axis=0))
+        y0, y1, x0, x1 = y0 + rows[0], y0 + rows[-1] + 1, x0 + cols[0], x0 + cols[-1] + 1
+        self._values[y0:y1, x0:x1] = self._cast(y0, y1, x0, x1)
+        self._unknown[y0:y1, x0:x1] = False
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self._values.shape[1]
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self._values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -248,21 +279,65 @@ def _world_rays(intr: CameraIntrinsics, R_ws_bytes: bytes):
     return dirs, inv_dirs, dir_sq
 
 
+# the 8 corners of an axis-aligned box, as a choice of lo (False) or hi (True) per axis
+_CORNERS = np.array([[i & 4, i & 2, i & 1] for i in range(8)], dtype=bool)
+
+
+def _pixel_box(prim, origin, R_ws, intr: CameraIntrinsics):
+    """Half-open pixel rectangle (y0, y1, x0, x1) holding every pixel whose
+    ray can meet prim at depth >= z_near: the projection of its bounds()
+    corners padded by a pixel for rounding; the full frame when a corner
+    lies at or before z_near, and empty when all of them lie before it."""
+    lo, hi = prim.bounds()
+    cam = (np.where(_CORNERS, hi, lo) - origin) @ R_ws.T
+    z = cam[:, 2]
+    z_min, z_max = z.min(), z.max()
+    if z_max < intr.z_near:
+        return 0, 0, 0, 0
+    if z_min <= intr.z_near:
+        return 0, intr.height, 0, intr.width
+    # pixel ix's ray passes through image coordinate u = ix + 0.5
+    u = intr.fsx * cam[:, 0] / z + (intr.cx - 0.5)
+    v = intr.fsy * cam[:, 1] / z + (intr.cy - 0.5)
+    return (
+        max(math.floor(v.min()) - 1, 0),
+        min(math.ceil(v.max()) + 2, intr.height),
+        max(math.floor(u.min()) - 1, 0),
+        min(math.ceil(u.max()) + 2, intr.width),
+    )
+
+
 def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -> DepthImage:
-    """Ray-cast the scene from configuration q into a depth image.
+    """Depth image of the scene from configuration q, ray-cast on demand.
 
     Depth is the smallest camera-frame z >= z_near over all primitive
     intersections along each pixel ray, clamped to max_depth; max_depth
-    where nothing is hit. Deterministic.
+    where nothing is hit. Each primitive is intersected only with the rays
+    of its pixel box (:func:`_pixel_box`) that a read asks for, so only
+    the pixels read are cast, with the same bits as a full-frame cast.
+    Deterministic.
     """
-    dirs, inv_dirs, dir_sq = _world_rays(intr, world_to_camera_rotation(q).tobytes())
+    R_ws = world_to_camera_rotation(q)
     origin = q.position
-    depth = np.full(dirs.shape[:2], np.inf)
-    for prim in scene.primitives:
-        t = prim.intersect(origin, dirs, inv_dirs, dir_sq, intr.z_near)
-        np.minimum(depth, t, out=depth)
-    depth = np.where(np.isfinite(depth), np.minimum(depth, intr.max_depth), intr.max_depth)
-    return DepthImage(depth.astype(np.float32))
+    boxes = None
+
+    def cast(y0, y1, x0, x1):
+        nonlocal boxes
+        if boxes is None:
+            boxes = [_pixel_box(prim, origin, R_ws, intr) for prim in scene.primitives]
+        dirs, inv_dirs, dir_sq = _world_rays(intr, R_ws.tobytes())
+        depth = np.full((y1 - y0, x1 - x0), np.inf)
+        for prim, (by0, by1, bx0, bx1) in zip(scene.primitives, boxes):
+            a0, a1, b0, b1 = max(y0, by0), min(y1, by1), max(x0, bx0), min(x1, bx1)
+            if a0 >= a1 or b0 >= b1:
+                continue
+            rays = np.s_[a0:a1, b0:b1]
+            t = prim.intersect(origin, dirs[rays], inv_dirs[rays], dir_sq[rays], intr.z_near)
+            out = depth[a0 - y0 : a1 - y0, b0 - x0 : b1 - x0]
+            np.minimum(out, t, out=out)
+        return np.where(np.isfinite(depth), np.minimum(depth, intr.max_depth), intr.max_depth)
+
+    return DepthImage(np.empty((intr.height, intr.width), np.float32), cast)
 
 
 def render_robot_footprint(

@@ -1,9 +1,10 @@
 import pathlib
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from depthnav import CameraIntrinsics, RobotModel, StateVec, rollout, solve_are_axis
+from depthnav import Box, CameraIntrinsics, RobotModel, StateVec, rollout, solve_are_axis
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -40,6 +41,17 @@ def max_junction_mismatch(sc, out):
             float(np.max(np.abs(s_pred.v - s1.v))),
         )
     return worst
+
+
+@dataclass(frozen=True)
+class CountingBox(Box):
+    """Box that records the number of rays of each intersect call."""
+
+    calls: list = field(default_factory=list)
+
+    def intersect(self, origin, dirs, inv_dirs, dir_sq, z_near):
+        self.calls.append(dir_sq.size)
+        return super().intersect(origin, dirs, inv_dirs, dir_sq, z_near)
 
 
 @pytest.fixture

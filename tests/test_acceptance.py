@@ -242,7 +242,7 @@ def test_criterion_7_collision_check_throughput(intr, robot):
 
 
 def test_criterion_8_planning_tick_budget(robot):
-    """Median full tick (render + check + rollout); reported, not hard-failed."""
+    """Median full tick (render + check + rollout) within the 33 ms budget."""
     sc = load_scenario(SCENARIO_DIR / "corridor.json")
     g = solve_are_axis(sc.planner.weights_l0)
     goal_ref = sc.goal.reference()
@@ -256,10 +256,5 @@ def test_criterion_8_planning_tick_budget(robot):
         waypoints2collision(la.positions()[1:], depth, q_c, robot, sc.intrinsics)
         times.append(time.perf_counter() - t0)
     median_ms = statistics.median(times) * 1e3
-    within = median_ms <= 33.0
     detail = f"median planning tick {median_ms:.1f} ms at 640x480 (30 FPS budget 33 ms)"
-    if within:
-        _report(8, True, detail)
-    else:
-        # slower hardware: report the measurement instead of failing
-        print(f"ACCEPTANCE 8: REPORTED — {detail}; exceeds budget on this host")
+    _report(8, median_ms <= 33.0, detail)

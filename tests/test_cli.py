@@ -1,5 +1,6 @@
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from depthnav import read_pfm
 from depthnav.cli import CSV_COLUMNS, cli
 
 from conftest import SCENARIO_DIR
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 class TestRun:
@@ -139,6 +142,17 @@ class TestRender:
         cli(["render", str(SCENARIO_DIR / "corridor.json"), "--pose", "0", "0", "1.2",
              "--out", str(b)])
         assert np.array_equal(read_pfm(a).values, read_pfm(b).values)
+
+    @pytest.mark.parametrize("name, pose", [
+        ("corridor_start", []),
+        ("corridor_6dof", ["--pose", "2.0", "2.6", "1.5", "0.1", "-0.05", "0.6"]),
+    ])
+    def test_matches_golden_pfm(self, tmp_path, name, pose):
+        """Full frames byte-identical to tests/golden/render/, written by an
+        unculled renderer; the 6-DoF pose sees a wall box straddle z_near."""
+        out = tmp_path / "depth.pfm"
+        assert cli(["render", str(SCENARIO_DIR / "corridor.json"), *pose, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "render" / f"{name}.pfm").read_bytes()
 
     def test_negative_exponent_pose(self, tmp_path):
         a = tmp_path / "a.pfm"

@@ -12,10 +12,16 @@ from depthnav import (
     load_scenario,
     run_mission,
 )
-from depthnav.planner import EVENT_PRIORITY, PlannerState, solve_gains, step_planner
+from depthnav.planner import (
+    EVENT_PRIORITY,
+    PlannerState,
+    _blind_zone_radius,
+    solve_gains,
+    step_planner,
+)
 from depthnav.oracle import verify_mission
 
-from conftest import SCENARIO_DIR, max_junction_mismatch
+from conftest import SCENARIO_DIR, CountingBox, max_junction_mismatch
 
 
 def _run(name):
@@ -156,6 +162,36 @@ class TestStepPlanner:
         assert state.mode is Mode.ESCAPE
         assert state.x_esc is not None
         assert state.x_esc.p[2] > 1.5  # escape found through the gap above
+
+    def test_casts_only_for_checked_samples(self, intr, robot):
+        """An l0 tick whose lookahead lies wholly inside the blind zone checks
+        nothing and casts no ray; the first tick that checks a sample does."""
+        box = CountingBox((6.0, -2.0, 0.0), (6.5, 2.0, 3.0))
+        scene = Scene((box,))
+        cfg = PlannerConfig(u_max=0.5)  # slow start: the first lookaheads stay blind
+        goal = GoalRegion(10.0, 0.0, 1.2)
+        gains = solve_gains(cfg)
+        blind = _blind_zone_radius(intr, robot)
+        x0 = StateVec.rest([0.0, 0.0, 1.2])
+        state = PlannerState(mode=Mode.GO_TO_GOAL, appended=[(x0, np.zeros(3), "l0")])
+        blind_ticks, checking_casts = 0, 0
+        for _ in range(60):
+            cam = state.exec_sample[0].p
+            n_appended, n_calls = len(state.appended), len(box.calls)
+            step_planner(scene, state, cfg, goal, intr, robot, gains)
+            assert state.mode is Mode.GO_TO_GOAL and not state.events
+            new = [s.p for s, _, _ in state.appended[n_appended:]]
+            if new and all(np.linalg.norm(p - cam) <= blind for p in new):
+                assert len(box.calls) == n_calls
+                blind_ticks += 1
+            elif new:
+                checking_casts = len(box.calls) - n_calls
+                break
+            if state.exec_idx < len(state.appended) - 1:
+                state.exec_idx += 1
+            state.tick += 1
+        assert blind_ticks >= 1
+        assert checking_casts > 0
 
     def test_rejects_colliding_start(self, intr, robot):
         scene = Scene((Box((0.0, -1.0, -1.0), (2.0, 1.0, 1.0)),))

@@ -15,8 +15,10 @@ from depthnav import (
     world_to_camera,
     write_pfm,
 )
-from depthnav.scene import RobotModel, _pixel_rays
+from depthnav.scene import RobotModel, _pixel_box, _pixel_rays, _world_rays
 from depthnav.frames import world_to_camera_rotation
+
+from conftest import CountingBox
 
 
 Q0 = Configuration(0.0, 0.0, 0.0)
@@ -116,6 +118,98 @@ class TestRenderSceneDepth:
                 hits = np.flatnonzero(inside)
                 expected = ts[hits[0]] if hits.size else intr_small.max_depth
                 assert abs(float(depth.values[iy, ix]) - expected) < 2e-3
+
+
+def _reference_depth(scene, q, intr):
+    """Every primitive intersected with the whole ray grid, no culling."""
+    dirs, inv_dirs, dir_sq = _world_rays(intr, world_to_camera_rotation(q).tobytes())
+    depth = np.full(dirs.shape[:2], np.inf)
+    for prim in scene.primitives:
+        depth = np.minimum(depth, prim.intersect(q.position, dirs, inv_dirs, dir_sq, intr.z_near))
+    depth = np.where(np.isfinite(depth), np.minimum(depth, intr.max_depth), intr.max_depth)
+    return depth.astype(np.float32)
+
+
+def _camera_frame_scene(rng, q, intr, n):
+    """Boxes, spheres and walls placed in q's camera frame: in view,
+    straddling z_near, wholly behind the camera, or off to the side."""
+    places = (
+        lambda: [rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5), rng.uniform(1.0, 8.0)],
+        lambda: [rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), intr.z_near + rng.uniform(-0.2, 0.2)],
+        lambda: [rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-6.0, -2.5)],
+        lambda: [rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 30.0), 0.0, rng.uniform(2.0, 6.0)],
+    )
+    prims = []
+    for _ in range(n):
+        c = camera_to_world(np.asarray(places[rng.integers(len(places))]()), q)
+        kind = rng.integers(3)
+        if kind == 0:
+            h = rng.uniform(0.1, 0.8, 3)
+            prims.append(Box(tuple(c - h), tuple(c + h)))
+        elif kind == 1:
+            prims.append(Sphere(tuple(c), float(rng.uniform(0.1, 0.8))))
+        else:
+            nrm = rng.normal(size=3)
+            half = tuple(rng.uniform(0.2, 2.0, 2))
+            prims.append(Wall(tuple(c), tuple(nrm / np.linalg.norm(nrm)), half))
+    return Scene(tuple(prims))
+
+
+def _random_pose(rng):
+    return Configuration(*rng.uniform(-3.0, 3.0, 3), *rng.uniform(-np.pi, np.pi, 3))
+
+
+class TestOnDemandCast:
+    def test_reads_match_an_unculled_full_cast(self, intr_small):
+        """Pixels read in arbitrary overlapping rectangles, then the whole
+        image, equal bit for bit a cast of every primitive over every ray."""
+        rng = np.random.default_rng(21)
+        h, w = intr_small.height, intr_small.width
+        kinds = set()
+        for _ in range(30):
+            q = _random_pose(rng)
+            scene = _camera_frame_scene(rng, q, intr_small, int(rng.integers(4, 10)))
+            ref = _reference_depth(scene, q, intr_small)
+            R_ws = world_to_camera_rotation(q)
+            for prim in scene.primitives:
+                y0, y1, x0, x1 = _pixel_box(prim, q.position, R_ws, intr_small)
+                if y0 >= y1 or x0 >= x1:
+                    kinds.add("culled")
+                else:
+                    kinds.add("full frame" if (y1 - y0, x1 - x0) == (h, w) else "box")
+            depth = render_scene_depth(scene, q, intr_small)
+            for _ in range(8):
+                y0, x0 = int(rng.integers(h)), int(rng.integers(w))
+                y1 = int(rng.integers(y0, min(y0 + 40, h))) + 1
+                x1 = int(rng.integers(x0, min(x0 + 40, w))) + 1
+                gy, gx = np.mgrid[y0:y1, x0:x1]
+                pick = rng.random(gy.size) < 0.5  # scattered pixels, like a footprint disc
+                iy, ix = gy.ravel()[pick], gx.ravel()[pick]
+                assert np.array_equal(depth.at(iy, ix).view(np.uint32), ref[iy, ix].view(np.uint32))
+            assert np.array_equal(depth.values.view(np.uint32), ref.view(np.uint32))
+            fresh = render_scene_depth(scene, q, intr_small)
+            assert np.array_equal(fresh.values.view(np.uint32), ref.view(np.uint32))
+        assert kinds == {"culled", "full frame", "box"}
+
+    def test_culls_primitives_behind_or_beside_the_view(self, intr_small):
+        behind = CountingBox((-3.0, -0.5, -0.5), (-2.0, 0.5, 0.5))
+        beside = CountingBox((3.0, 20.0, -0.5), (4.0, 21.0, 0.5))
+        ahead = CountingBox((3.0, -0.5, -0.5), (4.0, 0.5, 0.5))
+        depth = render_scene_depth(Scene((behind, beside, ahead)), Q0, intr_small)
+        depth.values
+        assert behind.calls == [] and beside.calls == []
+        assert 0 < sum(ahead.calls) < intr_small.width * intr_small.height
+
+    def test_reads_cast_only_their_rectangle(self, intr_small):
+        box = CountingBox((3.0, -5.0, -5.0), (4.0, 5.0, 5.0))  # fills the view
+        depth = render_scene_depth(Scene((box,)), Q0, intr_small)
+        assert box.calls == []
+        depth.at(np.array([10, 12]), np.array([20, 25]))
+        assert box.calls == [3 * 6]
+        depth.at(np.array([10, 11]), np.array([20, 21]))  # already cast
+        assert box.calls == [3 * 6]
+        depth.values
+        assert sum(box.calls) == 3 * 6 + intr_small.width * intr_small.height
 
 
 def _random_primitives(rng, n):
