@@ -133,7 +133,7 @@ def cli(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError, ValueError) as e:
+    except (ScenarioError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -39,9 +39,9 @@ __all__ = [
 
 
 # Primitive protocol (Box, Sphere, Wall): distance(p) for the oracle;
-# intersect(origin, dirs, inv_dirs, dir_sq, z_near), the per-ray depth of the
-# nearest surface crossing at or beyond z_near (inf where none) over a ray
-# grid with unit camera-z; bounds(), the world-frame AABB as (lo, hi).
+# intersect(origin, dirs, z_near), the per-ray depth of the nearest surface
+# crossing at or beyond z_near (inf where none, never NaN) over a ray grid
+# with unit camera-z; bounds(), the world-frame AABB as (lo, hi).
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,11 @@ class Box:
         closest = np.clip(np.asarray(p, float), lo, hi)
         return float(np.linalg.norm(closest - p))
 
-    def intersect(self, origin, dirs, inv_dirs, dir_sq, z_near) -> np.ndarray:
+    def intersect(self, origin, dirs, z_near) -> np.ndarray:
         lo = np.asarray(self.min_corner, float)
         hi = np.asarray(self.max_corner, float)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_dirs = 1.0 / dirs
             t1 = (lo - origin) * inv_dirs
             t2 = (hi - origin) * inv_dirs
             lo_t = np.minimum(t1, t2)
@@ -97,9 +98,10 @@ class Sphere:
         d = float(np.linalg.norm(np.asarray(p, float) - np.asarray(self.center, float)))
         return max(d - self.radius, 0.0)
 
-    def intersect(self, origin, dirs, inv_dirs, dir_sq, z_near) -> np.ndarray:
+    def intersect(self, origin, dirs, z_near) -> np.ndarray:
         c = np.asarray(self.center, float)
         oc = origin - c
+        dir_sq = np.einsum("...i,...i->...", dirs, dirs)
         b = 2.0 * (dirs @ oc)
         cc = float(oc @ oc) - self.radius**2
         disc = b * b - 4.0 * dir_sq * cc
@@ -149,7 +151,7 @@ class Wall:
         closest = p0 + cu * u + cv * v
         return float(np.linalg.norm(p - closest))
 
-    def intersect(self, origin, dirs, inv_dirs, dir_sq, z_near) -> np.ndarray:
+    def intersect(self, origin, dirs, z_near) -> np.ndarray:
         origins = origin[None, None, :]
         p0 = np.asarray(self.point, float)
         n = np.asarray(self.normal, float)
@@ -190,8 +192,9 @@ class DepthImage:
 
     def __init__(self, values, cast=None):
         self._values = np.ascontiguousarray(values, dtype=np.float32)
-        # cast(y0, y1, x0, x1) returns the depth of that pixel rectangle;
-        # when given, values is only the buffer the casts fill
+        # cast(out, y0, x0) writes the depth of the pixel rectangle whose top
+        # left is (y0, x0) into out, a view of values; when given, values is
+        # only the buffer the casts fill
         self._cast = cast
         self._unknown = None if cast is None else np.ones(self._values.shape, bool)
 
@@ -216,7 +219,7 @@ class DepthImage:
             return
         cols = np.flatnonzero(todo.any(axis=0))
         y0, y1, x0, x1 = y0 + rows[0], y0 + rows[-1] + 1, x0 + cols[0], x0 + cols[-1] + 1
-        self._values[y0:y1, x0:x1] = self._cast(y0, y1, x0, x1)
+        self._cast(self._values[y0:y1, x0:x1], y0, x0)
         self._unknown[y0:y1, x0:x1] = False
 
     @property
@@ -262,23 +265,6 @@ def _pixel_rays(intr: CameraIntrinsics) -> np.ndarray:
     return np.stack([gx, gy, np.ones_like(gx)], axis=-1)
 
 
-@functools.lru_cache(maxsize=8)
-def _world_rays(intr: CameraIntrinsics, R_ws_bytes: bytes):
-    """World-frame ray grid plus derived per-pixel constants for the
-    world-to-camera rotation whose bytes are R_ws_bytes: the grid is reused
-    across renders and its reciprocal / squared norm across primitives.
-
-    Keyed by the matrix bytes, not the Euler angles: 0.0 and -0.0 are equal
-    keys but give reciprocals of opposite infinite sign.
-    """
-    R_ws = np.frombuffer(R_ws_bytes).reshape(3, 3)
-    dirs = _pixel_rays(intr) @ R_ws  # camera->world: R_ws.T applied per ray
-    with np.errstate(divide="ignore"):
-        inv_dirs = 1.0 / dirs
-    dir_sq = np.einsum("...i,...i->...", dirs, dirs)
-    return dirs, inv_dirs, dir_sq
-
-
 # the 8 corners of an axis-aligned box, as a choice of lo (False) or hi (True) per axis
 _CORNERS = np.array([[i & 4, i & 2, i & 1] for i in range(8)], dtype=bool)
 
@@ -321,21 +307,22 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
     origin = q.position
     boxes = None
 
-    def cast(y0, y1, x0, x1):
+    def cast(out, y0, x0):
         nonlocal boxes
         if boxes is None:
             boxes = [_pixel_box(prim, origin, R_ws, intr) for prim in scene.primitives]
-        dirs, inv_dirs, dir_sq = _world_rays(intr, R_ws.tobytes())
-        depth = np.full((y1 - y0, x1 - x0), np.inf)
+        y1, x1 = y0 + out.shape[0], x0 + out.shape[1]
+        out[...] = intr.max_depth
         for prim, (by0, by1, bx0, bx1) in zip(scene.primitives, boxes):
             a0, a1, b0, b1 = max(y0, by0), min(y1, by1), max(x0, bx0), min(x1, bx1)
             if a0 >= a1 or b0 >= b1:
                 continue
-            rays = np.s_[a0:a1, b0:b1]
-            t = prim.intersect(origin, dirs[rays], inv_dirs[rays], dir_sq[rays], intr.z_near)
-            out = depth[a0 - y0 : a1 - y0, b0 - x0 : b1 - x0]
-            np.minimum(out, t, out=out)
-        return np.where(np.isfinite(depth), np.minimum(depth, intr.max_depth), intr.max_depth)
+            dirs = _pixel_rays(intr)[a0:a1, b0:b1] @ R_ws  # camera->world: R_ws.T per ray
+            t = prim.intersect(origin, dirs, intr.z_near)
+            # float32 rounding is monotone, so rounding each float64 minimum
+            # gives the bits of rounding the minimum over all primitives
+            view = out[a0 - y0 : a1 - y0, b0 - x0 : b1 - x0]
+            np.minimum(view, t, out=view, casting="same_kind")
 
     return DepthImage(np.empty((intr.height, intr.width), np.float32), cast)
 

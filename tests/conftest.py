@@ -49,9 +49,9 @@ class CountingBox(Box):
 
     calls: list = field(default_factory=list)
 
-    def intersect(self, origin, dirs, inv_dirs, dir_sq, z_near):
-        self.calls.append(dir_sq.size)
-        return super().intersect(origin, dirs, inv_dirs, dir_sq, z_near)
+    def intersect(self, origin, dirs, z_near):
+        self.calls.append(dirs.size // 3)
+        return super().intersect(origin, dirs, z_near)
 
 
 @pytest.fixture

@@ -43,6 +43,12 @@ class TestRun:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_out_is_a_file_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli(["run", str(SCENARIO_DIR / "empty.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestVerify:
     def test_clean_run_exit_zero(self, tmp_path, capsys):
@@ -177,6 +183,10 @@ class TestRender:
                     "--out", str(out)]) == 1
         assert "--pose" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_is_a_directory_exit_one(self, tmp_path, capsys):
+        assert cli(["render", str(SCENARIO_DIR / "empty.json"), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestGains:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from depthnav import (
     world_to_camera,
     write_pfm,
 )
-from depthnav.scene import RobotModel, _pixel_box, _pixel_rays, _world_rays
+from depthnav.scene import RobotModel, _pixel_box, _pixel_rays
 from depthnav.frames import world_to_camera_rotation
 
 from conftest import CountingBox
@@ -41,6 +43,14 @@ class TestPrimitives:
         box = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
         assert box.distance([0.5, 0.5, 0.5]) == 0.0
         assert box.distance([2.0, 0.5, 0.5]) == pytest.approx(1.0)
+
+    def test_box_ray_on_a_slab_plane(self):
+        """Rays parallel to a slab and starting on its plane (1 / 0 and
+        0 * inf in the slab test) meet the closed box as an unbounded slab
+        would, without a numpy warning."""
+        box = Box((2.0, 0.0, -1.0), (3.0, 1.0, 1.0))
+        dirs = np.array([[[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 0.0, 2.0]]])
+        assert box.intersect(np.zeros(3), dirs, 0.1).tolist() == [[2.0, 2.0, np.inf]]
 
     def test_sphere_distance(self):
         s = Sphere((0.0, 0.0, 0.0), 1.0)
@@ -121,11 +131,12 @@ class TestRenderSceneDepth:
 
 
 def _reference_depth(scene, q, intr):
-    """Every primitive intersected with the whole ray grid, no culling."""
-    dirs, inv_dirs, dir_sq = _world_rays(intr, world_to_camera_rotation(q).tobytes())
+    """Every primitive intersected with the whole ray grid, no culling:
+    the float64 minimum over primitives, clamped, then rounded once."""
+    dirs = _pixel_rays(intr) @ world_to_camera_rotation(q)
     depth = np.full(dirs.shape[:2], np.inf)
     for prim in scene.primitives:
-        depth = np.minimum(depth, prim.intersect(q.position, dirs, inv_dirs, dir_sq, intr.z_near))
+        depth = np.minimum(depth, prim.intersect(q.position, dirs, intr.z_near))
     depth = np.where(np.isfinite(depth), np.minimum(depth, intr.max_depth), intr.max_depth)
     return depth.astype(np.float32)
 
@@ -210,6 +221,29 @@ class TestOnDemandCast:
         assert box.calls == [3 * 6]
         depth.values
         assert sum(box.calls) == 3 * 6 + intr_small.width * intr_small.height
+
+
+class TestCastMemory:
+    def test_full_frames_keep_no_ray_grid_per_rotation(self, intr):
+        """Ten full 640x480 frames at ten rotations allocate only each
+        primitive's pixel-box rays and the image: a 2.3 MB peak measured,
+        bounded at 6 MB, against about 17 MB for one float64 world-ray grid."""
+        rng = np.random.default_rng(31)
+        prims = []
+        for k in range(8):
+            c = np.array([rng.uniform(4.0, 8.0), *rng.uniform(-1.5, 1.5, 2)])
+            prims.append(Sphere(tuple(c), 0.2) if k % 2 else Box(tuple(c - 0.2), tuple(c + 0.2)))
+        scene = Scene(tuple(prims))
+        render_scene_depth(scene, Q0, intr).values  # builds the camera's pixel-ray grid
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                q = Configuration(0.0, 0.0, 0.0, *rng.uniform(-0.3, 0.3, 3))
+                render_scene_depth(scene, q, intr).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _random_primitives(rng, n):
