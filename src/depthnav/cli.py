@@ -55,7 +55,7 @@ def _cmd_render(args) -> int:
     except ValueError as e:
         raise ValueError(f"invalid --pose {e}") from e
     depth = render_scene_depth(sc.scene, q, sc.intrinsics)
-    write_pfm(args.out, depth)
+    write_pfm(args.out, depth.values)
     print(f"wrote {sc.intrinsics.width}x{sc.intrinsics.height} depth image to {args.out}")
     return 0
 

@@ -1,9 +1,9 @@
 """Depth-image-space collision classification and escape search.
 
-A hallucinated robot position is compared against the scene depth image
-rendered from the checking configuration: the robot is free only when its
-farthest-point footprint is strictly in front of the scene at every pixel
-it covers.
+A hallucinated robot position is compared against a scene depth image,
+which carries the pose and intrinsics it was rendered from: the robot is
+free only when its farthest-point footprint, seen from that pose, is
+strictly in front of the scene at every pixel it covers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .frames import CameraIntrinsics, Configuration, world_to_camera_rotation
+from .frames import world_to_camera_rotation
 from .scene import DepthImage, RobotModel, render_robot_footprint
 
 __all__ = [
@@ -42,20 +42,13 @@ class EscapeResult:
         return self.position is None
 
 
-def check_configuration(
-    p,
-    depth: DepthImage,
-    q_c: Configuration,
-    robot: RobotModel,
-    intr: CameraIntrinsics,
-) -> Verdict:
+def check_configuration(p, depth: DepthImage, robot: RobotModel) -> Verdict:
     """Classify a hallucinated robot position against a scene depth image.
 
-    The depth image must have been rendered from q_c with the same
-    intrinsics. Free requires the footprint farthest depth to be strictly
-    less than the scene depth at every covered pixel.
+    Free requires the footprint farthest depth, seen from the image's pose,
+    to be strictly less than the scene depth at every covered pixel.
     """
-    fp = render_robot_footprint(p, q_c, robot, intr)
+    fp = render_robot_footprint(p, depth.q, robot, depth.intr)
     if not fp.fully_in_view:
         return Verdict.OUT_OF_VIEW
     ix = fp.pixels[:, 0]
@@ -65,13 +58,7 @@ def check_configuration(
     return Verdict.COLLISION
 
 
-def waypoints2collision(
-    samples,
-    depth: DepthImage,
-    q_c: Configuration,
-    robot: RobotModel,
-    intr: CameraIntrinsics,
-):
+def waypoints2collision(samples, depth: DepthImage, robot: RobotModel):
     """Check time-ordered positions; return (verdict, index of first non-free).
 
     Returns (FREE, None) when every sample is free. Raises ValueError on an
@@ -81,7 +68,7 @@ def waypoints2collision(
     if not samples:
         raise ValueError("degenerate trajectory: no samples to check")
     for i, p in enumerate(samples):
-        v = check_configuration(p, depth, q_c, robot, intr)
+        v = check_configuration(p, depth, robot)
         if v is not Verdict.FREE:
             return v, i
     return Verdict.FREE, None
@@ -97,17 +84,11 @@ _DIRECTIONS = (
 
 
 def find_escape(
-    p_hit,
-    depth: DepthImage,
-    q_c: Configuration,
-    d_l: float,
-    max_rings: int,
-    robot: RobotModel,
-    intr: CameraIntrinsics,
+    p_hit, depth: DepthImage, d_l: float, max_rings: int, robot: RobotModel
 ) -> EscapeResult:
     """Ring search for a free position around an under-collision one.
 
-    Candidates are placed at k*d_l (k = 1, 2, ...) along the camera-frame
+    Candidates are placed at k*d_l (k = 1, 2, ...) along the image's camera-frame
     up, down, left and right directions mapped to the world frame (parallel
     to the image plane), checked in that fixed order. A direction is
     abandoned once its candidate leaves the field of view; the search is
@@ -118,9 +99,9 @@ def find_escape(
     if max_rings < 1:
         raise ValueError("max_rings must be at least 1")
     p_hit = np.asarray(p_hit, dtype=float)
-    if check_configuration(p_hit, depth, q_c, robot, intr) is Verdict.FREE:
+    if check_configuration(p_hit, depth, robot) is Verdict.FREE:
         return EscapeResult(p_hit)
-    R_sw = world_to_camera_rotation(q_c).T
+    R_sw = world_to_camera_rotation(depth.q).T
     world_dirs = [R_sw @ d for _, d in _DIRECTIONS]
     alive = [True] * len(world_dirs)
     for k in range(1, max_rings + 1):
@@ -130,7 +111,7 @@ def find_escape(
             if not alive[i]:
                 continue
             cand = p_hit + k * d_l * d
-            v = check_configuration(cand, depth, q_c, robot, intr)
+            v = check_configuration(cand, depth, robot)
             if v is Verdict.FREE:
                 return EscapeResult(cand)
             if v is Verdict.OUT_OF_VIEW:

@@ -69,7 +69,8 @@ class CameraIntrinsics:
     """Pinhole intrinsics.
 
     fsx, fsy are focal length times pixel density (pixels), cx, cy the
-    principal point (pixels). z_near is the minimum imageable depth and
+    principal point (pixels), strictly inside the image: on its border no
+    footprint disc fits in view. z_near is the minimum imageable depth and
     max_depth the sensor range, both meters.
     """
 
@@ -87,8 +88,8 @@ class CameraIntrinsics:
         coerce(self, real, "cx", "cy")
         coerce(self, integer, "width", "height", minimum=1)
         for name, size in (("cx", self.width), ("cy", self.height)):
-            if not 0 <= getattr(self, name) < size:
-                raise ValueError(f"{name}: principal point outside the image, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < size:
+                raise ValueError(f"{name}: must lie strictly inside the image, got {getattr(self, name)}")
         if not self.z_near < self.max_depth:
             raise ValueError(f"z_near: must be below max_depth, got {self.z_near}")
 

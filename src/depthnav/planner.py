@@ -103,14 +103,16 @@ EVENT_PRIORITY = (
 
 @dataclass
 class PlannerState:
-    mode: Mode
     appended: list  # list[(StateVec, u ndarray, mode label)]
     exec_idx: int = 0
     tick: int = 0
-    x_esc: StateVec | None = None
+    x_esc: StateVec | None = None  # the escape point, set exactly in l1
     deferred: LookAheadTrajectory | None = None
     events: list = field(default_factory=list)
-    stuck: bool = False
+
+    @property
+    def mode(self) -> Mode:
+        return Mode.GO_TO_GOAL if self.x_esc is None else Mode.ESCAPE
 
     @property
     def exec_sample(self):
@@ -168,7 +170,6 @@ def step_planner(
         state.log("escape_reached")
         del state.appended[state.exec_idx + 1 :]
         state.deferred = None
-        state.mode = Mode.GO_TO_GOAL
         state.x_esc = None
 
     unexecuted = len(state.appended) - 1 - state.exec_idx
@@ -202,9 +203,7 @@ def step_planner(
     ]
     verdict, hit_idx = Verdict.FREE, None
     if check_idx:
-        verdict, j = waypoints2collision(
-            [positions[i] for i in check_idx], depth, q_c, robot, intr
-        )
+        verdict, j = waypoints2collision([positions[i] for i in check_idx], depth, robot)
         hit_idx = check_idx[j] if j is not None else None
 
     if verdict is Verdict.FREE:
@@ -216,14 +215,10 @@ def step_planner(
     else:  # collision predicted somewhere in [k*tau, (k+1)*tau]
         state.deferred = None
         state.log("collision_predicted", sample=hit_idx)
-        esc = find_escape(
-            positions[hit_idx], depth, q_c, cfg.d_l, cfg.max_rings, robot, intr
-        )
+        esc = find_escape(positions[hit_idx], depth, cfg.d_l, cfg.max_rings, robot)
         if esc.stuck:
-            state.stuck = True
             state.log("stuck")
         else:
-            state.mode = Mode.ESCAPE
             state.x_esc = StateVec.rest(esc.position)
             state.log("escape_found", position=[float(v) for v in esc.position])
     return state
@@ -261,10 +256,7 @@ def run_mission(
         if res >= 1e-9:
             raise RuntimeError(f"Riccati residual {res:.3e} too large for mode {label}")
 
-    state = PlannerState(
-        mode=Mode.GO_TO_GOAL,
-        appended=[(x0, np.zeros(3), Mode.GO_TO_GOAL.value)],
-    )
+    state = PlannerState(appended=[(x0, np.zeros(3), Mode.GO_TO_GOAL.value)])
     rows: list = []
     starved = False  # the executor could not advance at the end of the last tick
     while True:
@@ -277,7 +269,7 @@ def run_mission(
         s, u, mode_label = state.exec_sample
 
         status = None
-        if state.stuck:  # step_planner logged "stuck" in this tick
+        if "stuck" in tick_events:
             status = "stuck"
         elif goal.contains(s.p):
             tick_events.append("goal")

@@ -48,23 +48,23 @@ __all__ = [
 class Box:
     """Axis-aligned box given by min/max corners (meters, world frame)."""
 
-    min_corner: tuple
-    max_corner: tuple
+    min: tuple
+    max: tuple
 
     def __post_init__(self):
-        coerce(self, point, "min_corner", "max_corner")
-        if not np.all(np.asarray(self.min_corner) < self.max_corner):
-            raise ValueError("min_corner: must be strictly below max_corner")
+        coerce(self, point, "min", "max")
+        if not np.all(np.asarray(self.min) < self.max):
+            raise ValueError("min: must be strictly below max")
 
     def distance(self, p) -> float:
-        lo = np.asarray(self.min_corner, float)
-        hi = np.asarray(self.max_corner, float)
+        lo = np.asarray(self.min, float)
+        hi = np.asarray(self.max, float)
         closest = np.clip(np.asarray(p, float), lo, hi)
         return float(np.linalg.norm(closest - p))
 
     def intersect(self, origin, dirs, z_near) -> np.ndarray:
-        lo = np.asarray(self.min_corner, float)
-        hi = np.asarray(self.max_corner, float)
+        lo = np.asarray(self.min, float)
+        hi = np.asarray(self.max, float)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_dirs = 1.0 / dirs
             t1 = (lo - origin) * inv_dirs
@@ -80,7 +80,7 @@ class Box:
         return np.where(hit & (first >= z_near), first, np.inf)
 
     def bounds(self):
-        return np.asarray(self.min_corner), np.asarray(self.max_corner)
+        return np.asarray(self.min), np.asarray(self.max)
 
 
 @dataclass(frozen=True)
@@ -183,52 +183,59 @@ class Scene:
 
 
 class DepthImage:
-    """Per-pixel z-depth of the scene, row-major float32, meters.
+    """Per-pixel z-depth of the scene seen from pose q through intr,
+    row-major float32, meters, ray-cast on demand.
 
-    ``DepthImage(values)`` holds a finished image. The image
-    :func:`render_scene_depth` returns has cast nothing yet: :meth:`at`
-    casts the pixels it reads, once, and ``values`` casts the rest.
+    Nothing is cast on construction: :meth:`at` casts the pixels it reads,
+    once, and ``values`` casts the rest.
     """
 
-    def __init__(self, values, cast=None):
-        self._values = np.ascontiguousarray(values, dtype=np.float32)
-        # cast(out, y0, x0) writes the depth of the pixel rectangle whose top
-        # left is (y0, x0) into out, a view of values; when given, values is
-        # only the buffer the casts fill
-        self._cast = cast
-        self._unknown = None if cast is None else np.ones(self._values.shape, bool)
+    def __init__(self, scene: Scene, q: Configuration, intr: CameraIntrinsics):
+        self.q = q
+        self.intr = intr
+        self._scene = scene
+        self._R_ws = world_to_camera_rotation(q)
+        self._values = np.empty((intr.height, intr.width), np.float32)
+        self._unknown = np.ones(self._values.shape, bool)
 
     @property
     def values(self) -> np.ndarray:
-        if self._unknown is not None:
-            self._fill(0, self.height, 0, self.width)
-            self._cast = self._unknown = None
+        self._cast(0, self.intr.height, 0, self.intr.width)
         return self._values
 
     def at(self, iy, ix) -> np.ndarray:
         """Depth at the pixels (iy[k], ix[k]), cast on first read."""
-        if self._unknown is not None and len(iy):
-            self._fill(int(np.min(iy)), int(np.max(iy)) + 1, int(np.min(ix)), int(np.max(ix)) + 1)
+        if len(iy):
+            self._cast(int(np.min(iy)), int(np.max(iy)) + 1, int(np.min(ix)), int(np.max(ix)) + 1)
         return self._values[iy, ix]
 
-    def _fill(self, y0, y1, x0, x1) -> None:
-        """Cast the bounding rectangle of the rectangle's unknown pixels."""
+    @functools.cached_property
+    def _boxes(self) -> list:
+        origin = self.q.position
+        return [_pixel_box(prim, origin, self._R_ws, self.intr) for prim in self._scene.primitives]
+
+    def _cast(self, y0, y1, x0, x1) -> None:
+        """Cast the bounding rectangle of the rectangle's unknown pixels:
+        each primitive meets only the rays of its pixel box inside it."""
         todo = self._unknown[y0:y1, x0:x1]
         rows = np.flatnonzero(todo.any(axis=1))
         if rows.size == 0:
             return
         cols = np.flatnonzero(todo.any(axis=0))
         y0, y1, x0, x1 = y0 + rows[0], y0 + rows[-1] + 1, x0 + cols[0], x0 + cols[-1] + 1
-        self._cast(self._values[y0:y1, x0:x1], y0, x0)
+        intr, origin = self.intr, self.q.position
+        self._values[y0:y1, x0:x1] = intr.max_depth
+        for prim, (by0, by1, bx0, bx1) in zip(self._scene.primitives, self._boxes):
+            a0, a1, b0, b1 = max(y0, by0), min(y1, by1), max(x0, bx0), min(x1, bx1)
+            if a0 >= a1 or b0 >= b1:
+                continue
+            dirs = _pixel_rays(intr)[a0:a1, b0:b1] @ self._R_ws  # camera->world: R_ws.T per ray
+            t = prim.intersect(origin, dirs, intr.z_near)
+            # float32 rounding is monotone, so rounding each float64 minimum
+            # gives the bits of rounding the minimum over all primitives
+            view = self._values[a0:a1, b0:b1]
+            np.minimum(view, t, out=view, casting="same_kind")
         self._unknown[y0:y1, x0:x1] = False
-
-    @property
-    def width(self) -> int:
-        return self._values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self._values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -303,28 +310,7 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
     the pixels read are cast, with the same bits as a full-frame cast.
     Deterministic.
     """
-    R_ws = world_to_camera_rotation(q)
-    origin = q.position
-    boxes = None
-
-    def cast(out, y0, x0):
-        nonlocal boxes
-        if boxes is None:
-            boxes = [_pixel_box(prim, origin, R_ws, intr) for prim in scene.primitives]
-        y1, x1 = y0 + out.shape[0], x0 + out.shape[1]
-        out[...] = intr.max_depth
-        for prim, (by0, by1, bx0, bx1) in zip(scene.primitives, boxes):
-            a0, a1, b0, b1 = max(y0, by0), min(y1, by1), max(x0, bx0), min(x1, bx1)
-            if a0 >= a1 or b0 >= b1:
-                continue
-            dirs = _pixel_rays(intr)[a0:a1, b0:b1] @ R_ws  # camera->world: R_ws.T per ray
-            t = prim.intersect(origin, dirs, intr.z_near)
-            # float32 rounding is monotone, so rounding each float64 minimum
-            # gives the bits of rounding the minimum over all primitives
-            view = out[a0 - y0 : a1 - y0, b0 - x0 : b1 - x0]
-            np.minimum(view, t, out=view, casting="same_kind")
-
-    return DepthImage(np.empty((intr.height, intr.width), np.float32), cast)
+    return DepthImage(scene, q, intr)
 
 
 def render_robot_footprint(
@@ -362,21 +348,23 @@ def render_robot_footprint(
     return RobotFootprint(pix, far, bool(in_view), (rx, ry), pr)
 
 
-def write_pfm(path, depth: DepthImage) -> None:
-    """Write a grayscale PFM: 'Pf', width height, scale -1.0, rows bottom-up."""
+def write_pfm(path, values: np.ndarray) -> None:
+    """Write a (height, width) depth array as a grayscale PFM: 'Pf',
+    width height, scale -1.0, little-endian float32 rows bottom-up."""
+    height, width = values.shape
     with open(path, "wb") as f:
         f.write(b"Pf\n")
-        f.write(f"{depth.width} {depth.height}\n".encode("ascii"))
+        f.write(f"{width} {height}\n".encode("ascii"))
         f.write(b"-1.0\n")
-        f.write(np.flipud(depth.values).astype("<f4").tobytes())
+        f.write(np.flipud(values).astype("<f4").tobytes())
 
 
-def read_pfm(path) -> DepthImage:
-    """Read a grayscale little-endian PFM written by :func:`write_pfm`."""
+def read_pfm(path) -> np.ndarray:
+    """Read a grayscale PFM into a (height, width) float32 array, top row first."""
     with open(path, "rb") as f:
         if f.readline().strip() != b"Pf":
             raise ValueError("not a grayscale PFM file")
         w, h = (int(v) for v in f.readline().split())
         scale = float(f.readline())
         data = np.frombuffer(f.read(w * h * 4), dtype="<f4" if scale < 0 else ">f4")
-    return DepthImage(np.flipud(data.reshape(h, w)).copy())
+    return np.ascontiguousarray(np.flipud(data.reshape(h, w)), dtype=np.float32)

@@ -107,7 +107,7 @@ def test_criterion_3_classifier_soundness(intr_small):
         depth = render_scene_depth(scene, Q0, intr_small)
         p = np.array([rng.uniform(1.5, 7.0), rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8)])
         if (
-            check_configuration(p, depth, Q0, robot, intr_small) is Verdict.FREE
+            check_configuration(p, depth, robot) is Verdict.FREE
             and brute_force_collision(scene, p, robot.rho)
         ):
             violations += 1
@@ -129,11 +129,11 @@ def test_criterion_4_escape_correctness(intr, robot):
     p_hit = np.array([4.0, 0.0, 0.0])
 
     gap_results = {
-        find_escape(p_hit, gap_depth, Q0, 1.0, 20, robot, intr).position.tobytes()
+        find_escape(p_hit, gap_depth, 1.0, 20, robot).position.tobytes()
         for _ in range(10)
     }
     sealed_results = {
-        find_escape(np.array([1.0, 0.0, 0.0]), sealed_depth, Q0, 0.5, 20, robot, intr).stuck
+        find_escape(np.array([1.0, 0.0, 0.0]), sealed_depth, 0.5, 20, robot).stuck
         for _ in range(10)
     }
     pos = np.frombuffer(next(iter(gap_results)))
@@ -232,10 +232,9 @@ def test_criterion_7_collision_check_throughput(intr, robot):
         np.array([rng.uniform(2.0, 6.0), rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6)])
         for _ in range(2000)
     ]
-    q_c = Configuration(0.0, 0.0, 1.2)
     t0 = time.perf_counter()
     for p in positions:
-        check_configuration(p, depth, q_c, robot, sc.intrinsics)
+        check_configuration(p, depth, robot)
     rate = len(positions) / (time.perf_counter() - t0)
     ok = rate >= 1000.0
     _report(7, ok, f"{rate:.0f} single-configuration checks/s at 640x480 (need >= 1000)")
@@ -253,7 +252,7 @@ def test_criterion_8_planning_tick_budget(robot):
         t0 = time.perf_counter()
         depth = render_scene_depth(sc.scene, q_c, sc.intrinsics)
         la = rollout(x_start, goal_ref, g, sc.planner.tau, sc.planner.ts)
-        waypoints2collision(la.positions()[1:], depth, q_c, robot, sc.intrinsics)
+        waypoints2collision(la.positions()[1:], depth, robot)
         times.append(time.perf_counter() - t0)
     median_ms = statistics.median(times) * 1e3
     detail = f"median planning tick {median_ms:.1f} ms at 640x480 (30 FPS budget 33 ms)"

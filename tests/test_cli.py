@@ -138,8 +138,8 @@ class TestRender:
         )
         assert code == 0
         depth = read_pfm(out)
-        assert depth.width == 640 and depth.height == 480
-        assert np.all(depth.values > 0.0) and np.all(depth.values <= 10.0)
+        assert depth.shape == (480, 640)
+        assert np.all(depth > 0.0) and np.all(depth <= 10.0)
 
     def test_default_pose_is_scenario_start(self, tmp_path):
         a = tmp_path / "a.pfm"
@@ -147,7 +147,7 @@ class TestRender:
         cli(["render", str(SCENARIO_DIR / "corridor.json"), "--out", str(a)])
         cli(["render", str(SCENARIO_DIR / "corridor.json"), "--pose", "0", "0", "1.2",
              "--out", str(b)])
-        assert np.array_equal(read_pfm(a).values, read_pfm(b).values)
+        assert np.array_equal(read_pfm(a), read_pfm(b))
 
     @pytest.mark.parametrize("name, pose", [
         ("corridor_start", []),
@@ -166,7 +166,7 @@ class TestRender:
         corridor = str(SCENARIO_DIR / "corridor.json")
         assert cli(["render", corridor, "--pose", "0", "-5.8e-05", "1.2", "--out", str(a)]) == 0
         assert cli(["render", corridor, "--pose", "0", "-0.000058", "1.2", "--out", str(b)]) == 0
-        assert np.array_equal(read_pfm(a).values, read_pfm(b).values)
+        assert np.array_equal(read_pfm(a), read_pfm(b))
 
     @pytest.mark.parametrize("pose", [["0", "0"], ["0", "0", "1.2", "0", "0", "0", "0"]])
     def test_wrong_pose_length_exit_one(self, tmp_path, capsys, pose):

@@ -32,19 +32,19 @@ class TestCheckConfiguration:
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
         p = camera_to_world([0.0, 0.0, 3.0], Q0)  # farthest 3.3 < 5.0
-        assert check_configuration(p, depth, Q0, robot, intr) is Verdict.FREE
+        assert check_configuration(p, depth, robot) is Verdict.FREE
 
     def test_collision_behind_wall_surface(self, wall_scene, intr):
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
         p = camera_to_world([0.0, 0.0, 5.0], Q0)  # farthest 5.3 > 5.0
-        assert check_configuration(p, depth, Q0, robot, intr) is Verdict.COLLISION
+        assert check_configuration(p, depth, robot) is Verdict.COLLISION
 
     def test_out_of_view(self, wall_scene, intr):
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
         p = camera_to_world([5.0, 0.0, 3.0], Q0)  # projects far outside the image
-        assert check_configuration(p, depth, Q0, robot, intr) is Verdict.OUT_OF_VIEW
+        assert check_configuration(p, depth, robot) is Verdict.OUT_OF_VIEW
 
 
 class TestWaypoints2Collision:
@@ -52,14 +52,14 @@ class TestWaypoints2Collision:
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
         samples = [camera_to_world([0.0, 0.0, z], Q0) for z in (2.0, 2.4, 2.8, 3.2, 3.6)]
-        assert waypoints2collision(samples, depth, Q0, robot, intr) == (Verdict.FREE, None)
+        assert waypoints2collision(samples, depth, robot) == (Verdict.FREE, None)
 
     def test_first_collision_index(self, wall_scene, intr):
         scene, depth = wall_scene
         robot = RobotModel(rho=0.3)
         zs = [2.0, 2.5, 3.0, 4.9, 3.0]
         samples = [camera_to_world([0.0, 0.0, z], Q0) for z in zs]
-        verdict, idx = waypoints2collision(samples, depth, Q0, robot, intr)
+        verdict, idx = waypoints2collision(samples, depth, robot)
         assert (verdict, idx) == (Verdict.COLLISION, 3)
         # cross-check against the 3D oracle: only that sample truly intersects
         assert brute_force_collision(scene, samples[3], robot.rho)
@@ -70,12 +70,12 @@ class TestWaypoints2Collision:
         robot = RobotModel(rho=0.3)
         samples = [camera_to_world([0.0, 0.0, z], Q0) for z in (2.0, 2.4, 2.8, 3.2)]
         samples.append(camera_to_world([5.0, 0.0, 3.0], Q0))
-        assert waypoints2collision(samples, depth, Q0, robot, intr) == (Verdict.OUT_OF_VIEW, 4)
+        assert waypoints2collision(samples, depth, robot) == (Verdict.OUT_OF_VIEW, 4)
 
     def test_empty_list_raises(self, wall_scene, intr):
         _, depth = wall_scene
         with pytest.raises(ValueError):
-            waypoints2collision([], depth, Q0, RobotModel(), intr)
+            waypoints2collision([], depth, RobotModel())
 
 
 def _gap_scene(gap_lo: float, gap_hi: float):
@@ -90,7 +90,7 @@ class TestFindEscape:
         scene = _gap_scene(0.5, 1.5)
         depth = render_scene_depth(scene, Q0, intr)
         p_hit = np.array([4.0, 0.0, 0.0])
-        res = find_escape(p_hit, depth, Q0, 1.0, 20, robot, intr)
+        res = find_escape(p_hit, depth, 1.0, 20, robot)
         assert not res.stuck
         assert np.allclose(res.position, [4.0, 0.0, 1.0], atol=1e-12)  # up, k = 1
 
@@ -98,21 +98,21 @@ class TestFindEscape:
         wall = Wall((1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (50.0, 50.0))
         scene = Scene((wall,))
         depth = render_scene_depth(scene, Q0, intr)
-        res = find_escape(np.array([1.0, 0.0, 0.0]), depth, Q0, 0.5, 20, robot, intr)
+        res = find_escape(np.array([1.0, 0.0, 0.0]), depth, 0.5, 20, robot)
         assert res.stuck
 
     def test_free_hit_point_returned_directly(self, intr, robot):
         wall = Wall((9.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (50.0, 50.0))
         depth = render_scene_depth(Scene((wall,)), Q0, intr)
         p = np.array([3.0, 0.0, 0.0])
-        res = find_escape(p, depth, Q0, 0.5, 20, robot, intr)
+        res = find_escape(p, depth, 0.5, 20, robot)
         assert np.array_equal(res.position, p)
 
     def test_ring_index_is_minimal(self, intr, robot):
         scene = _gap_scene(1.1, 2.9)  # slot centered two steps up for d_l = 1
         depth = render_scene_depth(scene, Q0, intr)
         p_hit = np.array([4.0, 0.0, 0.0])
-        res = find_escape(p_hit, depth, Q0, 1.0, 20, robot, intr)
+        res = find_escape(p_hit, depth, 1.0, 20, robot)
         assert not res.stuck
         returned_k = round(float(np.linalg.norm(res.position - p_hit)) / 1.0)
         free_ks = []
@@ -123,7 +123,7 @@ class TestFindEscape:
         for k in range(1, 21):
             for _, d in _DIRECTIONS:
                 cand = p_hit + k * 1.0 * (R_sw @ d)
-                if check_configuration(cand, depth, Q0, robot, intr) is Verdict.FREE:
+                if check_configuration(cand, depth, robot) is Verdict.FREE:
                     free_ks.append(k)
         assert returned_k == min(free_ks)
 
@@ -132,7 +132,7 @@ class TestFindEscape:
         depth = render_scene_depth(scene, Q0, intr)
         p_hit = np.array([4.0, 0.0, 0.0])
         payloads = {
-            find_escape(p_hit, depth, Q0, 1.0, 20, robot, intr).position.tobytes()
+            find_escape(p_hit, depth, 1.0, 20, robot).position.tobytes()
             for _ in range(10)
         }
         assert len(payloads) == 1
@@ -140,28 +140,30 @@ class TestFindEscape:
     def test_invalid_parameters(self, intr, robot):
         depth = render_scene_depth(Scene(), Q0, intr)
         with pytest.raises(ValueError):
-            find_escape([1.0, 0.0, 0.0], depth, Q0, 0.0, 20, robot, intr)
+            find_escape([1.0, 0.0, 0.0], depth, 0.0, 20, robot)
         with pytest.raises(ValueError):
-            find_escape([1.0, 0.0, 0.0], depth, Q0, 0.5, 0, robot, intr)
+            find_escape([1.0, 0.0, 0.0], depth, 0.5, 0, robot)
 
 
 class TestSoundness:
     def test_free_never_contradicts_oracle(self, intr_small):
-        """Depth-space Free must imply 3D-oracle free (occlusion only tightens)."""
+        """Depth-space Free must imply 3D-oracle free (occlusion only tightens),
+        from random 6-DoF poses: the boxes and the sample are placed in the
+        camera frame, so a check that read the wrong pose misplaces them."""
         rng = np.random.default_rng(42)
         robot = RobotModel(rho=0.35)
-        violations = 0
-        for _ in range(200):
+        free = violations = 0
+        for _ in range(400):
+            q = Configuration(*rng.uniform(-3.0, 3.0, 3), *rng.uniform(-np.pi, np.pi, 3))
             prims = []
             for _ in range(int(rng.integers(1, 4))):
-                c = [rng.uniform(2.0, 8.0), rng.uniform(-2.5, 2.5), rng.uniform(-1.5, 1.5)]
-                prims.append(
-                    Box(tuple(np.asarray(c) - rng.uniform(0.3, 1.0, 3)), tuple(np.asarray(c) + rng.uniform(0.3, 1.0, 3)))
-                )
+                c = camera_to_world([rng.uniform(-2.5, 2.5), rng.uniform(-1.5, 1.5), rng.uniform(2.0, 8.0)], q)
+                prims.append(Box(tuple(c - rng.uniform(0.3, 1.0, 3)), tuple(c + rng.uniform(0.3, 1.0, 3))))
             scene = Scene(tuple(prims))
-            depth = render_scene_depth(scene, Q0, intr_small)
-            p = np.array([rng.uniform(1.5, 7.0), rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8)])
-            verdict = check_configuration(p, depth, Q0, robot, intr_small)
-            if verdict is Verdict.FREE and brute_force_collision(scene, p, robot.rho):
-                violations += 1
+            depth = render_scene_depth(scene, q, intr_small)
+            p = camera_to_world([rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8), rng.uniform(1.5, 7.0)], q)
+            if check_configuration(p, depth, robot) is Verdict.FREE:
+                free += 1
+                violations += brute_force_collision(scene, p, robot.rho)
         assert violations == 0
+        assert 0 < free < 400  # both verdicts occur

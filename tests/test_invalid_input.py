@@ -28,6 +28,7 @@ SIGNED = (NAN, INF, STR)  # -1 is a valid value for these fields
 FIELDS = [
     *((("intrinsics", k), ALL, f"intrinsics.{k}")
       for k in ("fsx", "fsy", "cx", "cy", "width", "height", "z_near", "max_depth")),
+    *((("intrinsics", k), (0.0,), f"intrinsics.{k}") for k in ("cx", "cy")),  # on the border
     (("robot", "rho"), ALL, "robot.rho"),
     *((("planner", k), ALL, f"planner.{k}")
       for k in ("tau", "ts", "d_l", "eps_reach", "max_rings", "mission_timeout", "u_max")),
@@ -75,7 +76,7 @@ def test_run_rejects_invalid_field(tmp_path, capsys, keys, value, path):
     out = tmp_path / "run"
     assert cli(["run", str(scenario), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert path in err
+    assert f"invalid {path}:" in err
     assert "Traceback" not in err
     assert not out.exists()
 

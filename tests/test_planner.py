@@ -151,7 +151,7 @@ class TestStepPlanner:
         goal = GoalRegion(10.0, 0.0, 1.5)
         gains = solve_gains(cfg)
         x0 = StateVec([1.2, 0.0, 1.5], [2.0, 0.0, 0.0])
-        state = PlannerState(mode=Mode.GO_TO_GOAL, appended=[(x0, np.zeros(3), "l0")])
+        state = PlannerState(appended=[(x0, np.zeros(3), "l0")])
         for _ in range(25):
             step_planner(scene, state, cfg, goal, intr, robot, gains)
             if state.mode is Mode.ESCAPE:
@@ -173,7 +173,7 @@ class TestStepPlanner:
         gains = solve_gains(cfg)
         blind = _blind_zone_radius(intr, robot)
         x0 = StateVec.rest([0.0, 0.0, 1.2])
-        state = PlannerState(mode=Mode.GO_TO_GOAL, appended=[(x0, np.zeros(3), "l0")])
+        state = PlannerState(appended=[(x0, np.zeros(3), "l0")])
         blind_ticks, checking_casts = 0, 0
         for _ in range(60):
             cam = state.exec_sample[0].p

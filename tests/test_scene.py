@@ -120,7 +120,7 @@ class TestRenderSceneDepth:
                 inside = np.zeros(len(ts), dtype=bool)
                 for prim in prims:
                     if isinstance(prim, Box):
-                        lo, hi = np.asarray(prim.min_corner), np.asarray(prim.max_corner)
+                        lo, hi = np.asarray(prim.min), np.asarray(prim.max)
                         inside |= np.all((pts >= lo) & (pts <= hi), axis=1)
                     else:
                         c = np.asarray(prim.center)
@@ -316,16 +316,16 @@ class TestPfm:
         scene = Scene((Sphere((4.0, 0.0, 0.0), 1.0),))
         depth = render_scene_depth(scene, Q0, intr_small)
         path = tmp_path / "depth.pfm"
-        write_pfm(path, depth)
+        write_pfm(path, depth.values)
         back = read_pfm(path)
-        assert back.width == depth.width and back.height == depth.height
-        assert np.array_equal(back.values, depth.values)
-        assert back.values.dtype == np.float32
+        assert back.shape == depth.values.shape
+        assert np.array_equal(back, depth.values)
+        assert back.dtype == np.float32
 
     def test_header_format(self, intr_small, tmp_path):
         depth = render_scene_depth(Scene(), Q0, intr_small)
         path = tmp_path / "depth.pfm"
-        write_pfm(path, depth)
+        write_pfm(path, depth.values)
         with open(path, "rb") as f:
             assert f.readline().strip() == b"Pf"
             assert f.readline().split() == [b"160", b"120"]
