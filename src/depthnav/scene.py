@@ -274,13 +274,17 @@ def _pixel_rays(intr: CameraIntrinsics) -> np.ndarray:
 
 # the 8 corners of an axis-aligned box, as a choice of lo (False) or hi (True) per axis
 _CORNERS = np.array([[i & 4, i & 2, i & 1] for i in range(8)], dtype=bool)
+# its 12 edges, as pairs of corner indices that differ in one axis
+_EDGES = np.array([(i, i | b) for i in range(8) for b in (1, 2, 4) if not i & b])
 
 
 def _pixel_box(prim, origin, R_ws, intr: CameraIntrinsics):
     """Half-open pixel rectangle (y0, y1, x0, x1) holding every pixel whose
     ray can meet prim at depth >= z_near: the projection of its bounds()
-    corners padded by a pixel for rounding; the full frame when a corner
-    lies at or before z_near, and empty when all of them lie before it."""
+    box clipped at z = z_near, padded by a pixel for rounding; empty when
+    the whole box lies before z_near. A box that straddles z_near projects
+    its corners at or beyond z_near and the points where its edges cross
+    z_near: the vertices of the clipped box, which holds every such hit."""
     lo, hi = prim.bounds()
     cam = (np.where(_CORNERS, hi, lo) - origin) @ R_ws.T
     z = cam[:, 2]
@@ -288,7 +292,14 @@ def _pixel_box(prim, origin, R_ws, intr: CameraIntrinsics):
     if z_max < intr.z_near:
         return 0, 0, 0, 0
     if z_min <= intr.z_near:
-        return 0, intr.height, 0, intr.width
+        a, b = cam[_EDGES[:, 0]], cam[_EDGES[:, 1]]
+        cross = (a[:, 2] < intr.z_near) != (b[:, 2] < intr.z_near)
+        a, b = a[cross], b[cross]
+        s = (intr.z_near - a[:, 2]) / (b[:, 2] - a[:, 2])
+        cut = a + s[:, None] * (b - a)
+        cut[:, 2] = intr.z_near
+        cam = np.concatenate([cam[z >= intr.z_near], cut])
+        z = cam[:, 2]
     # pixel ix's ray passes through image coordinate u = ix + 0.5
     u = intr.fsx * cam[:, 0] / z + (intr.cx - 0.5)
     v = intr.fsy * cam[:, 1] / z + (intr.cy - 0.5)
@@ -306,8 +317,10 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
     Depth is the smallest camera-frame z >= z_near over all primitive
     intersections along each pixel ray, clamped to max_depth; max_depth
     where nothing is hit. Each primitive is intersected only with the rays
-    of its pixel box (:func:`_pixel_box`) that a read asks for, so only
-    the pixels read are cast, with the same bits as a full-frame cast.
+    of its pixel box (:func:`_pixel_box`, its bounds clipped at the near
+    plane) that a read asks for, so only the pixels read are cast, and a
+    primitive the camera is passing casts only the frame edge it reaches,
+    with the same bits as a full-frame cast.
     Deterministic.
     """
     return DepthImage(scene, q, intr)

@@ -10,17 +10,19 @@ from depthnav import (
     Sphere,
     Wall,
     camera_to_world,
+    load_scenario,
     project,
     read_pfm,
     render_robot_footprint,
     render_scene_depth,
+    run_mission,
     world_to_camera,
     write_pfm,
 )
 from depthnav.scene import RobotModel, _pixel_box, _pixel_rays
 from depthnav.frames import world_to_camera_rotation
 
-from conftest import CountingBox
+from conftest import SCENARIO_DIR, CountingBox
 
 
 Q0 = Configuration(0.0, 0.0, 0.0)
@@ -141,29 +143,46 @@ def _reference_depth(scene, q, intr):
     return depth.astype(np.float32)
 
 
-def _camera_frame_scene(rng, q, intr, n):
-    """Boxes, spheres and walls placed in q's camera frame: in view,
-    straddling z_near, wholly behind the camera, or off to the side."""
-    places = (
+def _camera_frame_places(rng, intr):
+    """Camera-frame centre draws: in view, straddling z_near, wholly behind
+    the camera, or off to the side."""
+    return (
         lambda: [rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5), rng.uniform(1.0, 8.0)],
         lambda: [rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), intr.z_near + rng.uniform(-0.2, 0.2)],
         lambda: [rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-6.0, -2.5)],
         lambda: [rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 30.0), 0.0, rng.uniform(2.0, 6.0)],
     )
+
+
+def _primitive_at(rng, c):
+    """A random box, sphere or wall centred on the world point c."""
+    kind = rng.integers(3)
+    if kind == 0:
+        h = rng.uniform(0.1, 0.8, 3)
+        return Box(tuple(c - h), tuple(c + h))
+    if kind == 1:
+        return Sphere(tuple(c), float(rng.uniform(0.1, 0.8)))
+    nrm = rng.normal(size=3)
+    half = tuple(rng.uniform(0.2, 2.0, 2))
+    return Wall(tuple(c), tuple(nrm / np.linalg.norm(nrm)), half)
+
+
+def _camera_frame_scene(rng, q, intr, n):
+    """Primitives centred on _camera_frame_places draws in q's camera frame."""
+    places = _camera_frame_places(rng, intr)
     prims = []
     for _ in range(n):
         c = camera_to_world(np.asarray(places[rng.integers(len(places))]()), q)
-        kind = rng.integers(3)
-        if kind == 0:
-            h = rng.uniform(0.1, 0.8, 3)
-            prims.append(Box(tuple(c - h), tuple(c + h)))
-        elif kind == 1:
-            prims.append(Sphere(tuple(c), float(rng.uniform(0.1, 0.8))))
-        else:
-            nrm = rng.normal(size=3)
-            half = tuple(rng.uniform(0.2, 2.0, 2))
-            prims.append(Wall(tuple(c), tuple(nrm / np.linalg.norm(nrm)), half))
+        prims.append(_primitive_at(rng, c))
     return Scene(tuple(prims))
+
+
+def _straddles_near_plane(prim, q, intr):
+    """Whether prim's bounds() box has corners on both sides of z = z_near."""
+    lo, hi = prim.bounds()
+    corners = np.array([[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
+    z = world_to_camera(corners, q)[:, 2]
+    return z.min() <= intr.z_near <= z.max()
 
 
 def _random_pose(rng):
@@ -186,8 +205,10 @@ class TestOnDemandCast:
                 y0, y1, x0, x1 = _pixel_box(prim, q.position, R_ws, intr_small)
                 if y0 >= y1 or x0 >= x1:
                     kinds.add("culled")
+                elif (y1 - y0, x1 - x0) == (h, w):
+                    kinds.add("full frame")
                 else:
-                    kinds.add("full frame" if (y1 - y0, x1 - x0) == (h, w) else "box")
+                    kinds.add("clipped" if _straddles_near_plane(prim, q, intr_small) else "box")
             depth = render_scene_depth(scene, q, intr_small)
             for _ in range(8):
                 y0, x0 = int(rng.integers(h)), int(rng.integers(w))
@@ -200,7 +221,32 @@ class TestOnDemandCast:
             assert np.array_equal(depth.values.view(np.uint32), ref.view(np.uint32))
             fresh = render_scene_depth(scene, q, intr_small)
             assert np.array_equal(fresh.values.view(np.uint32), ref.view(np.uint32))
-        assert kinds == {"culled", "full frame", "box"}
+        assert kinds == {"culled", "full frame", "box", "clipped"}
+
+    def test_clipped_box_holds_every_hit(self, intr_small):
+        """Every pixel whose full-grid ray meets a primitive straddling
+        z_near lies inside its pixel box, and the box is smaller than the
+        frame for a quarter of them or more. An image-level check can miss
+        a box that is too tight where another primitive occludes the
+        missed pixels."""
+        rng = np.random.default_rng(41)
+        h, w = intr_small.height, intr_small.width
+        straddling = tighter = 0
+        for _ in range(60):
+            q = _random_pose(rng)
+            R_ws = world_to_camera_rotation(q)
+            dirs = _pixel_rays(intr_small) @ R_ws
+            near = _camera_frame_places(rng, intr_small)[1]
+            for _ in range(5):
+                prim = _primitive_at(rng, camera_to_world(np.asarray(near()), q))
+                if not _straddles_near_plane(prim, q, intr_small):
+                    continue
+                straddling += 1
+                y0, y1, x0, x1 = _pixel_box(prim, q.position, R_ws, intr_small)
+                iy, ix = np.nonzero(np.isfinite(prim.intersect(q.position, dirs, intr_small.z_near)))
+                assert np.all((y0 <= iy) & (iy < y1) & (x0 <= ix) & (ix < x1)), prim
+                tighter += (y1 - y0) * (x1 - x0) < h * w
+        assert straddling >= 200 and tighter >= straddling // 4, (straddling, tighter)
 
     def test_culls_primitives_behind_or_beside_the_view(self, intr_small):
         behind = CountingBox((-3.0, -0.5, -0.5), (-2.0, 0.5, 0.5))
@@ -210,6 +256,33 @@ class TestOnDemandCast:
         depth.values
         assert behind.calls == [] and beside.calls == []
         assert 0 < sum(ahead.calls) < intr_small.width * intr_small.height
+
+    def test_side_wall_being_passed_gets_few_rays(self, intr_small):
+        """A corridor side wall running from behind the camera to 6 m ahead,
+        3.4 m to one side, as the shipped corridor's walls are seen from
+        x = 3: a read at the image centre does not cast it, and a full frame
+        casts it over the frame edge its near-plane-clipped box reaches."""
+        wall = CountingBox((-5.0, 3.4, -1.2), (6.0, 3.9, 1.8))
+        depth = render_scene_depth(Scene((wall,)), Q0, intr_small)
+        depth.at(np.array([intr_small.height // 2]), np.array([intr_small.width // 2]))
+        assert wall.calls == []
+        assert np.any(depth.values < intr_small.max_depth)
+        assert 0 < sum(wall.calls) < intr_small.width * intr_small.height // 2
+
+    def test_corridor_mission_ray_primitive_count(self, monkeypatch):
+        """Ray-primitive evaluations of one shipped corridor mission: 128,890
+        with near-plane clipped pixel boxes, 672,246 when every primitive
+        straddling z_near was cast over the full frame."""
+        count = [0]
+        for cls in (Box, Sphere):
+            def counted(self, origin, dirs, z_near, _intersect=cls.intersect):
+                count[0] += dirs.size // 3
+                return _intersect(self, origin, dirs, z_near)
+
+            monkeypatch.setattr(cls, "intersect", counted)
+        sc = load_scenario(SCENARIO_DIR / "corridor.json")
+        run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
+        assert count[0] <= 150_000, count[0]
 
     def test_reads_cast_only_their_rectangle(self, intr_small):
         box = CountingBox((3.0, -5.0, -5.0), (4.0, 5.0, 5.0))  # fills the view
