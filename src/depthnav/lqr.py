@@ -116,8 +116,9 @@ def rollout(
 ) -> LookAheadTrajectory:
     """Integrate the closed loop over one horizon, sampling every ts seconds.
 
-    Uses fixed-substep RK4 with substep ts/10. The first sample equals x0
-    exactly (no hover assumption). u_max optionally clamps each input axis.
+    Uses fixed-substep RK4 with substep ts/10, integrating no further than
+    the last sample. The first sample equals x0 exactly (no hover
+    assumption). u_max optionally clamps each input axis.
     """
     if tau <= 0 or ts <= 0:
         raise ValueError("tau and ts must be positive")
@@ -129,12 +130,11 @@ def rollout(
         u = _law(p, v, x_ref, g)
         return u if u_max is None else np.clip(u, -u_max, u_max)
 
-    samples = []
     p = x0.p.copy()
     v = x0.v.copy()
+    samples = [(StateVec(p, v), law(p, v))]
     h = ts / 10.0
-    for _ in range(n_steps + 1):
-        samples.append((StateVec(p.copy(), v.copy()), law(p, v)))
+    for _ in range(n_steps):
         for _ in range(10):
             k1p, k1v = v, law(p, v)
             p2, v2 = p + 0.5 * h * k1p, v + 0.5 * h * k1v
@@ -145,4 +145,5 @@ def rollout(
             k4p, k4v = v4, law(p4, v4)
             p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        samples.append((StateVec(p, v), law(p, v)))
     return LookAheadTrajectory(samples)

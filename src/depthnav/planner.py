@@ -18,7 +18,7 @@ import numpy as np
 
 from .collision import Verdict, find_escape, waypoints2collision
 from .frames import CameraIntrinsics, Configuration
-from .lqr import LookAheadTrajectory, ModeWeights, StateVec, are_residual, rollout, solve_are_axis
+from .lqr import ModeWeights, StateVec, are_residual, rollout, solve_are_axis
 from .oracle import brute_force_collision
 from .scene import RobotModel, Scene, render_scene_depth
 from .validation import coerce, integer, real
@@ -107,7 +107,6 @@ class PlannerState:
     exec_idx: int = 0
     tick: int = 0
     x_esc: StateVec | None = None  # the escape point, set exactly in l1
-    deferred: LookAheadTrajectory | None = None
     events: list = field(default_factory=list)
 
     @property
@@ -159,9 +158,13 @@ def step_planner(
 ) -> PlannerState:
     """One planning tick at the executor's current time.
 
-    In l0, renders a fresh depth image from the current configuration,
-    generates or re-checks one candidate lookahead, and appends / defers /
-    replans per the automaton guards; in l1, appends the next escape lookahead.
+    Generates one lookahead from the end of the appended trajectory: toward
+    the goal in l0, toward the escape point in l1. In l0 it renders a depth
+    image from the current configuration and checks the lookahead against
+    it; a free lookahead is appended, one leaving the view appends nothing
+    (the next tick regenerates the same lookahead and checks it in a fresh
+    image), and a predicted collision starts the escape search. In l1 the
+    lookahead is appended unchecked.
     """
     exec_state = state.exec_sample[0]
 
@@ -169,51 +172,41 @@ def step_planner(
     if state.mode is Mode.ESCAPE and guard_l1_to_l0(exec_state, state.x_esc, cfg.eps_reach):
         state.log("escape_reached")
         del state.appended[state.exec_idx + 1 :]
-        state.deferred = None
         state.x_esc = None
 
     unexecuted = len(state.appended) - 1 - state.exec_idx
-    if state.deferred is None and unexecuted > cfg.horizon_samples:
+    if unexecuted > cfg.horizon_samples:
         return state  # buffer holds a full horizon; nothing to generate
 
     x_start = state.appended[-1][0]
-    if state.mode is Mode.ESCAPE:
-        # escape maneuvers head to an already-verified free point while
-        # cutting across the view cone; they are executed without a render
-        # or image re-check (end-to-end safety is covered by the 3D oracle
-        # sweep). A lookahead is only ever deferred in l0.
-        la = rollout(x_start, state.x_esc, gains["l1"], cfg.tau, cfg.ts, u_max=cfg.u_max)
-        state.appended.extend((s, u, state.mode.value) for s, u in la.samples[1:])
-        return state
+    x_ref = state.x_esc if state.mode is Mode.ESCAPE else goal.reference()
+    la = rollout(x_start, x_ref, gains[state.mode.value], cfg.tau, cfg.ts, u_max=cfg.u_max)
 
-    q_c = Configuration(*exec_state.p.tolist())  # heading held toward +x: no yaw planning
-    depth = render_scene_depth(scene, q_c, intr)
-    la = state.deferred
-    if la is None:
-        la = rollout(x_start, goal.reference(), gains["l0"], cfg.tau, cfg.ts, u_max=cfg.u_max)
-
-    # the junction sample and samples inside the robot's current blind zone
-    # (too close to the camera for their footprint disc to fit the image)
-    # are not re-checked
-    positions = la.positions()
-    blind = _blind_zone_radius(intr, robot)
-    cam = q_c.position
-    check_idx = [
-        i for i in range(1, len(positions)) if np.linalg.norm(positions[i] - cam) > blind
-    ]
+    # escape maneuvers head to an already-verified free point while cutting
+    # across the view cone; they are appended without a render or image
+    # check (end-to-end safety is covered by the 3D oracle sweep)
     verdict, hit_idx = Verdict.FREE, None
-    if check_idx:
-        verdict, j = waypoints2collision([positions[i] for i in check_idx], depth, robot)
-        hit_idx = check_idx[j] if j is not None else None
+    if state.mode is Mode.GO_TO_GOAL:
+        q_c = Configuration(*exec_state.p.tolist())  # heading held toward +x: no yaw planning
+        depth = render_scene_depth(scene, q_c, intr)
+        # the junction sample and samples inside the robot's current blind
+        # zone (too close to the camera for their footprint disc to fit the
+        # image) are not re-checked
+        positions = la.positions()
+        blind = _blind_zone_radius(intr, robot)
+        cam = q_c.position
+        check_idx = [
+            i for i in range(1, len(positions)) if np.linalg.norm(positions[i] - cam) > blind
+        ]
+        if check_idx:
+            verdict, j = waypoints2collision([positions[i] for i in check_idx], depth, robot)
+            hit_idx = check_idx[j] if j is not None else None
 
     if verdict is Verdict.FREE:
         state.appended.extend((s, u, state.mode.value) for s, u in la.samples[1:])
-        state.deferred = None
     elif verdict is Verdict.OUT_OF_VIEW:
-        state.deferred = la
         state.log("deferred", sample=hit_idx)
     else:  # collision predicted somewhere in [k*tau, (k+1)*tau]
-        state.deferred = None
         state.log("collision_predicted", sample=hit_idx)
         esc = find_escape(positions[hit_idx], depth, cfg.d_l, cfg.max_rings, robot)
         if esc.stuck:

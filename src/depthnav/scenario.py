@@ -2,8 +2,9 @@
 validation errors.
 
 All units are SI, all angles radians. Unspecified sections fall back to
-defaults: the 640x480 camera with 10 m range below, and the library types'
-own defaults (rho = 0.35 m sphere, planner timings tau = 0.8 s / ts = 0.2 s).
+defaults: the 640x480 camera below, and the library types' own defaults
+(camera range 0.3-10 m, rho = 0.35 m sphere, planner timings tau = 0.8 s /
+ts = 0.2 s).
 Each type validates its own fields; parsing only adds the section path.
 """
 
@@ -36,10 +37,7 @@ class ScenarioConfig:
     scene: Scene
 
 
-_DEFAULT_INTR = dict(
-    fsx=385.0, fsy=385.0, cx=320.0, cy=240.0, width=640, height=480,
-    z_near=0.3, max_depth=10.0,
-)
+_DEFAULT_INTR = dict(fsx=385.0, fsy=385.0, cx=320.0, cy=240.0, width=640, height=480)
 _DEFAULT_BOUNDS = {"min": [-50, -50, -50], "max": [50, 50, 50]}
 _SECTIONS = ("intrinsics", "robot", "planner", "start", "goal", "world_bounds", "scene")
 # JSON type name -> constructor and the keys of its positional arguments
@@ -80,7 +78,8 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     their own fields; raises ScenarioError naming the offending field, and
     rejects a key no section defines with its path."""
     _object(data, "", _SECTIONS)
-    intr_d = {**_DEFAULT_INTR, **_object(data.get("intrinsics", {}), "intrinsics", _DEFAULT_INTR)}
+    intr_keys = [f.name for f in fields(CameraIntrinsics)]
+    intr_d = {**_DEFAULT_INTR, **_object(data.get("intrinsics", {}), "intrinsics", intr_keys)}
     intr = _build("intrinsics", CameraIntrinsics, **intr_d)
     robot_d = _object(data.get("robot", {}), "robot", ("rho",))
     robot = _build("robot", RobotModel, robot_d.get("rho", RobotModel.rho))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_continuous_are
 
+from depthnav import lqr
 from depthnav import (
     AxisGain,
     ModeWeights,
@@ -186,6 +187,21 @@ class TestRollout:
         g = solve_are_axis(L0)
         with pytest.raises(ValueError):
             rollout(StateVec.rest([0, 0, 0]), StateVec.rest([1, 0, 0]), g, 0.7, 0.2)
+
+    def test_integrates_only_up_to_the_last_sample(self, monkeypatch):
+        """One law evaluation per sample plus 10 RK4 substeps of 4 between
+        consecutive samples: nothing is integrated past the last sample."""
+        calls = []
+
+        def counting_law(*args):
+            calls.append(1)
+            return original(*args)
+
+        original = lqr._law
+        monkeypatch.setattr(lqr, "_law", counting_law)
+        la = rollout(StateVec.rest([0, 0, 0]), StateVec.rest([1, 0, 0]), solve_are_axis(L0), 0.8, 0.2)
+        assert len(la.samples) == 5
+        assert len(calls) == 1 + 4 * (10 * 4 + 1)
 
 
 class TestClosedLoopProperties:

@@ -6,10 +6,13 @@ from depthnav import (
     GoalRegion,
     Mode,
     PlannerConfig,
+    RobotModel,
     Scene,
+    Sphere,
     StateVec,
     guard_l1_to_l0,
     load_scenario,
+    rollout,
     run_mission,
 )
 from depthnav.planner import (
@@ -37,6 +40,19 @@ def corridor():
 @pytest.fixture(scope="module")
 def empty():
     return _run("empty")
+
+
+def _clutter(rng) -> Scene:
+    """2-6 boxes and spheres between the start and the goal plane."""
+    prims = []
+    for _ in range(int(rng.integers(2, 7))):
+        c = np.array([rng.uniform(2.0, 9.0), rng.uniform(-3.0, 3.0), rng.uniform(0.2, 2.4)])
+        if rng.random() < 0.5:
+            h = rng.uniform(0.15, 0.6, 3)
+            prims.append(Box(tuple(c - h), tuple(c + h)))
+        else:
+            prims.append(Sphere(tuple(c), float(rng.uniform(0.25, 0.7))))
+    return Scene(tuple(prims))
 
 
 class TestGuards:
@@ -192,6 +208,56 @@ class TestStepPlanner:
             state.tick += 1
         assert blind_ticks >= 1
         assert checking_casts > 0
+
+    def test_deferral_rechecks_the_same_lookahead(self, intr_small):
+        """A deferred tick appends nothing and stays in l0; the next tick
+        re-checks (a deferral never waits behind a full buffer), and when it
+        appends, the samples are bit-equal to the lookahead the deferral
+        generated from the same trajectory end."""
+        sc = load_scenario(SCENARIO_DIR / "corridor.json")
+        missions = [(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)]
+        rng = np.random.default_rng(1)
+        for _ in range(16):
+            missions.append((
+                _clutter(rng), StateVec.rest([0.0, 0.0, 1.2]), GoalRegion(10.0, 0.0, 1.2),
+                PlannerConfig(d_l=1.0), intr_small, RobotModel(0.35),
+            ))
+        deferrals = rechecked = 0
+        for scene, x0, goal, cfg, intr, robot in missions:
+            gains = solve_gains(cfg)
+            state = PlannerState(appended=[(x0, np.zeros(3), "l0")])
+            pending = None  # the trajectory end at a deferral on the previous tick
+            while state.tick * cfg.ts < cfg.mission_timeout:
+                before, n_events = list(state.appended), len(state.events)
+                step_planner(scene, state, cfg, goal, intr, robot, gains)
+                events = [e["event"] for e in state.events[n_events:]]
+                new = state.appended[len(before):]
+                if pending is not None:
+                    assert events or new
+                    if new:
+                        ref = goal.reference()
+                        la = rollout(pending, ref, gains["l0"], cfg.tau, cfg.ts, u_max=cfg.u_max)
+                        assert len(new) == len(la.samples) - 1
+                        for (s, u, label), (s_la, u_la) in zip(new, la.samples[1:]):
+                            assert label == "l0"
+                            assert np.array_equal(s.p, s_la.p) and np.array_equal(s.v, s_la.v)
+                            assert np.array_equal(u, u_la)
+                        rechecked += 1
+                pending = None
+                if "deferred" in events:
+                    deferrals += 1
+                    assert state.mode is Mode.GO_TO_GOAL and state.events[-1]["mode"] == "l0"
+                    # nothing appended (escape_reached may have dropped unexecuted samples)
+                    assert len(state.appended) <= len(before)
+                    assert all(a is b for a, b in zip(state.appended, before))
+                    pending = state.appended[-1][0]
+                if "stuck" in events or goal.contains(state.exec_sample[0].p):
+                    break
+                if state.exec_idx < len(state.appended) - 1:
+                    state.exec_idx += 1
+                state.tick += 1
+        assert deferrals >= 2
+        assert rechecked >= 1
 
     def test_rejects_colliding_start(self, intr, robot):
         scene = Scene((Box((0.0, -1.0, -1.0), (2.0, 1.0, 1.0)),))
