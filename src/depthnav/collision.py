@@ -46,14 +46,14 @@ def check_configuration(p, depth: DepthImage, robot: RobotModel) -> Verdict:
     """Classify a hallucinated robot position against a scene depth image.
 
     Free requires the footprint farthest depth, seen from the image's pose,
-    to be strictly less than the scene depth at every covered pixel.
+    to be strictly less than the scene depth at every covered pixel: the
+    footprint's disc mask over the image window of its tight pixel box,
+    which casts only that window.
     """
     fp = render_robot_footprint(p, depth.q, robot, depth.intr)
     if not fp.fully_in_view:
         return Verdict.OUT_OF_VIEW
-    ix = fp.pixels[:, 0]
-    iy = fp.pixels[:, 1]
-    if np.all(fp.farthest_depth < depth.at(iy, ix)):
+    if np.all(fp.farthest_depth < depth.window(*fp.box)[fp.mask]):
         return Verdict.FREE
     return Verdict.COLLISION
 

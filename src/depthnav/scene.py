@@ -63,18 +63,23 @@ class Box:
         return float(np.linalg.norm(closest - p))
 
     def intersect(self, origin, dirs, z_near) -> np.ndarray:
-        lo = np.asarray(self.min, float)
-        hi = np.asarray(self.max, float)
+        lo = np.asarray(self.min, float) - origin
+        hi = np.asarray(self.max, float) - origin
+        # one slab at a time, folded into t_near/t_far in axis order;
+        # 0 * inf slab degeneracies (ray origin on a slab plane) become NaN,
+        # and fmax/fmin ignore NaN, matching the unbounded-slab convention
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv_dirs = 1.0 / dirs
-            t1 = (lo - origin) * inv_dirs
-            t2 = (hi - origin) * inv_dirs
-            lo_t = np.minimum(t1, t2)
-            hi_t = np.maximum(t1, t2)
-        # 0 * inf slab degeneracies (ray origin on a slab plane) become NaN;
-        # fmax/fmin ignore NaN, matching the unbounded-slab convention
-        t_near = np.fmax(np.fmax(lo_t[..., 0], lo_t[..., 1]), lo_t[..., 2])
-        t_far = np.fmin(np.fmin(hi_t[..., 0], hi_t[..., 1]), hi_t[..., 2])
+            for k in range(3):
+                inv = 1.0 / dirs[..., k]
+                t1 = lo[k] * inv
+                t2 = np.multiply(hi[k], inv, out=inv)
+                slab_near = np.minimum(t1, t2)
+                slab_far = np.maximum(t1, t2, out=t1)
+                if k == 0:
+                    t_near, t_far = slab_near, slab_far
+                else:
+                    np.fmax(t_near, slab_near, out=t_near)
+                    np.fmin(t_far, slab_far, out=t_far)
         hit = t_near <= t_far
         first = np.where(t_near >= z_near, t_near, t_far)
         return np.where(hit & (first >= z_near), first, np.inf)
@@ -186,8 +191,8 @@ class DepthImage:
     """Per-pixel z-depth of the scene seen from pose q through intr,
     row-major float32, meters, ray-cast on demand.
 
-    Nothing is cast on construction: :meth:`at` casts the pixels it reads,
-    once, and ``values`` casts the rest.
+    Nothing is cast on construction: :meth:`window` casts the pixel
+    rectangle it reads, once, and ``values`` casts the rest.
     """
 
     def __init__(self, scene: Scene, q: Configuration, intr: CameraIntrinsics):
@@ -203,11 +208,11 @@ class DepthImage:
         self._cast(0, self.intr.height, 0, self.intr.width)
         return self._values
 
-    def at(self, iy, ix) -> np.ndarray:
-        """Depth at the pixels (iy[k], ix[k]), cast on first read."""
-        if len(iy):
-            self._cast(int(np.min(iy)), int(np.max(iy)) + 1, int(np.min(ix)), int(np.max(ix)) + 1)
-        return self._values[iy, ix]
+    def window(self, y0, y1, x0, x1) -> np.ndarray:
+        """Depth over the half-open pixel rectangle [y0, y1) x [x0, x1),
+        cast on first read; a view into the image."""
+        self._cast(y0, y1, x0, x1)
+        return self._values[y0:y1, x0:x1]
 
     @functools.cached_property
     def _boxes(self) -> list:
@@ -252,15 +257,24 @@ class RobotModel:
 class RobotFootprint:
     """Conservative pixel disc of a hallucinated robot plus its farthest depth.
 
-    pixels is an (N, 2) int array of (ix, iy) image indices; every listed
+    box is the disc's tight half-open pixel rectangle (y0, y1, x0, x1) and
+    mask the (y1 - y0, x1 - x0) bool disc over it, so a depth image's
+    ``window(*box)[mask]`` is the scene depth under the disc; every covered
     pixel carries the same farthest-depth value (sphere model).
     """
 
-    pixels: np.ndarray
+    box: tuple
+    mask: np.ndarray
     farthest_depth: float
     fully_in_view: bool
     center_pixel: tuple | None = None
     pixel_radius: float = 0.0
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The covered pixels as an (N, 2) int array of (ix, iy), row-major."""
+        iy, ix = np.nonzero(self.mask)
+        return np.stack([ix + self.box[2], iy + self.box[0]], axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -334,13 +348,17 @@ def render_robot_footprint(
     The disc radius divides by (zc - rho), the nearest sphere depth, and is
     scaled by the view-ray secant so that every sphere surface point projects
     inside the disc even off-axis. farthest depth is zc + rho for all pixels.
+    The disc holds the in-image pixels whose centers lie within the radius,
+    its mask built from 1-D squared offsets and trimmed to its tight box; a
+    sub-pixel disc keeps the pixel holding its center, and a sphere reaching
+    before z_near has an empty box.
     """
     center_s = world_to_camera(p, q_c)
     zc = float(center_s[2])
     rho = robot.rho
     far = zc + rho
     if zc - rho < intr.z_near:
-        return RobotFootprint(np.empty((0, 2), dtype=int), far, False)
+        return RobotFootprint((0, 0, 0, 0), np.zeros((0, 0), bool), far, False)
     r = project(center_s, intr)
     secant = float(np.linalg.norm(center_s)) / zc
     pr = max(intr.fsx, intr.fsy) * rho / (zc - rho) * secant
@@ -350,15 +368,21 @@ def render_robot_footprint(
     ix_hi = min(int(np.ceil(rx + pr)), intr.width - 1)
     iy_lo = max(int(np.floor(ry - pr)), 0)
     iy_hi = min(int(np.ceil(ry + pr)), intr.height - 1)
-    gx, gy = np.meshgrid(np.arange(ix_lo, ix_hi + 1), np.arange(iy_lo, iy_hi + 1))
-    mask = (gx + 0.5 - rx) ** 2 + (gy + 0.5 - ry) ** 2 <= pr * pr
-    pix = np.stack([gx[mask], gy[mask]], axis=-1)
-    if pix.shape[0] == 0:
+    dx2 = (np.arange(ix_lo, ix_hi + 1) + 0.5 - rx) ** 2
+    dy2 = (np.arange(iy_lo, iy_hi + 1) + 0.5 - ry) ** 2
+    mask = dy2[:, None] + dx2[None, :] <= pr * pr
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
         # sub-pixel disc: keep the pixel containing the center
         cx_i = min(max(int(rx), 0), intr.width - 1)
         cy_i = min(max(int(ry), 0), intr.height - 1)
-        pix = np.array([[cx_i, cy_i]], dtype=int)
-    return RobotFootprint(pix, far, bool(in_view), (rx, ry), pr)
+        box, mask = (cy_i, cy_i + 1, cx_i, cx_i + 1), np.ones((1, 1), bool)
+    else:
+        cols = np.flatnonzero(mask.any(axis=0))
+        mask = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+        y0, x0 = iy_lo + int(rows[0]), ix_lo + int(cols[0])
+        box = (y0, y0 + mask.shape[0], x0, x0 + mask.shape[1])
+    return RobotFootprint(box, mask, far, bool(in_view), (rx, ry), pr)
 
 
 def write_pfm(path, values: np.ndarray) -> None:

@@ -8,11 +8,15 @@ from depthnav import (
     Scene,
     Verdict,
     Wall,
+    Sphere,
     camera_to_world,
     check_configuration,
     find_escape,
+    project,
+    render_robot_footprint,
     render_scene_depth,
     waypoints2collision,
+    world_to_camera,
 )
 from depthnav.oracle import brute_force_collision
 
@@ -167,3 +171,107 @@ class TestSoundness:
                 violations += brute_force_collision(scene, p, robot.rho)
         assert violations == 0
         assert 0 < free < 400  # both verdicts occur
+
+
+def _pixel_list_footprint(p, q, robot, intr):
+    """The footprint as the (N, 2) meshgrid list of (ix, iy) pixels it once
+    was, with its farthest depth, whether it is fully in view, and which
+    branch built it: "near plane", "sub-pixel" or "disc"."""
+    center_s = world_to_camera(p, q)
+    zc = float(center_s[2])
+    far = zc + robot.rho
+    if zc - robot.rho < intr.z_near:
+        return np.empty((0, 2), dtype=int), far, False, "near plane"
+    rx, ry = project(center_s, intr)
+    secant = float(np.linalg.norm(center_s)) / zc
+    pr = max(intr.fsx, intr.fsy) * robot.rho / (zc - robot.rho) * secant
+    in_view = (rx - pr >= 0.0) and (rx + pr < intr.width) and (ry - pr >= 0.0) and (ry + pr < intr.height)
+    ix_lo = max(int(np.floor(rx - pr)), 0)
+    ix_hi = min(int(np.ceil(rx + pr)), intr.width - 1)
+    iy_lo = max(int(np.floor(ry - pr)), 0)
+    iy_hi = min(int(np.ceil(ry + pr)), intr.height - 1)
+    gx, gy = np.meshgrid(np.arange(ix_lo, ix_hi + 1), np.arange(iy_lo, iy_hi + 1))
+    mask = (gx + 0.5 - rx) ** 2 + (gy + 0.5 - ry) ** 2 <= pr * pr
+    pix = np.stack([gx[mask], gy[mask]], axis=-1)
+    if pix.shape[0] == 0:
+        cx_i = min(max(int(rx), 0), intr.width - 1)
+        cy_i = min(max(int(ry), 0), intr.height - 1)
+        return np.array([[cx_i, cy_i]], dtype=int), far, in_view, "sub-pixel"
+    return pix, far, in_view, "disc"
+
+
+def _edge_sample(rng, intr, rho, zc):
+    """A camera-frame centre whose disc edge lies within a pixel or two of
+    one image border, on either side of it (a few fixed-point steps on the
+    secant-scaled radius)."""
+    side, u = int(rng.integers(4)), rng.uniform(-1.0, 2.0)
+    x, y = rng.uniform(-0.5, 0.5, 2) * zc
+    for _ in range(4):
+        pr = max(intr.fsx, intr.fsy) * rho / (zc - rho) * np.linalg.norm([x, y, zc]) / zc
+        if side == 0:
+            x = (pr + u - intr.cx) * zc / intr.fsx
+        elif side == 1:
+            x = (intr.width - pr - u - intr.cx) * zc / intr.fsx
+        elif side == 2:
+            y = (pr + u - intr.cy) * zc / intr.fsy
+        else:
+            y = (intr.height - pr - u - intr.cy) * zc / intr.fsy
+    return [x, y, zc]
+
+
+class TestMaskWindow:
+    @pytest.mark.parametrize("camera", ["intr_small", "intr"])
+    def test_verdict_matches_the_pixel_list(self, camera, request):
+        """check_configuration (a disc mask over a lazy depth window) equals
+        the verdict of the meshgrid pixel list read from a full cast, and
+        fp.pixels is that list in content and row-major order, at random
+        6-DoF poses: discs anywhere in and around the view, discs touching
+        an image border, sub-pixel discs and spheres reaching before z_near."""
+        intr = request.getfixturevalue(camera)
+        rng = np.random.default_rng(77)
+        robots = [RobotModel(rho) for rho in (0.002, 0.05, 0.35)]
+        verdicts = {v: 0 for v in Verdict}
+        kinds = {"near plane": 0, "sub-pixel": 0, "disc": 0, "touching": 0}
+        for _ in range(12):
+            q = Configuration(*rng.uniform(-3.0, 3.0, 3), *rng.uniform(-np.pi, np.pi, 3))
+            prims = []
+            for _ in range(int(rng.integers(2, 6))):
+                c = camera_to_world([rng.uniform(-2.0, 2.0), rng.uniform(-1.5, 1.5), rng.uniform(1.5, 8.0)], q)
+                if rng.random() < 0.5:
+                    prims.append(Box(tuple(c - rng.uniform(0.2, 1.0, 3)), tuple(c + rng.uniform(0.2, 1.0, 3))))
+                else:
+                    prims.append(Sphere(tuple(c), float(rng.uniform(0.2, 1.0))))
+            scene = Scene(tuple(prims))
+            values = render_scene_depth(scene, q, intr).values
+            depth = render_scene_depth(scene, q, intr)  # lazy, shared by the samples
+            for _ in range(30):
+                robot = robots[rng.integers(len(robots))]
+                draw = rng.integers(3)
+                if draw == 0:
+                    zc = rng.uniform(1.0, 10.0)
+                    c_s = [zc * rng.uniform(-1.0, 1.0), zc * rng.uniform(-0.8, 0.8), zc]
+                elif draw == 1:
+                    c_s = _edge_sample(rng, intr, robot.rho, rng.uniform(1.5, 10.0))
+                else:
+                    zc = rng.uniform(0.05, intr.z_near + robot.rho + 0.1)
+                    c_s = [zc * rng.uniform(-0.5, 0.5), zc * rng.uniform(-0.5, 0.5), zc]
+                p = camera_to_world(c_s, q)
+                pix, far, in_view, kind = _pixel_list_footprint(p, q, robot, intr)
+                if not in_view:
+                    want = Verdict.OUT_OF_VIEW
+                elif np.all(far < values[pix[:, 1], pix[:, 0]]):
+                    want = Verdict.FREE
+                else:
+                    want = Verdict.COLLISION
+                assert check_configuration(p, depth, robot) is want, (c_s, robot.rho)
+                fp = render_robot_footprint(p, q, robot, intr)
+                assert fp.pixels.shape == pix.shape and np.array_equal(fp.pixels, pix)
+                under = depth.window(*fp.box)[fp.mask]
+                assert np.array_equal(under.view(np.uint32), values[pix[:, 1], pix[:, 0]].view(np.uint32))
+                verdicts[want] += 1
+                if in_view or kind == "near plane":
+                    kinds[kind] += 1
+                y0, y1, x0, x1 = fp.box
+                kinds["touching"] += in_view and (y0 == 0 or x0 == 0 or y1 == intr.height or x1 == intr.width)
+        assert all(verdicts.values()), verdicts
+        assert all(kinds.values()), kinds

@@ -54,6 +54,48 @@ class TestPrimitives:
         dirs = np.array([[[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 0.0, 2.0]]])
         assert box.intersect(np.zeros(3), dirs, 0.1).tolist() == [[2.0, 2.0, np.inf]]
 
+    def test_box_intersect_matches_the_three_channel_formula(self, intr_small):
+        """Box.intersect's slab-by-slab fold equals, bit for bit, the slab
+        test computed over all three channels at once, on ray grids from
+        random 6-DoF poses with zeroed direction components and origins on
+        slab planes (1 / 0, and 0 * inf giving NaN)."""
+
+        def three_channel(box, origin, dirs, z_near):
+            lo, hi = np.asarray(box.min, float), np.asarray(box.max, float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv_dirs = 1.0 / dirs
+                t1 = (lo - origin) * inv_dirs
+                t2 = (hi - origin) * inv_dirs
+                lo_t = np.minimum(t1, t2)
+                hi_t = np.maximum(t1, t2)
+            t_near = np.fmax(np.fmax(lo_t[..., 0], lo_t[..., 1]), lo_t[..., 2])
+            t_far = np.fmin(np.fmin(hi_t[..., 0], hi_t[..., 1]), hi_t[..., 2])
+            hit = t_near <= t_far
+            first = np.where(t_near >= z_near, t_near, t_far)
+            out = np.where(hit & (first >= z_near), first, np.inf)
+            return out, int(np.isnan(lo_t).sum())
+
+        rng = np.random.default_rng(5)
+        zero_dirs = nan_slabs = hits = inside = 0
+        for _ in range(40):
+            q = _random_pose(rng)
+            dirs = _pixel_rays(intr_small) @ world_to_camera_rotation(q)
+            k = int(rng.integers(3))
+            dirs[rng.random(dirs.shape[:2]) < 0.1, k] = rng.choice([0.0, -0.0])
+            zero_dirs += int(np.sum(dirs == 0.0))
+            origin = q.position.copy()
+            c = origin + rng.uniform(-3.0, 3.0, 3) * (rng.random() < 0.7)  # else the origin is inside
+            box = Box(tuple(c - rng.uniform(0.2, 2.0, 3)), tuple(c + rng.uniform(0.2, 2.0, 3)))
+            if rng.random() < 0.5:  # the origin on one of the box's slab planes
+                origin[k] = (box.min, box.max)[int(rng.integers(2))][k]
+            want, nans = three_channel(box, origin, dirs, intr_small.z_near)
+            got = box.intersect(origin, dirs, intr_small.z_near)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            nan_slabs += nans
+            hits += int(np.isfinite(want).sum())
+            inside += bool(np.all(np.asarray(box.min) < origin) and np.all(origin < box.max))
+        assert zero_dirs and nan_slabs and hits and inside, (zero_dirs, nan_slabs, hits, inside)
+
     def test_sphere_distance(self):
         s = Sphere((0.0, 0.0, 0.0), 1.0)
         assert s.distance([3.0, 0.0, 0.0]) == pytest.approx(2.0)
@@ -214,10 +256,8 @@ class TestOnDemandCast:
                 y0, x0 = int(rng.integers(h)), int(rng.integers(w))
                 y1 = int(rng.integers(y0, min(y0 + 40, h))) + 1
                 x1 = int(rng.integers(x0, min(x0 + 40, w))) + 1
-                gy, gx = np.mgrid[y0:y1, x0:x1]
-                pick = rng.random(gy.size) < 0.5  # scattered pixels, like a footprint disc
-                iy, ix = gy.ravel()[pick], gx.ravel()[pick]
-                assert np.array_equal(depth.at(iy, ix).view(np.uint32), ref[iy, ix].view(np.uint32))
+                read = depth.window(y0, y1, x0, x1)
+                assert np.array_equal(read.view(np.uint32), ref[y0:y1, x0:x1].view(np.uint32))
             assert np.array_equal(depth.values.view(np.uint32), ref.view(np.uint32))
             fresh = render_scene_depth(scene, q, intr_small)
             assert np.array_equal(fresh.values.view(np.uint32), ref.view(np.uint32))
@@ -264,7 +304,8 @@ class TestOnDemandCast:
         casts it over the frame edge its near-plane-clipped box reaches."""
         wall = CountingBox((-5.0, 3.4, -1.2), (6.0, 3.9, 1.8))
         depth = render_scene_depth(Scene((wall,)), Q0, intr_small)
-        depth.at(np.array([intr_small.height // 2]), np.array([intr_small.width // 2]))
+        cy, cx = intr_small.height // 2, intr_small.width // 2
+        depth.window(cy, cy + 1, cx, cx + 1)
         assert wall.calls == []
         assert np.any(depth.values < intr_small.max_depth)
         assert 0 < sum(wall.calls) < intr_small.width * intr_small.height // 2
@@ -288,9 +329,9 @@ class TestOnDemandCast:
         box = CountingBox((3.0, -5.0, -5.0), (4.0, 5.0, 5.0))  # fills the view
         depth = render_scene_depth(Scene((box,)), Q0, intr_small)
         assert box.calls == []
-        depth.at(np.array([10, 12]), np.array([20, 25]))
+        depth.window(10, 13, 20, 26)
         assert box.calls == [3 * 6]
-        depth.at(np.array([10, 11]), np.array([20, 21]))  # already cast
+        depth.window(10, 12, 20, 22)  # already cast
         assert box.calls == [3 * 6]
         depth.values
         assert sum(box.calls) == 3 * 6 + intr_small.width * intr_small.height
