@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import shutil
@@ -92,7 +93,10 @@ def _cmd_gains(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use; each
+    parse_args call starts from a fresh namespace, so no call sees another's."""
     p = argparse.ArgumentParser(
         prog="depthnav",
         description="Depth-image-space collision checking and switched-LQR mission planning.",
@@ -126,9 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:

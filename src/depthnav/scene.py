@@ -9,7 +9,6 @@ ray length. Pixels with no hit hold exactly max_depth.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,8 +215,7 @@ class DepthImage:
 
     @functools.cached_property
     def _boxes(self) -> list:
-        origin = self.q.position
-        return [_pixel_box(prim, origin, self._R_ws, self.intr) for prim in self._scene.primitives]
+        return _pixel_boxes(self._scene.primitives, self.q.position, self._R_ws, self.intr)
 
     def _cast(self, y0, y1, x0, x1) -> None:
         """Cast the bounding rectangle of the rectangle's unknown pixels:
@@ -280,10 +278,12 @@ class RobotFootprint:
 @functools.lru_cache(maxsize=None)
 def _pixel_rays(intr: CameraIntrinsics) -> np.ndarray:
     """Camera-frame ray directions through pixel centers, unit z component."""
-    xs = (np.arange(intr.width) + 0.5 - intr.cx) / intr.fsx
-    ys = (np.arange(intr.height) + 0.5 - intr.cy) / intr.fsy
-    gx, gy = np.meshgrid(xs, ys)
-    return np.stack([gx, gy, np.ones_like(gx)], axis=-1)
+    # filled channel by channel: the build holds little beyond the grid itself
+    rays = np.empty((intr.height, intr.width, 3))
+    rays[..., 0] = (np.arange(intr.width) + 0.5 - intr.cx) / intr.fsx
+    rays[..., 1] = ((np.arange(intr.height) + 0.5 - intr.cy) / intr.fsy)[:, None]
+    rays[..., 2] = 1.0
+    return rays
 
 
 # the 8 corners of an axis-aligned box, as a choice of lo (False) or hi (True) per axis
@@ -292,37 +292,41 @@ _CORNERS = np.array([[i & 4, i & 2, i & 1] for i in range(8)], dtype=bool)
 _EDGES = np.array([(i, i | b) for i in range(8) for b in (1, 2, 4) if not i & b])
 
 
-def _pixel_box(prim, origin, R_ws, intr: CameraIntrinsics):
-    """Half-open pixel rectangle (y0, y1, x0, x1) holding every pixel whose
-    ray can meet prim at depth >= z_near: the projection of its bounds()
-    box clipped at z = z_near, padded by a pixel for rounding; empty when
-    the whole box lies before z_near. A box that straddles z_near projects
-    its corners at or beyond z_near and the points where its edges cross
-    z_near: the vertices of the clipped box, which holds every such hit."""
-    lo, hi = prim.bounds()
-    cam = (np.where(_CORNERS, hi, lo) - origin) @ R_ws.T
-    z = cam[:, 2]
-    z_min, z_max = z.min(), z.max()
-    if z_max < intr.z_near:
-        return 0, 0, 0, 0
-    if z_min <= intr.z_near:
-        a, b = cam[_EDGES[:, 0]], cam[_EDGES[:, 1]]
-        cross = (a[:, 2] < intr.z_near) != (b[:, 2] < intr.z_near)
-        a, b = a[cross], b[cross]
-        s = (intr.z_near - a[:, 2]) / (b[:, 2] - a[:, 2])
-        cut = a + s[:, None] * (b - a)
-        cut[:, 2] = intr.z_near
-        cam = np.concatenate([cam[z >= intr.z_near], cut])
-        z = cam[:, 2]
-    # pixel ix's ray passes through image coordinate u = ix + 0.5
-    u = intr.fsx * cam[:, 0] / z + (intr.cx - 0.5)
-    v = intr.fsy * cam[:, 1] / z + (intr.cy - 0.5)
-    return (
-        max(math.floor(v.min()) - 1, 0),
-        min(math.ceil(v.max()) + 2, intr.height),
-        max(math.floor(u.min()) - 1, 0),
-        min(math.ceil(u.max()) + 2, intr.width),
-    )
+def _pixel_boxes(prims, origin, R_ws, intr: CameraIntrinsics) -> list:
+    """Half-open pixel rectangles (y0, y1, x0, x1), one per primitive, each
+    holding every pixel whose ray can meet it at depth >= z_near: the
+    projection of its bounds() box clipped at z = z_near, padded by a pixel
+    for rounding; empty when the whole box lies before z_near. A box that
+    straddles z_near projects its corners at or beyond z_near and the points
+    where its edges cross z_near: the vertices of the clipped box, which
+    holds every such hit. All primitives are boxed in one array pass."""
+    if not prims:
+        return []
+    bounds = np.array([prim.bounds() for prim in prims], float)  # (P, 2, 3): lo, hi
+    cam = (np.where(_CORNERS, bounds[:, 1:], bounds[:, :1]) - origin) @ R_ws.T  # (P, 8, 3)
+    near = intr.z_near
+    pts, keep = cam, cam[..., 2:] >= near
+    beyond = keep[:, _EDGES, 0]  # (P, 12, 2): each edge end at or beyond z_near
+    cross = beyond[..., 0] != beyond[..., 1]  # only a straddling box's edges cross
+    if cross.any():
+        # the cuts of the edges that do not cross are computed, then dropped
+        a, b = cam[:, _EDGES[:, 0]], cam[:, _EDGES[:, 1]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (near - a[..., 2:]) / (b[..., 2:] - a[..., 2:])
+            cut = a + s * (b - a)
+        cut[..., 2] = near
+        pts = np.concatenate([cam, cut], axis=1)
+        keep = np.concatenate([keep, cross[..., None]], axis=1)
+    # image coordinates (v, u); pixel ix's ray passes through u = ix + 0.5.
+    # A dropped corner may lie at z <= 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f, c = np.array([[intr.fsy, intr.fsx], [intr.cy - 0.5, intr.cx - 0.5]])
+        vu = f * pts[..., 1::-1] / pts[..., 2:] + c
+    lo = np.maximum(np.floor(np.where(keep, vu, np.inf).min(axis=1)) - 1, 0)  # (y0, x0)
+    hi = np.minimum(np.ceil(np.where(keep, vu, -np.inf).max(axis=1)) + 2, (intr.height, intr.width))
+    boxes = np.stack([lo, hi], axis=-1).reshape(-1, 4)  # (y0, y1, x0, x1)
+    boxes[np.isinf(lo[:, 0])] = 0  # nothing kept: wholly before z_near
+    return list(map(tuple, boxes.astype(int).tolist()))
 
 
 def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -> DepthImage:
@@ -331,7 +335,7 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
     Depth is the smallest camera-frame z >= z_near over all primitive
     intersections along each pixel ray, clamped to max_depth; max_depth
     where nothing is hit. Each primitive is intersected only with the rays
-    of its pixel box (:func:`_pixel_box`, its bounds clipped at the near
+    of its pixel box (:func:`_pixel_boxes`, its bounds clipped at the near
     plane) that a read asks for, so only the pixels read are cast, and a
     primitive the camera is passing casts only the frame edge it reaches,
     with the same bits as a full-frame cast.
@@ -389,11 +393,10 @@ def write_pfm(path, values: np.ndarray) -> None:
     """Write a (height, width) depth array as a grayscale PFM: 'Pf',
     width height, scale -1.0, little-endian float32 rows bottom-up."""
     height, width = values.shape
+    rows = np.ascontiguousarray(np.flipud(values), dtype="<f4")  # one copy, written as is
     with open(path, "wb") as f:
-        f.write(b"Pf\n")
-        f.write(f"{width} {height}\n".encode("ascii"))
-        f.write(b"-1.0\n")
-        f.write(np.flipud(values).astype("<f4").tobytes())
+        f.write(f"Pf\n{width} {height}\n-1.0\n".encode("ascii"))
+        f.write(rows)
 
 
 def read_pfm(path) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from depthnav import read_pfm
-from depthnav.cli import CSV_COLUMNS, cli
+from depthnav.cli import CSV_COLUMNS, _parser, cli
 
 from conftest import SCENARIO_DIR
 
@@ -199,6 +199,31 @@ class TestGains:
     def test_scenario_gains(self, capsys):
         assert cli(["gains", str(SCENARIO_DIR / "corridor.json")]) == 0
         assert "kp = 0.577350" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_calls_carry_nothing_between_them(self, tmp_path, capsys):
+        """One process's parser, reused call after call: a posed render, a
+        render without --pose, a rejected pose, gains and a mission each
+        read only their own arguments."""
+        corridor = str(SCENARIO_DIR / "corridor.json")
+        parser = _parser()
+        out = tmp_path / "depth.pfm"
+        pose = ["2.0", "2.6", "1.5", "0.1", "-0.05", "0.6"]
+        assert cli(["render", corridor, "--pose", *pose, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "render" / "corridor_6dof.pfm").read_bytes()
+        assert cli(["render", corridor, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "render" / "corridor_start.pfm").read_bytes()
+        capsys.readouterr()
+        assert cli(["render", corridor, "--pose", "0", "0", "--out", str(tmp_path / "x.pfm")]) == 1
+        assert "--pose takes 3 or 6 values" in capsys.readouterr().err
+        assert cli(["gains"]) == 0
+        assert "mode l0" in capsys.readouterr().out
+        run = tmp_path / "run"
+        assert cli(["run", str(SCENARIO_DIR / "empty.json"), "--out", str(run)]) == 0
+        for fname in ("trajectory.csv", "outcome.json"):
+            assert (run / fname).read_bytes() == (GOLDEN_DIR / "empty" / fname).read_bytes()
+        assert _parser() is parser
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from depthnav import (
     world_to_camera,
     write_pfm,
 )
-from depthnav.scene import RobotModel, _pixel_box, _pixel_rays
+from depthnav.scene import _CORNERS, _EDGES, RobotModel, _pixel_boxes, _pixel_rays
 from depthnav.frames import world_to_camera_rotation
 
 from conftest import SCENARIO_DIR, CountingBox
@@ -231,6 +232,43 @@ def _random_pose(rng):
     return Configuration(*rng.uniform(-3.0, 3.0, 3), *rng.uniform(-np.pi, np.pi, 3))
 
 
+def _pixel_box(prim, origin, R_ws, intr):
+    """One primitive's pixel box, computed on its own: the reference for
+    _pixel_boxes, which boxes every primitive of an image in one pass."""
+    lo, hi = prim.bounds()
+    cam = (np.where(_CORNERS, hi, lo) - origin) @ R_ws.T
+    z = cam[:, 2]
+    z_min, z_max = z.min(), z.max()
+    if z_max < intr.z_near:
+        return 0, 0, 0, 0
+    if z_min <= intr.z_near:
+        a, b = cam[_EDGES[:, 0]], cam[_EDGES[:, 1]]
+        cross = (a[:, 2] < intr.z_near) != (b[:, 2] < intr.z_near)
+        a, b = a[cross], b[cross]
+        s = (intr.z_near - a[:, 2]) / (b[:, 2] - a[:, 2])
+        cut = a + s[:, None] * (b - a)
+        cut[:, 2] = intr.z_near
+        cam = np.concatenate([cam[z >= intr.z_near], cut])
+        z = cam[:, 2]
+    u = intr.fsx * cam[:, 0] / z + (intr.cx - 0.5)
+    v = intr.fsy * cam[:, 1] / z + (intr.cy - 0.5)
+    return (
+        max(math.floor(v.min()) - 1, 0),
+        min(math.ceil(v.max()) + 2, intr.height),
+        max(math.floor(u.min()) - 1, 0),
+        min(math.ceil(u.max()) + 2, intr.width),
+    )
+
+
+def _box_kind(box, prim, q, intr):
+    y0, y1, x0, x1 = box
+    if y0 >= y1 or x0 >= x1:
+        return "culled"
+    if (y1 - y0, x1 - x0) == (intr.height, intr.width):
+        return "full frame"
+    return "clipped" if _straddles_near_plane(prim, q, intr) else "box"
+
+
 class TestOnDemandCast:
     def test_reads_match_an_unculled_full_cast(self, intr_small):
         """Pixels read in arbitrary overlapping rectangles, then the whole
@@ -242,15 +280,8 @@ class TestOnDemandCast:
             q = _random_pose(rng)
             scene = _camera_frame_scene(rng, q, intr_small, int(rng.integers(4, 10)))
             ref = _reference_depth(scene, q, intr_small)
-            R_ws = world_to_camera_rotation(q)
-            for prim in scene.primitives:
-                y0, y1, x0, x1 = _pixel_box(prim, q.position, R_ws, intr_small)
-                if y0 >= y1 or x0 >= x1:
-                    kinds.add("culled")
-                elif (y1 - y0, x1 - x0) == (h, w):
-                    kinds.add("full frame")
-                else:
-                    kinds.add("clipped" if _straddles_near_plane(prim, q, intr_small) else "box")
+            boxes = _pixel_boxes(scene.primitives, q.position, world_to_camera_rotation(q), intr_small)
+            kinds.update(_box_kind(box, prim, q, intr_small) for box, prim in zip(boxes, scene.primitives))
             depth = render_scene_depth(scene, q, intr_small)
             for _ in range(8):
                 y0, x0 = int(rng.integers(h)), int(rng.integers(w))
@@ -277,16 +308,40 @@ class TestOnDemandCast:
             R_ws = world_to_camera_rotation(q)
             dirs = _pixel_rays(intr_small) @ R_ws
             near = _camera_frame_places(rng, intr_small)[1]
-            for _ in range(5):
-                prim = _primitive_at(rng, camera_to_world(np.asarray(near()), q))
+            prims = [_primitive_at(rng, camera_to_world(np.asarray(near()), q)) for _ in range(5)]
+            boxes = _pixel_boxes(prims, q.position, R_ws, intr_small)
+            for prim, (y0, y1, x0, x1) in zip(prims, boxes):
                 if not _straddles_near_plane(prim, q, intr_small):
                     continue
                 straddling += 1
-                y0, y1, x0, x1 = _pixel_box(prim, q.position, R_ws, intr_small)
                 iy, ix = np.nonzero(np.isfinite(prim.intersect(q.position, dirs, intr_small.z_near)))
                 assert np.all((y0 <= iy) & (iy < y1) & (x0 <= ix) & (ix < x1)), prim
                 tighter += (y1 - y0) * (x1 - x0) < h * w
         assert straddling >= 200 and tighter >= straddling // 4, (straddling, tighter)
+
+    @pytest.mark.parametrize("camera", ["intr_small", "intr"])
+    def test_one_pass_boxes_equal_per_primitive_boxes(self, camera, request):
+        """The boxes of all an image's primitives, computed in one pass,
+        equal one by one the boxes computed for each primitive on its own,
+        over seeded 6-DoF poses with boxes, spheres and walls in front of,
+        straddling z_near, behind and beside the camera. Scenes with and
+        without a primitive to clip must both occur."""
+        intr = request.getfixturevalue(camera)
+        rng = np.random.default_rng(61)
+        kinds = set()
+        unclipped_scenes = 0
+        for _ in range(200):
+            q = _random_pose(rng)
+            R_ws = world_to_camera_rotation(q)
+            scene = _camera_frame_scene(rng, q, intr, int(rng.integers(1, 25)))
+            boxes = _pixel_boxes(scene.primitives, q.position, R_ws, intr)
+            assert boxes == [_pixel_box(prim, q.position, R_ws, intr) for prim in scene.primitives]
+            scene_kinds = {_box_kind(box, prim, q, intr) for box, prim in zip(boxes, scene.primitives)}
+            unclipped_scenes += "clipped" not in scene_kinds
+            kinds |= scene_kinds
+        assert _pixel_boxes((), Q0.position, world_to_camera_rotation(Q0), intr) == []
+        assert kinds == {"culled", "full frame", "box", "clipped"}
+        assert 0 < unclipped_scenes < 200, unclipped_scenes
 
     def test_culls_primitives_behind_or_beside_the_view(self, intr_small):
         behind = CountingBox((-3.0, -0.5, -0.5), (-2.0, 0.5, 0.5))
@@ -358,6 +413,19 @@ class TestCastMemory:
         finally:
             tracemalloc.stop()
         assert peak < 6e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_ray_grid_build_holds_little_beyond_the_grid(self, intr):
+        """The camera's 640x480 pixel-ray grid (7.4 MB) is built in place:
+        its build peaks below 1.2 times the grid, where stacking meshgrid
+        channels held about twice the grid."""
+        tracemalloc.start()
+        try:
+            rays = _pixel_rays.__wrapped__(intr)  # a build, not a cache hit
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rays, _pixel_rays(intr))
+        assert peak < 1.2 * rays.nbytes, f"peak {peak / rays.nbytes:.2f} x the grid"
 
 
 def _random_primitives(rng, n):
@@ -444,6 +512,33 @@ class TestPfm:
             assert f.readline().strip() == b"Pf"
             assert f.readline().split() == [b"160", b"120"]
             assert float(f.readline()) == -1.0
+
+    def test_bytes_equal_the_reference_serialization(self, intr_small, tmp_path):
+        """A C-contiguous float32 image, a strided window view of it and a
+        float64 array are written byte for byte as three separate header
+        lines followed by the bytes of the flipped rows cast to "<f4"."""
+
+        def serialized(values):
+            height, width = values.shape
+            path = tmp_path / "reference.pfm"
+            with open(path, "wb") as f:
+                f.write(b"Pf\n")
+                f.write(f"{width} {height}\n".encode("ascii"))
+                f.write(b"-1.0\n")
+                f.write(np.flipud(values).astype("<f4").tobytes())
+            return path.read_bytes()
+
+        rng = np.random.default_rng(71)
+        scene = Scene((Sphere((4.0, 0.0, 0.0), 1.0), Box((6.0, -3.0, -1.0), (7.0, 0.5, 2.0))))
+        depth = render_scene_depth(scene, Configuration(0.0, 0.0, 0.0, 0.0, 0.1, 0.2), intr_small)
+        window = depth.window(10, 90, 7, 133)
+        assert not window.flags.c_contiguous
+        arrays = (depth.values, window, rng.uniform(0.1, 10.0, (37, 53)))
+        for values in arrays:
+            path = tmp_path / "depth.pfm"
+            write_pfm(path, values)
+            assert path.read_bytes() == serialized(values)
+            assert np.array_equal(read_pfm(path), values.astype(np.float32))
 
     def test_read_rejects_non_pfm(self, tmp_path):
         path = tmp_path / "bad.pfm"
