@@ -3,7 +3,10 @@
 A hallucinated robot position is compared against a scene depth image,
 which carries the pose and intrinsics it was rendered from: the robot is
 free only when its farthest-point footprint, seen from that pose, is
-strictly in front of the scene at every pixel it covers.
+strictly in front of the scene at every pixel it covers. Only a surface
+nearer than the footprint's farthest depth can decide that, so a check
+intersects only the primitives that can reach that depth, over the
+footprint's pixel box, and keeps nothing for the next check.
 """
 
 from __future__ import annotations
@@ -47,13 +50,15 @@ def check_configuration(p, depth: DepthImage, robot: RobotModel) -> Verdict:
 
     Free requires the footprint farthest depth, seen from the image's pose,
     to be strictly less than the scene depth at every covered pixel: the
-    footprint's disc mask over the image window of its tight pixel box,
-    which casts only that window.
+    footprint's disc mask over its tight pixel box. The image answers that
+    as one depth-bounded query (:meth:`DepthImage.farther_than`), which
+    intersects only the primitives that can lie in front of the farthest
+    depth, over the box, and caches nothing.
     """
     fp = render_robot_footprint(p, depth.q, robot, depth.intr)
     if not fp.fully_in_view:
         return Verdict.OUT_OF_VIEW
-    if np.all(fp.farthest_depth < depth.window(*fp.box)[fp.mask]):
+    if depth.farther_than(fp.box, fp.mask, fp.farthest_depth):
         return Verdict.FREE
     return Verdict.COLLISION
 

@@ -186,12 +186,21 @@ class Scene:
     primitives: tuple = ()
 
 
+# How far a primitive's near depth may lie beyond a queried depth and the
+# primitive still be intersected: far above the float32 spacing at any
+# sensor range (about 1e-6 m at 10 m) and the float64 rounding of a hit
+# against its bounds, so no primitive that can decide a query is skipped.
+_NEAR_MARGIN = 1e-3
+
+
 class DepthImage:
     """Per-pixel z-depth of the scene seen from pose q through intr,
     row-major float32, meters, ray-cast on demand.
 
-    Nothing is cast on construction: :meth:`window` casts the pixel
-    rectangle it reads, once, and ``values`` casts the rest.
+    Nothing is cast on construction, and nothing a query casts is kept:
+    :meth:`farther_than` intersects only the primitives near enough to
+    decide it, over its own rectangle, and ``values`` is one full cast,
+    made on first read.
     """
 
     def __init__(self, scene: Scene, q: Configuration, intr: CameraIntrinsics):
@@ -199,46 +208,57 @@ class DepthImage:
         self.intr = intr
         self._scene = scene
         self._R_ws = world_to_camera_rotation(q)
-        self._values = np.empty((intr.height, intr.width), np.float32)
-        self._unknown = np.ones(self._values.shape, bool)
-
-    @property
-    def values(self) -> np.ndarray:
-        self._cast(0, self.intr.height, 0, self.intr.width)
-        return self._values
-
-    def window(self, y0, y1, x0, x1) -> np.ndarray:
-        """Depth over the half-open pixel rectangle [y0, y1) x [x0, x1),
-        cast on first read; a view into the image."""
-        self._cast(y0, y1, x0, x1)
-        return self._values[y0:y1, x0:x1]
 
     @functools.cached_property
-    def _boxes(self) -> list:
+    def values(self) -> np.ndarray:
+        intr = self.intr
+        values = np.full((intr.height, intr.width), intr.max_depth, np.float32)
+        boxes, _ = self._boxes
+        for prim, (y0, y1, x0, x1) in zip(self._scene.primitives, boxes):
+            if y0 < y1 and x0 < x1:
+                # float32 rounding is monotone, so rounding each float64 minimum
+                # gives the bits of rounding the minimum over all primitives
+                view = values[y0:y1, x0:x1]
+                np.minimum(view, self._hits(prim, y0, y1, x0, x1), out=view, casting="same_kind")
+        return values
+
+    def farther_than(self, box, mask, z) -> bool:
+        """Whether the scene lies strictly beyond depth z at every pixel of
+        the nonempty bool mask over the half-open pixel rectangle
+        box = (y0, y1, x0, x1): ``np.all(z < values[y0:y1, x0:x1][mask])``,
+        float32 comparison included, without casting the image.
+
+        A pixel with no hit holds max_depth, so z at or beyond it is never
+        exceeded. A primitive whose near depth lies more than _NEAR_MARGIN
+        beyond z cannot hit in front of z and is skipped; each other one is
+        intersected over the rectangle inside its pixel box, and the first
+        that reaches z decides."""
+        intr = self.intr
+        if not z < np.float32(intr.max_depth):
+            return False
+        y0, y1, x0, x1 = box
+        reach = z + _NEAR_MARGIN
+        boxes, nears = self._boxes
+        for prim, (by0, by1, bx0, bx1), near in zip(self._scene.primitives, boxes, nears):
+            a0, a1, b0, b1 = max(y0, by0), min(y1, by1), max(x0, bx0), min(x1, bx1)
+            if near > reach or a0 >= a1 or b0 >= b1:
+                continue
+            sub = mask[a0 - y0 : a1 - y0, b0 - x0 : b1 - x0]
+            # clamped in float64 before rounding, as the cast rounds each
+            # minimum: the same float32 bits, and no overflow past float32
+            hit = np.minimum(self._hits(prim, a0, a1, b0, b1)[sub], intr.max_depth)
+            if not np.all(z < hit.astype(np.float32)):
+                return False
+        return True
+
+    @functools.cached_property
+    def _boxes(self) -> tuple:
         return _pixel_boxes(self._scene.primitives, self.q.position, self._R_ws, self.intr)
 
-    def _cast(self, y0, y1, x0, x1) -> None:
-        """Cast the bounding rectangle of the rectangle's unknown pixels:
-        each primitive meets only the rays of its pixel box inside it."""
-        todo = self._unknown[y0:y1, x0:x1]
-        rows = np.flatnonzero(todo.any(axis=1))
-        if rows.size == 0:
-            return
-        cols = np.flatnonzero(todo.any(axis=0))
-        y0, y1, x0, x1 = y0 + rows[0], y0 + rows[-1] + 1, x0 + cols[0], x0 + cols[-1] + 1
-        intr, origin = self.intr, self.q.position
-        self._values[y0:y1, x0:x1] = intr.max_depth
-        for prim, (by0, by1, bx0, bx1) in zip(self._scene.primitives, self._boxes):
-            a0, a1, b0, b1 = max(y0, by0), min(y1, by1), max(x0, bx0), min(x1, bx1)
-            if a0 >= a1 or b0 >= b1:
-                continue
-            dirs = _pixel_rays(intr)[a0:a1, b0:b1] @ self._R_ws  # camera->world: R_ws.T per ray
-            t = prim.intersect(origin, dirs, intr.z_near)
-            # float32 rounding is monotone, so rounding each float64 minimum
-            # gives the bits of rounding the minimum over all primitives
-            view = self._values[a0:a1, b0:b1]
-            np.minimum(view, t, out=view, casting="same_kind")
-        self._unknown[y0:y1, x0:x1] = False
+    def _hits(self, prim, y0, y1, x0, x1) -> np.ndarray:
+        """prim's float64 depth along the rays of a pixel rectangle."""
+        dirs = _pixel_rays(self.intr)[y0:y1, x0:x1] @ self._R_ws  # camera->world: R_ws.T per ray
+        return prim.intersect(self.q.position, dirs, self.intr.z_near)
 
 
 @dataclass(frozen=True)
@@ -257,8 +277,10 @@ class RobotFootprint:
 
     box is the disc's tight half-open pixel rectangle (y0, y1, x0, x1) and
     mask the (y1 - y0, x1 - x0) bool disc over it, so a depth image's
-    ``window(*box)[mask]`` is the scene depth under the disc; every covered
-    pixel carries the same farthest-depth value (sphere model).
+    ``values[y0:y1, x0:x1][mask]`` is the scene depth under the disc, and
+    ``farther_than(box, mask, z)`` asks whether all of it lies beyond z;
+    every covered pixel carries the same farthest-depth value (sphere
+    model).
     """
 
     box: tuple
@@ -292,16 +314,18 @@ _CORNERS = np.array([[i & 4, i & 2, i & 1] for i in range(8)], dtype=bool)
 _EDGES = np.array([(i, i | b) for i in range(8) for b in (1, 2, 4) if not i & b])
 
 
-def _pixel_boxes(prims, origin, R_ws, intr: CameraIntrinsics) -> list:
+def _pixel_boxes(prims, origin, R_ws, intr: CameraIntrinsics) -> tuple:
     """Half-open pixel rectangles (y0, y1, x0, x1), one per primitive, each
     holding every pixel whose ray can meet it at depth >= z_near: the
     projection of its bounds() box clipped at z = z_near, padded by a pixel
     for rounding; empty when the whole box lies before z_near. A box that
     straddles z_near projects its corners at or beyond z_near and the points
     where its edges cross z_near: the vertices of the clipped box, which
-    holds every such hit. All primitives are boxed in one array pass."""
+    holds every such hit. Also each primitive's near depth, the smallest
+    camera z of those vertices, below which it has no hit (inf when the
+    box is empty). All primitives are boxed in one array pass."""
     if not prims:
-        return []
+        return [], []
     bounds = np.array([prim.bounds() for prim in prims], float)  # (P, 2, 3): lo, hi
     cam = (np.where(_CORNERS, bounds[:, 1:], bounds[:, :1]) - origin) @ R_ws.T  # (P, 8, 3)
     near = intr.z_near
@@ -326,7 +350,8 @@ def _pixel_boxes(prims, origin, R_ws, intr: CameraIntrinsics) -> list:
     hi = np.minimum(np.ceil(np.where(keep, vu, -np.inf).max(axis=1)) + 2, (intr.height, intr.width))
     boxes = np.stack([lo, hi], axis=-1).reshape(-1, 4)  # (y0, y1, x0, x1)
     boxes[np.isinf(lo[:, 0])] = 0  # nothing kept: wholly before z_near
-    return list(map(tuple, boxes.astype(int).tolist()))
+    nears = np.where(keep[..., 0], pts[..., 2], np.inf).min(axis=1)
+    return list(map(tuple, boxes.astype(int).tolist())), nears.tolist()
 
 
 def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -> DepthImage:
@@ -336,9 +361,11 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
     intersections along each pixel ray, clamped to max_depth; max_depth
     where nothing is hit. Each primitive is intersected only with the rays
     of its pixel box (:func:`_pixel_boxes`, its bounds clipped at the near
-    plane) that a read asks for, so only the pixels read are cast, and a
-    primitive the camera is passing casts only the frame edge it reaches,
-    with the same bits as a full-frame cast.
+    plane), so a primitive the camera is passing casts only the frame edge
+    it reaches, with the same bits as an unculled cast. A depth-bounded
+    query (:meth:`DepthImage.farther_than`) further skips every primitive
+    whose near depth lies beyond its depth and casts only its own
+    rectangle; ``values`` casts the whole frame once.
     Deterministic.
     """
     return DepthImage(scene, q, intr)

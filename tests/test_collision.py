@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from depthnav import (
     Box,
+    CameraIntrinsics,
     Configuration,
     RobotModel,
     Scene,
@@ -18,7 +21,9 @@ from depthnav import (
     waypoints2collision,
     world_to_camera,
 )
+from depthnav.frames import world_to_camera_rotation
 from depthnav.oracle import brute_force_collision
+from depthnav.scene import _pixel_rays
 
 Q0 = Configuration(0.0, 0.0, 0.0)
 
@@ -222,9 +227,11 @@ def _edge_sample(rng, intr, rho, zc):
 class TestMaskWindow:
     @pytest.mark.parametrize("camera", ["intr_small", "intr"])
     def test_verdict_matches_the_pixel_list(self, camera, request):
-        """check_configuration (a disc mask over a lazy depth window) equals
-        the verdict of the meshgrid pixel list read from a full cast, and
-        fp.pixels is that list in content and row-major order, at random
+        """check_configuration (a depth-bounded query over a disc mask)
+        equals the verdict of the meshgrid pixel list read from a full
+        cast, the disc mask over its box reads that list's bits from the
+        checked image's values, and fp.pixels is that list in content and
+        row-major order, at random
         6-DoF poses: discs anywhere in and around the view, discs touching
         an image border, sub-pixel discs and spheres reaching before z_near."""
         intr = request.getfixturevalue(camera)
@@ -243,7 +250,7 @@ class TestMaskWindow:
                     prims.append(Sphere(tuple(c), float(rng.uniform(0.2, 1.0))))
             scene = Scene(tuple(prims))
             values = render_scene_depth(scene, q, intr).values
-            depth = render_scene_depth(scene, q, intr)  # lazy, shared by the samples
+            depth = render_scene_depth(scene, q, intr)  # checked lazily, shared by the samples
             for _ in range(30):
                 robot = robots[rng.integers(len(robots))]
                 draw = rng.integers(3)
@@ -266,12 +273,73 @@ class TestMaskWindow:
                 assert check_configuration(p, depth, robot) is want, (c_s, robot.rho)
                 fp = render_robot_footprint(p, q, robot, intr)
                 assert fp.pixels.shape == pix.shape and np.array_equal(fp.pixels, pix)
-                under = depth.window(*fp.box)[fp.mask]
+                y0, y1, x0, x1 = fp.box
+                under = depth.values[y0:y1, x0:x1][fp.mask]
                 assert np.array_equal(under.view(np.uint32), values[pix[:, 1], pix[:, 0]].view(np.uint32))
                 verdicts[want] += 1
                 if in_view or kind == "near plane":
                     kinds[kind] += 1
-                y0, y1, x0, x1 = fp.box
                 kinds["touching"] += in_view and (y0 == 0 or x0 == 0 or y1 == intr.height or x1 == intr.width)
         assert all(verdicts.values()), verdicts
         assert all(kinds.values()), kinds
+
+
+def _full_cast_verdict(p, depth, robot):
+    """The verdict read from the image's full cast, as the check reads it."""
+    fp = render_robot_footprint(p, depth.q, robot, depth.intr)
+    if not fp.fully_in_view:
+        return Verdict.OUT_OF_VIEW
+    y0, y1, x0, x1 = fp.box
+    return Verdict.FREE if np.all(fp.farthest_depth < depth.values[y0:y1, x0:x1][fp.mask]) else Verdict.COLLISION
+
+
+class TestBoundedCheck:
+    """Edges of the depth-bounded query; each verdict equals the one read
+    from a full cast of the same image."""
+
+    def test_hit_rounding_to_the_farthest_depth_collides(self, intr_small):
+        """A surface a hair beyond the farthest depth in float64, at the same
+        float32, is not in front of the footprint: its near depth lies
+        beyond the farthest depth, but within the skip margin."""
+        robot = RobotModel(rho=0.3)
+        p = camera_to_world([0.0, 0.0, 3.0], Q0)
+        far = render_robot_footprint(p, Q0, robot, intr_small).farthest_depth
+        face = far + 1e-8
+        assert far < face and np.float32(far) == np.float32(face)
+        depth = render_scene_depth(Scene((Box((face, -50.0, -50.0), (face + 1.0, 50.0, 50.0)),)), Q0, intr_small)
+        assert check_configuration(p, depth, robot) is Verdict.COLLISION
+        assert _full_cast_verdict(p, depth, robot) is Verdict.COLLISION
+
+    def test_empty_scene_footprint_reaching_max_depth_is_not_free(self, intr_small):
+        """With nothing to hit, a fully-in-view footprint is free only when
+        its farthest depth lies below max_depth in float32."""
+        robot = RobotModel(rho=0.35)
+        top = intr_small.max_depth - robot.rho
+        depth = render_scene_depth(Scene(), Q0, intr_small)
+        verdicts = []
+        for zc in (top - 1.0, top - 1e-7, top, top + 2.0):
+            p = camera_to_world([0.0, 0.0, zc], Q0)
+            assert render_robot_footprint(p, Q0, robot, intr_small).fully_in_view
+            verdicts.append(check_configuration(p, depth, robot))
+            assert verdicts[-1] is _full_cast_verdict(p, depth, robot)
+        assert verdicts == [Verdict.FREE] + [Verdict.COLLISION] * 3
+
+    def test_grazing_hit_beyond_float32_warns_nothing(self):
+        """Horizon rays graze a floor far below the camera and hit it at a
+        float64 depth past the float32 range; the check clamps before it
+        rounds, as the cast does, and raises no RuntimeWarning."""
+        intr = CameraIntrinsics(fsx=96.25, fsy=96.25, cx=80.0, cy=60.5, width=160, height=120)
+        robot = RobotModel(rho=0.35)
+        floor = Box((-1.0, -1e45, -1e45), (1e45, 1e45, -1e21))
+        p = camera_to_world([0.0, 0.0, 3.0], Q0)
+        fp = render_robot_footprint(p, Q0, robot, intr)
+        y0, y1, x0, x1 = fp.box
+        dirs = _pixel_rays(intr)[y0:y1, x0:x1] @ world_to_camera_rotation(Q0)
+        t = floor.intersect(Q0.position, dirs, intr.z_near)[fp.mask]
+        assert np.any(np.isfinite(t) & (t > np.finfo(np.float32).max))
+        depth = render_scene_depth(Scene((floor,)), Q0, intr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = check_configuration(p, depth, robot)
+            assert got is _full_cast_verdict(p, depth, robot)
+        assert got is Verdict.FREE

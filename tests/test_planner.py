@@ -181,33 +181,36 @@ class TestStepPlanner:
 
     def test_casts_only_for_checked_samples(self, intr, robot):
         """An l0 tick whose lookahead lies wholly inside the blind zone checks
-        nothing and casts no ray; the first tick that checks a sample does."""
+        nothing and casts no ray; the first tick that checks a sample casts
+        the floor, which reaches in front of its footprints, and not the
+        box, which lies beyond them."""
         box = CountingBox((6.0, -2.0, 0.0), (6.5, 2.0, 3.0))
-        scene = Scene((box,))
+        floor = CountingBox((-5.0, -5.0, -1.0), (20.0, 5.0, 0.0))
+        scene = Scene((box, floor))
         cfg = PlannerConfig(u_max=0.5)  # slow start: the first lookaheads stay blind
         goal = GoalRegion(10.0, 0.0, 1.2)
         gains = solve_gains(cfg)
         blind = _blind_zone_radius(intr, robot)
         x0 = StateVec.rest([0.0, 0.0, 1.2])
         state = PlannerState(appended=[(x0, np.zeros(3), "l0")])
-        blind_ticks, checking_casts = 0, 0
+        blind_ticks, checking = 0, False
         for _ in range(60):
             cam = state.exec_sample[0].p
-            n_appended, n_calls = len(state.appended), len(box.calls)
+            n_appended = len(state.appended)
             step_planner(scene, state, cfg, goal, intr, robot, gains)
             assert state.mode is Mode.GO_TO_GOAL and not state.events
             new = [s.p for s, _, _ in state.appended[n_appended:]]
             if new and all(np.linalg.norm(p - cam) <= blind for p in new):
-                assert len(box.calls) == n_calls
+                assert box.calls == [] and floor.calls == []
                 blind_ticks += 1
             elif new:
-                checking_casts = len(box.calls) - n_calls
+                checking = True
                 break
             if state.exec_idx < len(state.appended) - 1:
                 state.exec_idx += 1
             state.tick += 1
-        assert blind_ticks >= 1
-        assert checking_casts > 0
+        assert blind_ticks >= 1 and checking
+        assert box.calls == [] and sum(floor.calls) > 0
 
     def test_deferral_rechecks_the_same_lookahead(self, intr_small):
         """A deferred tick appends nothing and stays in l0; the next tick

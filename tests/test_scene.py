@@ -233,14 +233,15 @@ def _random_pose(rng):
 
 
 def _pixel_box(prim, origin, R_ws, intr):
-    """One primitive's pixel box, computed on its own: the reference for
-    _pixel_boxes, which boxes every primitive of an image in one pass."""
+    """One primitive's pixel box and near depth, computed on its own: the
+    reference for _pixel_boxes, which boxes every primitive of an image in
+    one pass."""
     lo, hi = prim.bounds()
     cam = (np.where(_CORNERS, hi, lo) - origin) @ R_ws.T
     z = cam[:, 2]
     z_min, z_max = z.min(), z.max()
     if z_max < intr.z_near:
-        return 0, 0, 0, 0
+        return (0, 0, 0, 0), np.inf
     if z_min <= intr.z_near:
         a, b = cam[_EDGES[:, 0]], cam[_EDGES[:, 1]]
         cross = (a[:, 2] < intr.z_near) != (b[:, 2] < intr.z_near)
@@ -252,12 +253,13 @@ def _pixel_box(prim, origin, R_ws, intr):
         z = cam[:, 2]
     u = intr.fsx * cam[:, 0] / z + (intr.cx - 0.5)
     v = intr.fsy * cam[:, 1] / z + (intr.cy - 0.5)
-    return (
+    box = (
         max(math.floor(v.min()) - 1, 0),
         min(math.ceil(v.max()) + 2, intr.height),
         max(math.floor(u.min()) - 1, 0),
         min(math.ceil(u.max()) + 2, intr.width),
     )
+    return box, float(z.min())
 
 
 def _box_kind(box, prim, q, intr):
@@ -271,28 +273,52 @@ def _box_kind(box, prim, q, intr):
 
 class TestOnDemandCast:
     def test_reads_match_an_unculled_full_cast(self, intr_small):
-        """Pixels read in arbitrary overlapping rectangles, then the whole
-        image, equal bit for bit a cast of every primitive over every ray."""
+        """Depth-bounded queries over arbitrary overlapping rectangles and
+        masks give the verdict read from a cast of every primitive over
+        every ray, and the whole image then equals that cast bit for bit.
+        Query depths are drawn at a masked pixel's depth, just below the
+        masked minimum in float64 (the same float32, so not farther) and in
+        float32, at max_depth and at random, so both answers occur; no
+        primitive hits in front of its near depth."""
         rng = np.random.default_rng(21)
         h, w = intr_small.height, intr_small.width
         kinds = set()
+        answers = {True: 0, False: 0}
         for _ in range(30):
             q = _random_pose(rng)
+            R_ws = world_to_camera_rotation(q)
             scene = _camera_frame_scene(rng, q, intr_small, int(rng.integers(4, 10)))
             ref = _reference_depth(scene, q, intr_small)
-            boxes = _pixel_boxes(scene.primitives, q.position, world_to_camera_rotation(q), intr_small)
+            boxes, nears = _pixel_boxes(scene.primitives, q.position, R_ws, intr_small)
             kinds.update(_box_kind(box, prim, q, intr_small) for box, prim in zip(boxes, scene.primitives))
+            dirs = _pixel_rays(intr_small) @ R_ws
+            for prim, near in zip(scene.primitives, nears):
+                t = prim.intersect(q.position, dirs, intr_small.z_near)
+                assert np.all(t[np.isfinite(t)] >= near - 1e-9), prim
             depth = render_scene_depth(scene, q, intr_small)
             for _ in range(8):
                 y0, x0 = int(rng.integers(h)), int(rng.integers(w))
                 y1 = int(rng.integers(y0, min(y0 + 40, h))) + 1
                 x1 = int(rng.integers(x0, min(x0 + 40, w))) + 1
-                read = depth.window(y0, y1, x0, x1)
-                assert np.array_equal(read.view(np.uint32), ref[y0:y1, x0:x1].view(np.uint32))
+                mask = rng.random((y1 - y0, x1 - x0)) < 0.7
+                mask.flat[rng.integers(mask.size)] = True
+                under = ref[y0:y1, x0:x1][mask]
+                low = under.min()
+                for z in (
+                    float(under[rng.integers(under.size)]),
+                    float(low) * (1.0 - 1e-9),
+                    float(np.nextafter(low, np.float32(0.0))),
+                    intr_small.max_depth,
+                    rng.uniform(intr_small.z_near, intr_small.max_depth),
+                ):
+                    want = bool(np.all(z < under))
+                    assert depth.farther_than((y0, y1, x0, x1), mask, z) is want, z
+                    answers[want] += 1
             assert np.array_equal(depth.values.view(np.uint32), ref.view(np.uint32))
             fresh = render_scene_depth(scene, q, intr_small)
             assert np.array_equal(fresh.values.view(np.uint32), ref.view(np.uint32))
         assert kinds == {"culled", "full frame", "box", "clipped"}
+        assert all(answers.values()), answers
 
     def test_clipped_box_holds_every_hit(self, intr_small):
         """Every pixel whose full-grid ray meets a primitive straddling
@@ -309,7 +335,7 @@ class TestOnDemandCast:
             dirs = _pixel_rays(intr_small) @ R_ws
             near = _camera_frame_places(rng, intr_small)[1]
             prims = [_primitive_at(rng, camera_to_world(np.asarray(near()), q)) for _ in range(5)]
-            boxes = _pixel_boxes(prims, q.position, R_ws, intr_small)
+            boxes, _ = _pixel_boxes(prims, q.position, R_ws, intr_small)
             for prim, (y0, y1, x0, x1) in zip(prims, boxes):
                 if not _straddles_near_plane(prim, q, intr_small):
                     continue
@@ -324,8 +350,9 @@ class TestOnDemandCast:
         """The boxes of all an image's primitives, computed in one pass,
         equal one by one the boxes computed for each primitive on its own,
         over seeded 6-DoF poses with boxes, spheres and walls in front of,
-        straddling z_near, behind and beside the camera. Scenes with and
-        without a primitive to clip must both occur."""
+        straddling z_near, behind and beside the camera; so do their near
+        depths. Scenes with and without a primitive to clip must both
+        occur."""
         intr = request.getfixturevalue(camera)
         rng = np.random.default_rng(61)
         kinds = set()
@@ -334,12 +361,14 @@ class TestOnDemandCast:
             q = _random_pose(rng)
             R_ws = world_to_camera_rotation(q)
             scene = _camera_frame_scene(rng, q, intr, int(rng.integers(1, 25)))
-            boxes = _pixel_boxes(scene.primitives, q.position, R_ws, intr)
-            assert boxes == [_pixel_box(prim, q.position, R_ws, intr) for prim in scene.primitives]
+            boxes, nears = _pixel_boxes(scene.primitives, q.position, R_ws, intr)
+            ref = [_pixel_box(prim, q.position, R_ws, intr) for prim in scene.primitives]
+            assert boxes == [box for box, _ in ref]
+            assert nears == [near for _, near in ref]
             scene_kinds = {_box_kind(box, prim, q, intr) for box, prim in zip(boxes, scene.primitives)}
             unclipped_scenes += "clipped" not in scene_kinds
             kinds |= scene_kinds
-        assert _pixel_boxes((), Q0.position, world_to_camera_rotation(Q0), intr) == []
+        assert _pixel_boxes((), Q0.position, world_to_camera_rotation(Q0), intr) == ([], [])
         assert kinds == {"culled", "full frame", "box", "clipped"}
         assert 0 < unclipped_scenes < 200, unclipped_scenes
 
@@ -355,20 +384,24 @@ class TestOnDemandCast:
     def test_side_wall_being_passed_gets_few_rays(self, intr_small):
         """A corridor side wall running from behind the camera to 6 m ahead,
         3.4 m to one side, as the shipped corridor's walls are seen from
-        x = 3: a read at the image centre does not cast it, and a full frame
-        casts it over the frame edge its near-plane-clipped box reaches."""
+        x = 3: its near depth is z_near, yet a query at the image centre
+        does not cast it, and a full frame casts it over the frame edge its
+        near-plane-clipped box reaches."""
         wall = CountingBox((-5.0, 3.4, -1.2), (6.0, 3.9, 1.8))
         depth = render_scene_depth(Scene((wall,)), Q0, intr_small)
         cy, cx = intr_small.height // 2, intr_small.width // 2
-        depth.window(cy, cy + 1, cx, cx + 1)
+        assert depth.farther_than((cy, cy + 1, cx, cx + 1), np.ones((1, 1), bool), 9.0)
         assert wall.calls == []
         assert np.any(depth.values < intr_small.max_depth)
         assert 0 < sum(wall.calls) < intr_small.width * intr_small.height // 2
 
     def test_corridor_mission_ray_primitive_count(self, monkeypatch):
-        """Ray-primitive evaluations of one shipped corridor mission: 128,890
-        with near-plane clipped pixel boxes, 672,246 when every primitive
-        straddling z_near was cast over the full frame."""
+        """Ray-primitive evaluations of one shipped corridor mission: 48,012
+        when a check intersects only the primitives that can reach its
+        footprint's farthest depth, 128,890 when each check cast every
+        primitive over its window with near-plane clipped pixel boxes, and
+        672,246 when every primitive straddling z_near was cast over the
+        full frame."""
         count = [0]
         for cls in (Box, Sphere):
             def counted(self, origin, dirs, z_near, _intersect=cls.intersect):
@@ -378,18 +411,39 @@ class TestOnDemandCast:
             monkeypatch.setattr(cls, "intersect", counted)
         sc = load_scenario(SCENARIO_DIR / "corridor.json")
         run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
-        assert count[0] <= 150_000, count[0]
+        assert count[0] <= 50_000, count[0]
 
     def test_reads_cast_only_their_rectangle(self, intr_small):
-        box = CountingBox((3.0, -5.0, -5.0), (4.0, 5.0, 5.0))  # fills the view
-        depth = render_scene_depth(Scene((box,)), Q0, intr_small)
-        assert box.calls == []
-        depth.window(10, 13, 20, 26)
-        assert box.calls == [3 * 6]
-        depth.window(10, 12, 20, 22)  # already cast
-        assert box.calls == [3 * 6]
+        """A depth-bounded query intersects no primitive whose near depth
+        lies beyond its reach, intersects the others only over its
+        rectangle inside their pixel boxes, stops at the first primitive in
+        front of its depth and keeps nothing; values is one full cast, and a
+        second read casts nothing."""
+        wall = CountingBox((3.0, -5.0, -5.0), (4.0, 5.0, 5.0))  # fills the view at 3 m
+        post = CountingBox((1.5, -0.2, -0.2), (1.6, 0.2, 0.2))  # a small box nearer, at the centre
+        depth = render_scene_depth(Scene((wall, post)), Q0, intr_small)
+        (_, post_box), _ = _pixel_boxes((wall, post), Q0.position, world_to_camera_rotation(Q0), intr_small)
+        assert wall.calls == [] and post.calls == []
+        corner, centre = (10, 13, 20, 26), (55, 65, 70, 100)
+        assert depth.farther_than(corner, np.ones((3, 6), bool), 2.9)  # the wall is beyond reach
+        assert wall.calls == [] and post.calls == []
+        assert not depth.farther_than(corner, np.ones((3, 6), bool), 3.5)
+        assert wall.calls == [3 * 6] and post.calls == []  # the corner lies outside the post's box
+        assert not depth.farther_than(centre, np.ones((10, 30), bool), 2.9)
+        y0, y1, x0, x1 = post_box
+        overlap = (min(65, y1) - max(55, y0)) * (min(100, x1) - max(70, x0))
+        assert 0 < overlap < 10 * 30
+        assert wall.calls == [3 * 6] and post.calls == [overlap]
+        assert not depth.farther_than(centre, np.ones((10, 30), bool), 3.5)  # the wall decides first
+        assert wall.calls == [3 * 6, 10 * 30] and post.calls == [overlap]
+        assert not depth.farther_than(corner, np.ones((3, 6), bool), 3.5)  # nothing was kept
+        assert wall.calls == [3 * 6, 10 * 30, 3 * 6]
+        del wall.calls[:], post.calls[:]
         depth.values
-        assert sum(box.calls) == 3 * 6 + intr_small.width * intr_small.height
+        assert wall.calls == [intr_small.width * intr_small.height]
+        assert post.calls == [(y1 - y0) * (x1 - x0)]
+        depth.values
+        assert len(wall.calls) == len(post.calls) == 1
 
 
 class TestCastMemory:
@@ -531,7 +585,7 @@ class TestPfm:
         rng = np.random.default_rng(71)
         scene = Scene((Sphere((4.0, 0.0, 0.0), 1.0), Box((6.0, -3.0, -1.0), (7.0, 0.5, 2.0))))
         depth = render_scene_depth(scene, Configuration(0.0, 0.0, 0.0, 0.0, 0.1, 0.2), intr_small)
-        window = depth.window(10, 90, 7, 133)
+        window = depth.values[10:90, 7:133]
         assert not window.flags.c_contiguous
         arrays = (depth.values, window, rng.uniform(0.1, 10.0, (37, 53)))
         for values in arrays:
