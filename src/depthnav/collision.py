@@ -3,10 +3,12 @@
 A hallucinated robot position is compared against a scene depth image,
 which carries the pose and intrinsics it was rendered from: the robot is
 free only when its farthest-point footprint, seen from that pose, is
-strictly in front of the scene at every pixel it covers. Only a surface
-nearer than the footprint's farthest depth can decide that, so a check
-intersects only the primitives that can reach that depth, over the
-footprint's pixel box, and keeps nothing for the next check.
+strictly in front of the scene at every pixel it covers. The footprint is
+projected through the rotation the image holds, so checks compute no
+rotation. Only a surface nearer than the footprint's farthest depth can
+decide a check, so it intersects only the primitives that can reach that
+depth, over the footprint's pixel box, builds the footprint's disc mask
+only over the rectangles it casts, and keeps nothing for the next check.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from .frames import world_to_camera_rotation
 from .scene import DepthImage, RobotModel, render_robot_footprint
 
 __all__ = [
@@ -48,17 +49,19 @@ class EscapeResult:
 def check_configuration(p, depth: DepthImage, robot: RobotModel) -> Verdict:
     """Classify a hallucinated robot position against a scene depth image.
 
-    Free requires the footprint farthest depth, seen from the image's pose,
-    to be strictly less than the scene depth at every covered pixel: the
-    footprint's disc mask over its tight pixel box. The image answers that
-    as one depth-bounded query (:meth:`DepthImage.farther_than`), which
-    intersects only the primitives that can lie in front of the farthest
-    depth, over the box, and caches nothing.
+    Free requires the footprint farthest depth, seen from the image's pose
+    through the image's rotation, to be strictly less than the scene depth
+    at every covered pixel: the footprint's disc over its tight pixel box.
+    The image answers that as one depth-bounded query
+    (:meth:`DepthImage.farther_than`), which intersects only the primitives
+    that can lie in front of the farthest depth, over the box, asks the
+    footprint for its disc mask (``mask_over``) only over the rectangles it
+    casts, and caches nothing. A check that casts nothing builds no mask.
     """
-    fp = render_robot_footprint(p, depth.q, robot, depth.intr)
+    fp = render_robot_footprint(p, depth, robot)
     if not fp.fully_in_view:
         return Verdict.OUT_OF_VIEW
-    if depth.farther_than(fp.box, fp.mask, fp.farthest_depth):
+    if depth.farther_than(fp.box, fp.mask_over, fp.farthest_depth):
         return Verdict.FREE
     return Verdict.COLLISION
 
@@ -94,8 +97,9 @@ def find_escape(
     """Ring search for a free position around an under-collision one.
 
     Candidates are placed at k*d_l (k = 1, 2, ...) along the image's camera-frame
-    up, down, left and right directions mapped to the world frame (parallel
-    to the image plane), checked in that fixed order. A direction is
+    up, down, left and right directions mapped to the world frame through the
+    rotation the image holds (parallel to the image plane), checked in that
+    fixed order. A direction is
     abandoned once its candidate leaves the field of view; the search is
     stuck when all four are abandoned or k exceeds max_rings.
     """
@@ -106,7 +110,7 @@ def find_escape(
     p_hit = np.asarray(p_hit, dtype=float)
     if check_configuration(p_hit, depth, robot) is Verdict.FREE:
         return EscapeResult(p_hit)
-    R_sw = world_to_camera_rotation(depth.q).T
+    R_sw = depth.R_ws.T
     world_dirs = [R_sw @ d for _, d in _DIRECTIONS]
     alive = [True] * len(world_dirs)
     for k in range(1, max_rings + 1):

@@ -17,7 +17,6 @@ from .frames import (
     CameraIntrinsics,
     Configuration,
     project,
-    world_to_camera,
     world_to_camera_rotation,
 )
 from .validation import coerce, point, real
@@ -185,6 +184,13 @@ class Scene:
 
     primitives: tuple = ()
 
+    @functools.cached_property
+    def _corners(self) -> np.ndarray:
+        """The world-frame corners of every primitive's bounds() box, (P, 8, 3),
+        stacked once per scene for :func:`_pixel_boxes`."""
+        bounds = np.array([prim.bounds() for prim in self.primitives], float).reshape(-1, 2, 3)
+        return np.where(_CORNERS, bounds[:, 1:], bounds[:, :1])
+
 
 # How far a primitive's near depth may lie beyond a queried depth and the
 # primitive still be intersected: far above the float32 spacing at any
@@ -200,14 +206,16 @@ class DepthImage:
     Nothing is cast on construction, and nothing a query casts is kept:
     :meth:`farther_than` intersects only the primitives near enough to
     decide it, over its own rectangle, and ``values`` is one full cast,
-    made on first read.
+    made on first read. R_ws is the rotation taking world coordinates into
+    the image's camera frame, computed once per image: the rays, the pixel
+    boxes and the footprints checked against the image all use it.
     """
 
     def __init__(self, scene: Scene, q: Configuration, intr: CameraIntrinsics):
         self.q = q
         self.intr = intr
         self._scene = scene
-        self._R_ws = world_to_camera_rotation(q)
+        self.R_ws = world_to_camera_rotation(q)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -222,11 +230,14 @@ class DepthImage:
                 np.minimum(view, self._hits(prim, y0, y1, x0, x1), out=view, casting="same_kind")
         return values
 
-    def farther_than(self, box, mask, z) -> bool:
+    def farther_than(self, box, mask_over, z) -> bool:
         """Whether the scene lies strictly beyond depth z at every pixel of
-        the nonempty bool mask over the half-open pixel rectangle
+        a nonempty mask over the half-open pixel rectangle
         box = (y0, y1, x0, x1): ``np.all(z < values[y0:y1, x0:x1][mask])``,
-        float32 comparison included, without casting the image.
+        float32 comparison included, without casting the image. The mask
+        is given as ``mask_over(a0, a1, b0, b1)``, which returns its bool
+        mask over any rectangle [a0, a1) x [b0, b1) of image pixels inside
+        box, and is asked only for the rectangles the query casts.
 
         A pixel with no hit holds max_depth, so z at or beyond it is never
         exceeded. A primitive whose near depth lies more than _NEAR_MARGIN
@@ -243,21 +254,20 @@ class DepthImage:
             a0, a1, b0, b1 = max(y0, by0), min(y1, by1), max(x0, bx0), min(x1, bx1)
             if near > reach or a0 >= a1 or b0 >= b1:
                 continue
-            sub = mask[a0 - y0 : a1 - y0, b0 - x0 : b1 - x0]
             # clamped in float64 before rounding, as the cast rounds each
             # minimum: the same float32 bits, and no overflow past float32
-            hit = np.minimum(self._hits(prim, a0, a1, b0, b1)[sub], intr.max_depth)
+            hit = np.minimum(self._hits(prim, a0, a1, b0, b1)[mask_over(a0, a1, b0, b1)], intr.max_depth)
             if not np.all(z < hit.astype(np.float32)):
                 return False
         return True
 
     @functools.cached_property
     def _boxes(self) -> tuple:
-        return _pixel_boxes(self._scene.primitives, self.q.position, self._R_ws, self.intr)
+        return _pixel_boxes(self._scene, self.q.position, self.R_ws, self.intr)
 
     def _hits(self, prim, y0, y1, x0, x1) -> np.ndarray:
         """prim's float64 depth along the rays of a pixel rectangle."""
-        dirs = _pixel_rays(self.intr)[y0:y1, x0:x1] @ self._R_ws  # camera->world: R_ws.T per ray
+        dirs = _pixel_rays(self.intr)[y0:y1, x0:x1] @ self.R_ws  # camera->world: R_ws.T per ray
         return prim.intersect(self.q.position, dirs, self.intr.z_near)
 
 
@@ -275,20 +285,37 @@ class RobotModel:
 class RobotFootprint:
     """Conservative pixel disc of a hallucinated robot plus its farthest depth.
 
-    box is the disc's tight half-open pixel rectangle (y0, y1, x0, x1) and
-    mask the (y1 - y0, x1 - x0) bool disc over it, so a depth image's
-    ``values[y0:y1, x0:x1][mask]`` is the scene depth under the disc, and
-    ``farther_than(box, mask, z)`` asks whether all of it lies beyond z;
-    every covered pixel carries the same farthest-depth value (sphere
-    model).
+    The disc is kept as its 1-D squared pixel-centre offsets from the disc
+    centre, dy2 over the rows and dx2 over the columns of its tight
+    half-open pixel rectangle box = (y0, y1, x0, x1), and its squared
+    radius r2: pixel (iy, ix) is covered when dy2[iy - y0] + dx2[ix - x0]
+    <= r2. :meth:`mask_over` builds that bool mask over any rectangle inside
+    box, so a check builds it only where it casts:
+    ``farther_than(box, mask_over, farthest_depth)`` asks whether the scene
+    lies beyond the farthest depth under the disc. Every covered pixel
+    carries the same farthest-depth value (sphere model). ``mask`` and
+    ``pixels`` are the whole disc, derived on read.
     """
 
     box: tuple
-    mask: np.ndarray
+    dy2: np.ndarray
+    dx2: np.ndarray
+    r2: float
     farthest_depth: float
     fully_in_view: bool
     center_pixel: tuple | None = None
     pixel_radius: float = 0.0
+
+    def mask_over(self, y0, y1, x0, x1) -> np.ndarray:
+        """The disc's bool mask over the pixel rectangle [y0, y1) x [x0, x1),
+        which lies inside box."""
+        by, bx = self.box[0], self.box[2]
+        return self.dy2[y0 - by : y1 - by, None] + self.dx2[None, x0 - bx : x1 - bx] <= self.r2
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The disc's bool mask over its whole box."""
+        return self.mask_over(*self.box)
 
     @property
     def pixels(self) -> np.ndarray:
@@ -312,9 +339,14 @@ def _pixel_rays(intr: CameraIntrinsics) -> np.ndarray:
 _CORNERS = np.array([[i & 4, i & 2, i & 1] for i in range(8)], dtype=bool)
 # its 12 edges, as pairs of corner indices that differ in one axis
 _EDGES = np.array([(i, i | b) for i in range(8) for b in (1, 2, 4) if not i & b])
+# a pixel box (y0, y1, x0, x1) from the floors of (v_min, -v_max, u_min, -u_max),
+# and the lower clamps of those four
+_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+_PADS = np.array([-1.0, 2.0, -1.0, 2.0])
+_CLAMP_LO = np.array([0.0, -np.inf, 0.0, -np.inf])
 
 
-def _pixel_boxes(prims, origin, R_ws, intr: CameraIntrinsics) -> tuple:
+def _pixel_boxes(scene: Scene, origin, R_ws, intr: CameraIntrinsics) -> tuple:
     """Half-open pixel rectangles (y0, y1, x0, x1), one per primitive, each
     holding every pixel whose ray can meet it at depth >= z_near: the
     projection of its bounds() box clipped at z = z_near, padded by a pixel
@@ -323,34 +355,38 @@ def _pixel_boxes(prims, origin, R_ws, intr: CameraIntrinsics) -> tuple:
     where its edges cross z_near: the vertices of the clipped box, which
     holds every such hit. Also each primitive's near depth, the smallest
     camera z of those vertices, below which it has no hit (inf when the
-    box is empty). All primitives are boxed in one array pass."""
-    if not prims:
-        return [], []
-    bounds = np.array([prim.bounds() for prim in prims], float)  # (P, 2, 3): lo, hi
-    cam = (np.where(_CORNERS, bounds[:, 1:], bounds[:, :1]) - origin) @ R_ws.T  # (P, 8, 3)
+    box is empty). All primitives are boxed in one array pass over the
+    scene's stacked corners."""
+    cam = (scene._corners - origin) @ R_ws.T  # (P, 8, 3)
     near = intr.z_near
-    pts, keep = cam, cam[..., 2:] >= near
-    beyond = keep[:, _EDGES, 0]  # (P, 12, 2): each edge end at or beyond z_near
-    cross = beyond[..., 0] != beyond[..., 1]  # only a straddling box's edges cross
+    pts, keep = cam, cam[..., 2] >= near
+    ends = keep[:, _EDGES]  # (P, 12, 2): each edge end at or beyond z_near
+    cross = ends[..., 0] != ends[..., 1]  # only a straddling box's edges cross
     if cross.any():
-        # the cuts of the edges that do not cross are computed, then dropped
-        a, b = cam[:, _EDGES[:, 0]], cam[:, _EDGES[:, 1]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (near - a[..., 2:]) / (b[..., 2:] - a[..., 2:])
-            cut = a + s * (b - a)
+        ab = cam[:, _EDGES]
+        a, b = ab[:, :, 0], ab[:, :, 1]
+        # divided only where an edge crosses, so no end pair is 0 / 0
+        s = np.divide(near - a[..., 2:], b[..., 2:] - a[..., 2:], out=np.zeros(cross.shape + (1,)),
+                      where=cross[..., None])
+        cut = a + s * (b - a)
         cut[..., 2] = near
         pts = np.concatenate([cam, cut], axis=1)
-        keep = np.concatenate([keep, cross[..., None]], axis=1)
-    # image coordinates (v, u); pixel ix's ray passes through u = ix + 0.5.
-    # A dropped corner may lie at z <= 0.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f, c = np.array([[intr.fsy, intr.fsx], [intr.cy - 0.5, intr.cx - 0.5]])
-        vu = f * pts[..., 1::-1] / pts[..., 2:] + c
-    lo = np.maximum(np.floor(np.where(keep, vu, np.inf).min(axis=1)) - 1, 0)  # (y0, x0)
-    hi = np.minimum(np.ceil(np.where(keep, vu, -np.inf).max(axis=1)) + 2, (intr.height, intr.width))
-    boxes = np.stack([lo, hi], axis=-1).reshape(-1, 4)  # (y0, y1, x0, x1)
-    boxes[np.isinf(lo[:, 0])] = 0  # nothing kept: wholly before z_near
-    nears = np.where(keep[..., 0], pts[..., 2], np.inf).min(axis=1)
+        keep = np.concatenate([keep, cross], axis=1)
+    # each vertex's image coordinates as (v, -v, u, -u), so one minimum gives
+    # both extremes (negation is exact); the principal point is added after
+    # the minimum, which rounds the same because adding is monotone. Pixel
+    # ix's ray passes through u = ix + 0.5. A dropped vertex, which may lie
+    # at z <= 0, is not divided and stays inf.
+    fy, fx, cy, cx = intr.fsy, intr.fsx, intr.cy - 0.5, intr.cx - 0.5
+    ext = np.full(keep.shape + (4,), np.inf)
+    np.divide(pts[..., [1, 1, 0, 0]] * (fy, -fy, fx, -fx), pts[..., 2:], out=ext, where=keep[..., None])
+    ext = ext.min(axis=1) + (cy, -cy, cx, -cx)
+    # floor(v_min) - 1 and ceil(v_max) + 2 = 2 - floor(-v_max), likewise for u
+    boxes = np.floor(ext, out=ext) * _SIGNS + _PADS  # (y0, y1, x0, x1)
+    np.maximum(boxes, _CLAMP_LO, out=boxes)
+    np.minimum(boxes, (np.inf, intr.height, np.inf, intr.width), out=boxes)
+    boxes[np.isinf(boxes[:, 0])] = 0  # nothing kept: wholly before z_near
+    nears = np.where(keep, pts[..., 2], np.inf).min(axis=1)
     return list(map(tuple, boxes.astype(int).tolist())), nears.tolist()
 
 
@@ -371,25 +407,29 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
     return DepthImage(scene, q, intr)
 
 
-def render_robot_footprint(
-    p, q_c: Configuration, robot: RobotModel, intr: CameraIntrinsics
-) -> RobotFootprint:
-    """Conservative pixel disc of the robot bounding sphere centered at p.
+def render_robot_footprint(p, depth: DepthImage, robot: RobotModel) -> RobotFootprint:
+    """Conservative pixel disc of the robot bounding sphere centered at p,
+    seen from the pose of the depth image it is checked against, through
+    the image's own rotation (no rotation is computed per footprint).
 
     The disc radius divides by (zc - rho), the nearest sphere depth, and is
     scaled by the view-ray secant so that every sphere surface point projects
     inside the disc even off-axis. farthest depth is zc + rho for all pixels.
-    The disc holds the in-image pixels whose centers lie within the radius,
-    its mask built from 1-D squared offsets and trimmed to its tight box; a
-    sub-pixel disc keeps the pixel holding its center, and a sphere reaching
-    before z_near has an empty box.
+    The disc holds the in-image pixels whose centers lie within the radius.
+    It is kept as 1-D squared offsets, and its tight box is found from them
+    in O(rows + cols): a row holds a covered pixel exactly when its offset
+    plus the smallest column offset is within the radius (float addition is
+    monotone), and likewise a column; no mask is built here. A sub-pixel
+    disc keeps the pixel holding its center, and a sphere reaching before
+    z_near has an empty box.
     """
-    center_s = world_to_camera(p, q_c)
+    intr = depth.intr
+    center_s = (np.asarray(p, dtype=float) - depth.q.position) @ depth.R_ws.T
     zc = float(center_s[2])
     rho = robot.rho
     far = zc + rho
     if zc - rho < intr.z_near:
-        return RobotFootprint((0, 0, 0, 0), np.zeros((0, 0), bool), far, False)
+        return RobotFootprint((0, 0, 0, 0), np.empty(0), np.empty(0), 0.0, far, False)
     r = project(center_s, intr)
     secant = float(np.linalg.norm(center_s)) / zc
     pr = max(intr.fsx, intr.fsy) * rho / (zc - rho) * secant
@@ -401,19 +441,19 @@ def render_robot_footprint(
     iy_hi = min(int(np.ceil(ry + pr)), intr.height - 1)
     dx2 = (np.arange(ix_lo, ix_hi + 1) + 0.5 - rx) ** 2
     dy2 = (np.arange(iy_lo, iy_hi + 1) + 0.5 - ry) ** 2
-    mask = dy2[:, None] + dx2[None, :] <= pr * pr
-    rows = np.flatnonzero(mask.any(axis=1))
+    r2 = pr * pr
+    rows = np.flatnonzero(dy2 + dx2.min(initial=np.inf) <= r2)  # none when the box is empty
     if rows.size == 0:
         # sub-pixel disc: keep the pixel containing the center
         cx_i = min(max(int(rx), 0), intr.width - 1)
         cy_i = min(max(int(ry), 0), intr.height - 1)
-        box, mask = (cy_i, cy_i + 1, cx_i, cx_i + 1), np.ones((1, 1), bool)
+        box, dy2, dx2 = (cy_i, cy_i + 1, cx_i, cx_i + 1), np.zeros(1), np.zeros(1)
     else:
-        cols = np.flatnonzero(mask.any(axis=0))
-        mask = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-        y0, x0 = iy_lo + int(rows[0]), ix_lo + int(cols[0])
-        box = (y0, y0 + mask.shape[0], x0, x0 + mask.shape[1])
-    return RobotFootprint(box, mask, far, bool(in_view), (rx, ry), pr)
+        cols = np.flatnonzero(dx2 + dy2.min() <= r2)
+        y0, y1, x0, x1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+        box = (iy_lo + y0, iy_lo + y1, ix_lo + x0, ix_lo + x1)
+        dy2, dx2 = dy2[y0:y1], dx2[x0:x1]
+    return RobotFootprint(box, dy2, dx2, r2, far, bool(in_view), (rx, ry), pr)
 
 
 def write_pfm(path, values: np.ndarray) -> None:

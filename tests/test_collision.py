@@ -227,11 +227,11 @@ def _edge_sample(rng, intr, rho, zc):
 class TestMaskWindow:
     @pytest.mark.parametrize("camera", ["intr_small", "intr"])
     def test_verdict_matches_the_pixel_list(self, camera, request):
-        """check_configuration (a depth-bounded query over a disc mask)
-        equals the verdict of the meshgrid pixel list read from a full
-        cast, the disc mask over its box reads that list's bits from the
-        checked image's values, and fp.pixels is that list in content and
-        row-major order, at random
+        """check_configuration (a depth-bounded query that builds the disc
+        mask only over the rectangles it casts) equals the verdict of the
+        meshgrid pixel list read from a full cast, the disc mask over its
+        box reads that list's bits from the checked image's values, and
+        fp.pixels is that list in content and row-major order, at random
         6-DoF poses: discs anywhere in and around the view, discs touching
         an image border, sub-pixel discs and spheres reaching before z_near."""
         intr = request.getfixturevalue(camera)
@@ -271,7 +271,7 @@ class TestMaskWindow:
                 else:
                     want = Verdict.COLLISION
                 assert check_configuration(p, depth, robot) is want, (c_s, robot.rho)
-                fp = render_robot_footprint(p, q, robot, intr)
+                fp = render_robot_footprint(p, depth, robot)
                 assert fp.pixels.shape == pix.shape and np.array_equal(fp.pixels, pix)
                 y0, y1, x0, x1 = fp.box
                 under = depth.values[y0:y1, x0:x1][fp.mask]
@@ -286,7 +286,7 @@ class TestMaskWindow:
 
 def _full_cast_verdict(p, depth, robot):
     """The verdict read from the image's full cast, as the check reads it."""
-    fp = render_robot_footprint(p, depth.q, robot, depth.intr)
+    fp = render_robot_footprint(p, depth, robot)
     if not fp.fully_in_view:
         return Verdict.OUT_OF_VIEW
     y0, y1, x0, x1 = fp.box
@@ -303,7 +303,7 @@ class TestBoundedCheck:
         beyond the farthest depth, but within the skip margin."""
         robot = RobotModel(rho=0.3)
         p = camera_to_world([0.0, 0.0, 3.0], Q0)
-        far = render_robot_footprint(p, Q0, robot, intr_small).farthest_depth
+        far = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr_small), robot).farthest_depth
         face = far + 1e-8
         assert far < face and np.float32(far) == np.float32(face)
         depth = render_scene_depth(Scene((Box((face, -50.0, -50.0), (face + 1.0, 50.0, 50.0)),)), Q0, intr_small)
@@ -319,7 +319,7 @@ class TestBoundedCheck:
         verdicts = []
         for zc in (top - 1.0, top - 1e-7, top, top + 2.0):
             p = camera_to_world([0.0, 0.0, zc], Q0)
-            assert render_robot_footprint(p, Q0, robot, intr_small).fully_in_view
+            assert render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr_small), robot).fully_in_view
             verdicts.append(check_configuration(p, depth, robot))
             assert verdicts[-1] is _full_cast_verdict(p, depth, robot)
         assert verdicts == [Verdict.FREE] + [Verdict.COLLISION] * 3
@@ -332,7 +332,7 @@ class TestBoundedCheck:
         robot = RobotModel(rho=0.35)
         floor = Box((-1.0, -1e45, -1e45), (1e45, 1e45, -1e21))
         p = camera_to_world([0.0, 0.0, 3.0], Q0)
-        fp = render_robot_footprint(p, Q0, robot, intr)
+        fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
         y0, y1, x0, x1 = fp.box
         dirs = _pixel_rays(intr)[y0:y1, x0:x1] @ world_to_camera_rotation(Q0)
         t = floor.intersect(Q0.position, dirs, intr.z_near)[fp.mask]

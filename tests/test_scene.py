@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,8 @@ from depthnav import (
     world_to_camera,
     write_pfm,
 )
-from depthnav.scene import _CORNERS, _EDGES, RobotModel, _pixel_boxes, _pixel_rays
+from depthnav import collision, frames, planner
+from depthnav.scene import _CORNERS, _EDGES, RobotFootprint, RobotModel, _pixel_boxes, _pixel_rays
 from depthnav.frames import world_to_camera_rotation
 
 from conftest import SCENARIO_DIR, CountingBox
@@ -271,6 +273,13 @@ def _box_kind(box, prim, q, intr):
     return "clipped" if _straddles_near_plane(prim, q, intr) else "box"
 
 
+def _mask_over(box, mask):
+    """A bool mask over box as the mask_over callable farther_than takes:
+    its slice over any image-pixel rectangle inside box."""
+    y0, _, x0, _ = box
+    return lambda a0, a1, b0, b1: mask[a0 - y0 : a1 - y0, b0 - x0 : b1 - x0]
+
+
 class TestOnDemandCast:
     def test_reads_match_an_unculled_full_cast(self, intr_small):
         """Depth-bounded queries over arbitrary overlapping rectangles and
@@ -289,7 +298,7 @@ class TestOnDemandCast:
             R_ws = world_to_camera_rotation(q)
             scene = _camera_frame_scene(rng, q, intr_small, int(rng.integers(4, 10)))
             ref = _reference_depth(scene, q, intr_small)
-            boxes, nears = _pixel_boxes(scene.primitives, q.position, R_ws, intr_small)
+            boxes, nears = _pixel_boxes(scene, q.position, R_ws, intr_small)
             kinds.update(_box_kind(box, prim, q, intr_small) for box, prim in zip(boxes, scene.primitives))
             dirs = _pixel_rays(intr_small) @ R_ws
             for prim, near in zip(scene.primitives, nears):
@@ -312,7 +321,7 @@ class TestOnDemandCast:
                     rng.uniform(intr_small.z_near, intr_small.max_depth),
                 ):
                     want = bool(np.all(z < under))
-                    assert depth.farther_than((y0, y1, x0, x1), mask, z) is want, z
+                    assert depth.farther_than((y0, y1, x0, x1), _mask_over((y0, y1, x0, x1), mask), z) is want, z
                     answers[want] += 1
             assert np.array_equal(depth.values.view(np.uint32), ref.view(np.uint32))
             fresh = render_scene_depth(scene, q, intr_small)
@@ -335,7 +344,7 @@ class TestOnDemandCast:
             dirs = _pixel_rays(intr_small) @ R_ws
             near = _camera_frame_places(rng, intr_small)[1]
             prims = [_primitive_at(rng, camera_to_world(np.asarray(near()), q)) for _ in range(5)]
-            boxes, _ = _pixel_boxes(prims, q.position, R_ws, intr_small)
+            boxes, _ = _pixel_boxes(Scene(tuple(prims)), q.position, R_ws, intr_small)
             for prim, (y0, y1, x0, x1) in zip(prims, boxes):
                 if not _straddles_near_plane(prim, q, intr_small):
                     continue
@@ -361,14 +370,14 @@ class TestOnDemandCast:
             q = _random_pose(rng)
             R_ws = world_to_camera_rotation(q)
             scene = _camera_frame_scene(rng, q, intr, int(rng.integers(1, 25)))
-            boxes, nears = _pixel_boxes(scene.primitives, q.position, R_ws, intr)
+            boxes, nears = _pixel_boxes(scene, q.position, R_ws, intr)
             ref = [_pixel_box(prim, q.position, R_ws, intr) for prim in scene.primitives]
             assert boxes == [box for box, _ in ref]
             assert nears == [near for _, near in ref]
             scene_kinds = {_box_kind(box, prim, q, intr) for box, prim in zip(boxes, scene.primitives)}
             unclipped_scenes += "clipped" not in scene_kinds
             kinds |= scene_kinds
-        assert _pixel_boxes((), Q0.position, world_to_camera_rotation(Q0), intr) == ([], [])
+        assert _pixel_boxes(Scene(), Q0.position, world_to_camera_rotation(Q0), intr) == ([], [])
         assert kinds == {"culled", "full frame", "box", "clipped"}
         assert 0 < unclipped_scenes < 200, unclipped_scenes
 
@@ -390,7 +399,8 @@ class TestOnDemandCast:
         wall = CountingBox((-5.0, 3.4, -1.2), (6.0, 3.9, 1.8))
         depth = render_scene_depth(Scene((wall,)), Q0, intr_small)
         cy, cx = intr_small.height // 2, intr_small.width // 2
-        assert depth.farther_than((cy, cy + 1, cx, cx + 1), np.ones((1, 1), bool), 9.0)
+        pixel = (cy, cy + 1, cx, cx + 1)
+        assert depth.farther_than(pixel, _mask_over(pixel, np.ones((1, 1), bool)), 9.0)
         assert wall.calls == []
         assert np.any(depth.values < intr_small.max_depth)
         assert 0 < sum(wall.calls) < intr_small.width * intr_small.height // 2
@@ -413,6 +423,50 @@ class TestOnDemandCast:
         run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
         assert count[0] <= 50_000, count[0]
 
+    def test_corridor_mission_mask_element_count(self, monkeypatch):
+        """Footprint mask elements one shipped corridor mission builds:
+        48,012 when a check builds the disc mask only over the rectangles
+        it casts (19 of the 26 in-view checks cast nothing), and 813,996
+        when every footprint held its whole disc bitmap."""
+        count = [0]
+
+        def counted(self, y0, y1, x0, x1, _mask_over=RobotFootprint.mask_over):
+            mask = _mask_over(self, y0, y1, x0, x1)
+            count[0] += mask.size
+            return mask
+
+        monkeypatch.setattr(RobotFootprint, "mask_over", counted)
+        sc = load_scenario(SCENARIO_DIR / "corridor.json")
+        run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
+        assert 0 < count[0] <= 50_000, count[0]
+
+    def test_corridor_mission_rotations_per_image(self, monkeypatch):
+        """One shipped corridor mission computes one world-to-camera
+        rotation per rendered image: the footprints and the escape search
+        project through the rotation the image holds, so checking more
+        samples computes none (the mission checks 29 samples against 10
+        images; 40 rotations when each footprint and escape search made
+        its own)."""
+        counts = {"rotations": 0, "renders": 0, "checks": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        rotation = counting("rotations", frames.world_to_camera_rotation)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "depthnav" and hasattr(module, "world_to_camera_rotation"):
+                monkeypatch.setattr(module, "world_to_camera_rotation", rotation)
+        monkeypatch.setattr(planner, "render_scene_depth", counting("renders", planner.render_scene_depth))
+        monkeypatch.setattr(collision, "check_configuration", counting("checks", collision.check_configuration))
+        sc = load_scenario(SCENARIO_DIR / "corridor.json")
+        run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
+        assert counts["checks"] > counts["renders"] > 0, counts
+        assert counts["rotations"] == counts["renders"], counts
+
     def test_reads_cast_only_their_rectangle(self, intr_small):
         """A depth-bounded query intersects no primitive whose near depth
         lies beyond its reach, intersects the others only over its
@@ -422,21 +476,21 @@ class TestOnDemandCast:
         wall = CountingBox((3.0, -5.0, -5.0), (4.0, 5.0, 5.0))  # fills the view at 3 m
         post = CountingBox((1.5, -0.2, -0.2), (1.6, 0.2, 0.2))  # a small box nearer, at the centre
         depth = render_scene_depth(Scene((wall, post)), Q0, intr_small)
-        (_, post_box), _ = _pixel_boxes((wall, post), Q0.position, world_to_camera_rotation(Q0), intr_small)
+        (_, post_box), _ = _pixel_boxes(Scene((wall, post)), Q0.position, world_to_camera_rotation(Q0), intr_small)
         assert wall.calls == [] and post.calls == []
         corner, centre = (10, 13, 20, 26), (55, 65, 70, 100)
-        assert depth.farther_than(corner, np.ones((3, 6), bool), 2.9)  # the wall is beyond reach
+        assert depth.farther_than(corner, _mask_over(corner, np.ones((3, 6), bool)), 2.9)  # the wall is beyond reach
         assert wall.calls == [] and post.calls == []
-        assert not depth.farther_than(corner, np.ones((3, 6), bool), 3.5)
+        assert not depth.farther_than(corner, _mask_over(corner, np.ones((3, 6), bool)), 3.5)
         assert wall.calls == [3 * 6] and post.calls == []  # the corner lies outside the post's box
-        assert not depth.farther_than(centre, np.ones((10, 30), bool), 2.9)
+        assert not depth.farther_than(centre, _mask_over(centre, np.ones((10, 30), bool)), 2.9)
         y0, y1, x0, x1 = post_box
         overlap = (min(65, y1) - max(55, y0)) * (min(100, x1) - max(70, x0))
         assert 0 < overlap < 10 * 30
         assert wall.calls == [3 * 6] and post.calls == [overlap]
-        assert not depth.farther_than(centre, np.ones((10, 30), bool), 3.5)  # the wall decides first
+        assert not depth.farther_than(centre, _mask_over(centre, np.ones((10, 30), bool)), 3.5)  # the wall decides first
         assert wall.calls == [3 * 6, 10 * 30] and post.calls == [overlap]
-        assert not depth.farther_than(corner, np.ones((3, 6), bool), 3.5)  # nothing was kept
+        assert not depth.farther_than(corner, _mask_over(corner, np.ones((3, 6), bool)), 3.5)  # nothing was kept
         assert wall.calls == [3 * 6, 10 * 30, 3 * 6]
         del wall.calls[:], post.calls[:]
         depth.values
@@ -495,11 +549,82 @@ def _random_primitives(rng, n):
     return prims
 
 
+def _bitmap_footprint(p, q, robot, intr):
+    """The footprint as a whole disc bitmap trimmed to its tight box, built
+    as render_robot_footprint once built it: (box, mask, farthest depth,
+    fully in view, center pixel, pixel radius). The reference for the
+    disc kept as 1-D offsets."""
+    center_s = world_to_camera(p, q)
+    zc = float(center_s[2])
+    rho = robot.rho
+    far = zc + rho
+    if zc - rho < intr.z_near:
+        return (0, 0, 0, 0), np.zeros((0, 0), bool), far, False, None, 0.0
+    rx, ry = project(center_s, intr)
+    secant = float(np.linalg.norm(center_s)) / zc
+    pr = max(intr.fsx, intr.fsy) * rho / (zc - rho) * secant
+    in_view = (rx - pr >= 0.0) and (rx + pr < intr.width) and (ry - pr >= 0.0) and (ry + pr < intr.height)
+    ix_lo = max(int(np.floor(rx - pr)), 0)
+    ix_hi = min(int(np.ceil(rx + pr)), intr.width - 1)
+    iy_lo = max(int(np.floor(ry - pr)), 0)
+    iy_hi = min(int(np.ceil(ry + pr)), intr.height - 1)
+    dx2 = (np.arange(ix_lo, ix_hi + 1) + 0.5 - rx) ** 2
+    dy2 = (np.arange(iy_lo, iy_hi + 1) + 0.5 - ry) ** 2
+    mask = dy2[:, None] + dx2[None, :] <= pr * pr
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        cx_i = min(max(int(rx), 0), intr.width - 1)
+        cy_i = min(max(int(ry), 0), intr.height - 1)
+        box, mask = (cy_i, cy_i + 1, cx_i, cx_i + 1), np.ones((1, 1), bool)
+    else:
+        cols = np.flatnonzero(mask.any(axis=0))
+        mask = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+        y0, x0 = iy_lo + int(rows[0]), ix_lo + int(cols[0])
+        box = (y0, y0 + mask.shape[0], x0, x0 + mask.shape[1])
+    return box, mask, far, bool(in_view), (rx, ry), pr
+
+
+def _footprint_sweep(intr, seed, n):
+    """Seeded footprints at random 6-DoF poses, each with its bitmap
+    reference and its kind: centred, in view, border-clipped (its box on an
+    image border, partly out of view), off image, sub-pixel or before
+    z_near. The centre is drawn in pixel coordinates up to a third of the
+    frame beyond each border, or on the principal point, at a random depth,
+    and each robot is drawn from radii of 2 mm to 1 m."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        q = _random_pose(rng)
+        depth = render_scene_depth(Scene(), q, intr)
+        robot = RobotModel(float(rng.choice([0.002, 0.05, 0.35, 1.0])))
+        zc = rng.uniform(0.05, intr.z_near + robot.rho + 0.2) if rng.random() < 0.1 else rng.uniform(0.5, 12.0)
+        if rng.random() < 0.2:
+            u, v = intr.cx + rng.uniform(-1.0, 1.0), intr.cy + rng.uniform(-1.0, 1.0)
+        else:
+            u = rng.uniform(-0.3, 1.3) * intr.width
+            v = rng.uniform(-0.3, 1.3) * intr.height
+        p = camera_to_world([(u - intr.cx) * zc / intr.fsx, (v - intr.cy) * zc / intr.fsy, zc], q)
+        ref = _bitmap_footprint(p, q, robot, intr)
+        box, mask, _, in_view, center, pr = ref
+        if center is None:
+            kind = "near plane"
+        elif not (0 <= center[0] < intr.width and 0 <= center[1] < intr.height) and mask.size == 1:
+            kind = "off image"
+        elif pr < 0.5 and mask.size == 1:
+            kind = "sub-pixel"
+        elif in_view:
+            kind = "centred" if abs(center[0] - intr.cx) < 1 and abs(center[1] - intr.cy) < 1 else "in view"
+        elif box[0] == 0 or box[2] == 0 or box[1] == intr.height or box[3] == intr.width:
+            kind = "border-clipped"
+        else:
+            kind = "other"
+        yield render_robot_footprint(p, depth, robot), ref, kind, rng
+
+
 class TestRobotFootprint:
     def test_on_axis_sphere(self, intr):
         robot = RobotModel(rho=0.3)
         p = camera_to_world([0.0, 0.0, 3.0], Q0)
-        fp = render_robot_footprint(p, Q0, robot, intr)
+        fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
         assert fp.fully_in_view
         assert fp.farthest_depth == pytest.approx(3.3)
         assert fp.center_pixel == pytest.approx((intr.cx, intr.cy))
@@ -508,14 +633,14 @@ class TestRobotFootprint:
     def test_near_plane_violation(self, intr):
         robot = RobotModel(rho=0.3)
         p = camera_to_world([0.0, 0.0, 0.4], Q0)
-        fp = render_robot_footprint(p, Q0, robot, intr)
+        fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
         assert not fp.fully_in_view
 
     def test_disc_exceeding_bounds(self, intr):
         robot = RobotModel(rho=0.3)
         # center near the image border with a large disc
         p = camera_to_world([2.3, 0.0, 3.0], Q0)
-        fp = render_robot_footprint(p, Q0, robot, intr)
+        fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
         assert not fp.fully_in_view
 
     def test_conservative_covers_all_surface_points(self, intr):
@@ -526,7 +651,7 @@ class TestRobotFootprint:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         for center_s in ([0.0, 0.0, 3.0], [1.2, -0.8, 4.0], [-1.5, 0.9, 6.0]):
             p = camera_to_world(center_s, Q0)
-            fp = render_robot_footprint(p, Q0, robot, intr)
+            fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
             assert fp.fully_in_view
             surface = np.asarray(center_s) + robot.rho * dirs
             zs = surface[:, 2]
@@ -540,10 +665,49 @@ class TestRobotFootprint:
             dist = np.hypot(rx - fp.center_pixel[0], ry - fp.center_pixel[1])
             assert np.all(dist <= fp.pixel_radius + 1e-9)
 
+    @pytest.mark.parametrize("camera", ["intr_small", "intr"])
+    def test_disc_equals_the_trimmed_bitmap(self, camera, request):
+        """The disc kept as 1-D offsets has the box and, bit for bit, the
+        mask of the whole disc bitmap trimmed to its tight box, and the
+        same depth, view flag, centre and radius, over a seeded sweep of
+        centred, in-view, border-clipped, off-image, sub-pixel and
+        before-z_near footprints."""
+        intr = request.getfixturevalue(camera)
+        kinds = {}
+        for fp, (box, mask, far, in_view, center, pr), kind, _ in _footprint_sweep(intr, 83, 600):
+            assert fp.box == box, kind
+            assert fp.mask.shape == mask.shape and np.array_equal(fp.mask, mask), kind
+            assert (fp.farthest_depth, fp.fully_in_view, fp.center_pixel, fp.pixel_radius) == (far, in_view, center, pr)
+            iy, ix = np.nonzero(mask)
+            assert np.array_equal(fp.pixels, np.stack([ix + box[2], iy + box[0]], axis=-1))
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert set(kinds) >= {"centred", "in view", "border-clipped", "off image", "sub-pixel", "near plane"}, kinds
+
+    def test_mask_over_a_rectangle_is_the_slice_of_the_mask(self, intr):
+        """The mask a check builds over any rectangle inside the box equals
+        that rectangle's slice of the whole disc mask, single pixels, rows,
+        columns and the whole box included."""
+        rects = 0
+        for fp, _, kind, rng in _footprint_sweep(intr, 89, 300):
+            y0, y1, x0, x1 = fp.box
+            if y0 == y1:
+                continue
+            mask = fp.mask
+            draws = [(y0, y1, x0, x1), (y0, y0 + 1, x0, x0 + 1), (y0, y1, x1 - 1, x1), (y1 - 1, y1, x0, x1)]
+            for _ in range(6):
+                a0, a1 = np.sort(rng.integers(y0, y1 + 1, 2))
+                b0, b1 = np.sort(rng.integers(x0, x1 + 1, 2))
+                draws.append((int(a0), int(a1), int(b0), int(b1)))
+            for a0, a1, b0, b1 in draws:
+                sub = fp.mask_over(a0, a1, b0, b1)
+                assert sub.dtype == bool and np.array_equal(sub, mask[a0 - y0 : a1 - y0, b0 - x0 : b1 - x0]), kind
+                rects += 1
+        assert rects > 1000, rects
+
     def test_subpixel_disc_keeps_center_pixel(self, intr):
         robot = RobotModel(rho=0.001)
         p = camera_to_world([0.0, 0.0, 9.0], Q0)
-        fp = render_robot_footprint(p, Q0, robot, intr)
+        fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
         assert fp.pixels.shape[0] >= 1
 
 
