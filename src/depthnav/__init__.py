@@ -19,7 +19,6 @@ from .lqr import (
     ModeWeights,
     StateVec,
     are_residual,
-    control,
     rollout,
     solve_are_axis,
 )

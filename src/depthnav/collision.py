@@ -82,36 +82,33 @@ def waypoints2collision(samples, depth: DepthImage, robot: RobotModel):
     return Verdict.FREE, None
 
 
-# camera-frame displacement directions, checked in this fixed order
-_DIRECTIONS = (
-    ("up", np.array([0.0, -1.0, 0.0])),
-    ("down", np.array([0.0, 1.0, 0.0])),
-    ("left", np.array([-1.0, 0.0, 0.0])),
-    ("right", np.array([1.0, 0.0, 0.0])),
-)
+# camera-frame displacement directions, checked in this fixed order:
+# up, down, left, right
+_DIRECTIONS = np.array([[0.0, -1.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
 
 def find_escape(
     p_hit, depth: DepthImage, d_l: float, max_rings: int, robot: RobotModel
 ) -> EscapeResult:
-    """Ring search for a free position around an under-collision one.
+    """Ring search for a free position around a colliding one.
 
-    Candidates are placed at k*d_l (k = 1, 2, ...) along the image's camera-frame
-    up, down, left and right directions mapped to the world frame through the
-    rotation the image holds (parallel to the image plane), checked in that
-    fixed order. A direction is
-    abandoned once its candidate leaves the field of view; the search is
-    stuck when all four are abandoned or k exceeds max_rings.
+    Precondition: p_hit collides in depth. The planner calls it only with
+    the sample it has just found COLLISION in the same image, and checks
+    keep nothing between calls, so p_hit itself is not checked again.
+    Candidates are placed at k*d_l (k = 1, 2, ...) along the image's
+    camera-frame up, down, left and right directions mapped to the world
+    frame through the rotation the image holds (parallel to the image
+    plane), checked in that fixed order. A direction is abandoned once its
+    candidate leaves the field of view; the search is stuck when all four
+    are abandoned or k exceeds max_rings.
     """
     if d_l <= 0:
         raise ValueError("d_l must be positive")
     if max_rings < 1:
         raise ValueError("max_rings must be at least 1")
     p_hit = np.asarray(p_hit, dtype=float)
-    if check_configuration(p_hit, depth, robot) is Verdict.FREE:
-        return EscapeResult(p_hit)
     R_sw = depth.R_ws.T
-    world_dirs = [R_sw @ d for _, d in _DIRECTIONS]
+    world_dirs = [R_sw @ d for d in _DIRECTIONS]
     alive = [True] * len(world_dirs)
     for k in range(1, max_rings + 1):
         if not any(alive):

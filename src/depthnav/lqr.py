@@ -21,7 +21,6 @@ __all__ = [
     "LookAheadTrajectory",
     "solve_are_axis",
     "are_residual",
-    "control",
     "rollout",
 ]
 
@@ -97,13 +96,11 @@ def are_residual(g: AxisGain, w: ModeWeights) -> float:
     return float(np.abs(res).max())
 
 
-def _law(p, v, x_ref: StateVec, g: AxisGain) -> np.ndarray:
-    return -g.kp * (p - x_ref.p) - g.kv * (v - x_ref.v)
-
-
-def control(x: StateVec, x_ref: StateVec, g: AxisGain) -> np.ndarray:
-    """State-feedback acceleration command, identical gains on each axis."""
-    return _law(x.p, x.v, x_ref, g)
+def _law(p, v, x_ref: StateVec, g: AxisGain, u_max: float | None) -> np.ndarray:
+    """State-feedback acceleration command, identical gains on each axis,
+    each axis clamped to [-u_max, u_max] unless u_max is None."""
+    u = -g.kp * (p - x_ref.p) - g.kv * (v - x_ref.v)
+    return u if u_max is None else np.clip(u, -u_max, u_max)
 
 
 def rollout(
@@ -117,8 +114,9 @@ def rollout(
     """Integrate the closed loop over one horizon, sampling every ts seconds.
 
     Uses fixed-substep RK4 with substep ts/10, integrating no further than
-    the last sample. The first sample equals x0 exactly (no hover
-    assumption). u_max optionally clamps each input axis.
+    the last sample. Every sample's input and every RK4 stage evaluate the
+    one control law, which clamps each input axis to u_max when it is given.
+    The first sample equals x0 exactly (no hover assumption).
     """
     if tau <= 0 or ts <= 0:
         raise ValueError("tau and ts must be positive")
@@ -126,24 +124,20 @@ def rollout(
     if abs(n_steps * ts - tau) > 1e-9:
         raise ValueError("tau must be an integral multiple of ts")
 
-    def law(p, v):
-        u = _law(p, v, x_ref, g)
-        return u if u_max is None else np.clip(u, -u_max, u_max)
-
     p = x0.p.copy()
     v = x0.v.copy()
-    samples = [(StateVec(p, v), law(p, v))]
+    samples = [(StateVec(p, v), _law(p, v, x_ref, g, u_max))]
     h = ts / 10.0
     for _ in range(n_steps):
         for _ in range(10):
-            k1p, k1v = v, law(p, v)
+            k1p, k1v = v, _law(p, v, x_ref, g, u_max)
             p2, v2 = p + 0.5 * h * k1p, v + 0.5 * h * k1v
-            k2p, k2v = v2, law(p2, v2)
+            k2p, k2v = v2, _law(p2, v2, x_ref, g, u_max)
             p3, v3 = p + 0.5 * h * k2p, v + 0.5 * h * k2v
-            k3p, k3v = v3, law(p3, v3)
+            k3p, k3v = v3, _law(p3, v3, x_ref, g, u_max)
             p4, v4 = p + h * k3p, v + h * k3v
-            k4p, k4v = v4, law(p4, v4)
+            k4p, k4v = v4, _law(p4, v4, x_ref, g, u_max)
             p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        samples.append((StateVec(p, v), law(p, v)))
+        samples.append((StateVec(p, v), _law(p, v, x_ref, g, u_max)))
     return LookAheadTrajectory(samples)

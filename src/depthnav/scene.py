@@ -293,8 +293,8 @@ class RobotFootprint:
     box, so a check builds it only where it casts:
     ``farther_than(box, mask_over, farthest_depth)`` asks whether the scene
     lies beyond the farthest depth under the disc. Every covered pixel
-    carries the same farthest-depth value (sphere model). ``mask`` and
-    ``pixels`` are the whole disc, derived on read.
+    carries the same farthest-depth value (sphere model). ``pixels`` lists
+    the whole disc, built on read from ``mask_over(*box)``.
     """
 
     box: tuple
@@ -313,14 +313,9 @@ class RobotFootprint:
         return self.dy2[y0 - by : y1 - by, None] + self.dx2[None, x0 - bx : x1 - bx] <= self.r2
 
     @property
-    def mask(self) -> np.ndarray:
-        """The disc's bool mask over its whole box."""
-        return self.mask_over(*self.box)
-
-    @property
     def pixels(self) -> np.ndarray:
         """The covered pixels as an (N, 2) int array of (ix, iy), row-major."""
-        iy, ix = np.nonzero(self.mask)
+        iy, ix = np.nonzero(self.mask_over(*self.box))
         return np.stack([ix + self.box[2], iy + self.box[0]], axis=-1)
 
 

@@ -21,6 +21,7 @@ from depthnav import (
     waypoints2collision,
     world_to_camera,
 )
+from depthnav import collision
 from depthnav.frames import world_to_camera_rotation
 from depthnav.oracle import brute_force_collision
 from depthnav.scene import _pixel_rays
@@ -110,12 +111,20 @@ class TestFindEscape:
         res = find_escape(np.array([1.0, 0.0, 0.0]), depth, 0.5, 20, robot)
         assert res.stuck
 
-    def test_free_hit_point_returned_directly(self, intr, robot):
-        wall = Wall((9.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (50.0, 50.0))
-        depth = render_scene_depth(Scene((wall,)), Q0, intr)
-        p = np.array([3.0, 0.0, 0.0])
-        res = find_escape(p, depth, 0.5, 20, robot)
-        assert np.array_equal(res.position, p)
+    def test_search_starts_at_ring_one(self, intr, robot, monkeypatch):
+        """The hit point is known to collide, so the first check is the first
+        ring-1 candidate, and here that one is free and returned."""
+        depth = render_scene_depth(_gap_scene(0.5, 1.5), Q0, intr)
+        checked = []
+
+        def counting_check(p, *args):
+            checked.append(np.array(p, dtype=float))
+            return check_configuration(p, *args)
+
+        monkeypatch.setattr(collision, "check_configuration", counting_check)
+        res = find_escape(np.array([4.0, 0.0, 0.0]), depth, 1.0, 20, robot)
+        assert len(checked) == 1
+        assert np.array_equal(checked[0], res.position)
 
     def test_ring_index_is_minimal(self, intr, robot):
         scene = _gap_scene(1.1, 2.9)  # slot centered two steps up for d_l = 1
@@ -130,7 +139,7 @@ class TestFindEscape:
 
         R_sw = world_to_camera_rotation(Q0).T
         for k in range(1, 21):
-            for _, d in _DIRECTIONS:
+            for d in _DIRECTIONS:
                 cand = p_hit + k * 1.0 * (R_sw @ d)
                 if check_configuration(cand, depth, robot) is Verdict.FREE:
                     free_ks.append(k)
@@ -274,7 +283,7 @@ class TestMaskWindow:
                 fp = render_robot_footprint(p, depth, robot)
                 assert fp.pixels.shape == pix.shape and np.array_equal(fp.pixels, pix)
                 y0, y1, x0, x1 = fp.box
-                under = depth.values[y0:y1, x0:x1][fp.mask]
+                under = depth.values[y0:y1, x0:x1][fp.mask_over(*fp.box)]
                 assert np.array_equal(under.view(np.uint32), values[pix[:, 1], pix[:, 0]].view(np.uint32))
                 verdicts[want] += 1
                 if in_view or kind == "near plane":
@@ -290,7 +299,7 @@ def _full_cast_verdict(p, depth, robot):
     if not fp.fully_in_view:
         return Verdict.OUT_OF_VIEW
     y0, y1, x0, x1 = fp.box
-    return Verdict.FREE if np.all(fp.farthest_depth < depth.values[y0:y1, x0:x1][fp.mask]) else Verdict.COLLISION
+    return Verdict.FREE if np.all(fp.farthest_depth < depth.values[y0:y1, x0:x1][fp.mask_over(*fp.box)]) else Verdict.COLLISION
 
 
 class TestBoundedCheck:
@@ -335,7 +344,7 @@ class TestBoundedCheck:
         fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
         y0, y1, x0, x1 = fp.box
         dirs = _pixel_rays(intr)[y0:y1, x0:x1] @ world_to_camera_rotation(Q0)
-        t = floor.intersect(Q0.position, dirs, intr.z_near)[fp.mask]
+        t = floor.intersect(Q0.position, dirs, intr.z_near)[fp.mask_over(*fp.box)]
         assert np.any(np.isfinite(t) & (t > np.finfo(np.float32).max))
         depth = render_scene_depth(Scene((floor,)), Q0, intr)
         with warnings.catch_warnings():

@@ -154,6 +154,23 @@ class TestSealedMission:
         assert out.rows[-1]["event"] == "stuck"
 
 
+class TestPoleMission:
+    @pytest.mark.xfail(strict=True, reason="the unchecked l1 leg flies through the pole (ROADMAP item 1)")
+    @pytest.mark.parametrize("y", [0.0, 0.2])
+    @pytest.mark.parametrize("res", ["intr_small", "intr"])
+    def test_executed_path_is_oracle_clean(self, request, res, y):
+        """A lone 0.3 x 0.3 x 3 m pole dead ahead: whether the mission reaches
+        the goal or stops, its executed path must not touch the pole. Today it
+        reaches the goal with 33 (y = 0) or 39 (y = 0.2) swept violations, the
+        first at row 9 in l1."""
+        intr = request.getfixturevalue(res)
+        scene = Scene((Box((4.85, y - 0.15, 0.0), (5.15, y + 0.15, 3.0)),))
+        robot = RobotModel()
+        out = run_mission(scene, StateVec.rest([0.0, 0.0, 1.2]), GoalRegion(10.0, 0.0, 1.2),
+                          PlannerConfig(), intr, robot)
+        assert verify_mission(out.rows, scene, robot.rho).violation_count == 0
+
+
 class TestStepPlanner:
     def test_collision_switches_to_escape(self, intr, robot):
         """Wall ahead with a gap above: one tick in range flips the mode to l1."""

@@ -676,7 +676,7 @@ class TestRobotFootprint:
         kinds = {}
         for fp, (box, mask, far, in_view, center, pr), kind, _ in _footprint_sweep(intr, 83, 600):
             assert fp.box == box, kind
-            assert fp.mask.shape == mask.shape and np.array_equal(fp.mask, mask), kind
+            assert fp.mask_over(*fp.box).shape == mask.shape and np.array_equal(fp.mask_over(*fp.box), mask), kind
             assert (fp.farthest_depth, fp.fully_in_view, fp.center_pixel, fp.pixel_radius) == (far, in_view, center, pr)
             iy, ix = np.nonzero(mask)
             assert np.array_equal(fp.pixels, np.stack([ix + box[2], iy + box[0]], axis=-1))
@@ -692,7 +692,7 @@ class TestRobotFootprint:
             y0, y1, x0, x1 = fp.box
             if y0 == y1:
                 continue
-            mask = fp.mask
+            mask = fp.mask_over(*fp.box)
             draws = [(y0, y1, x0, x1), (y0, y0 + 1, x0, x0 + 1), (y0, y1, x1 - 1, x1), (y1 - 1, y1, x0, x1)]
             for _ in range(6):
                 a0, a1 = np.sort(rng.integers(y0, y1 + 1, 2))
