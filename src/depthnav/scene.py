@@ -38,8 +38,9 @@ __all__ = [
 
 # Primitive protocol (Box, Sphere, Wall): distance(p) for the oracle;
 # intersect(origin, dirs, z_near), the per-ray depth of the nearest surface
-# crossing at or beyond z_near (inf where none, never NaN) over a ray grid
-# with unit camera-z; bounds(), the world-frame AABB as (lo, hi).
+# crossing at or beyond z_near (inf where none, never NaN) over the rays of
+# one cast pixel rectangle, each with unit camera-z; bounds(), the
+# world-frame AABB as (lo, hi).
 
 
 @dataclass(frozen=True)
@@ -206,9 +207,15 @@ class DepthImage:
     Nothing is cast on construction, and nothing a query casts is kept:
     :meth:`farther_than` intersects only the primitives near enough to
     decide it, over its own rectangle, and ``values`` is one full cast,
-    made on first read. R_ws is the rotation taking world coordinates into
-    the image's camera frame, computed once per image: the rays, the pixel
-    boxes and the footprints checked against the image all use it.
+    made on first read. No ray grid is kept, per image or per camera: each
+    cast builds the rays of its own rectangle (:func:`_pixel_rays`). R_ws
+    is the rotation taking world coordinates into the image's camera
+    frame, computed once per image: the rays, the pixel boxes and the
+    footprints checked against the image all use it.
+
+    ``values`` is stored in PFM row order, bottom row first, and read top
+    row first through a reversed view, so :func:`write_pfm` writes its
+    buffer as is.
     """
 
     def __init__(self, scene: Scene, q: Configuration, intr: CameraIntrinsics):
@@ -220,7 +227,8 @@ class DepthImage:
     @functools.cached_property
     def values(self) -> np.ndarray:
         intr = self.intr
-        values = np.full((intr.height, intr.width), intr.max_depth, np.float32)
+        # one buffer, bottom row first as a PFM stores it, read top row first
+        values = np.full((intr.height, intr.width), intr.max_depth, np.float32)[::-1]
         boxes, _ = self._boxes
         for prim, (y0, y1, x0, x1) in zip(self._scene.primitives, boxes):
             if y0 < y1 and x0 < x1:
@@ -267,7 +275,7 @@ class DepthImage:
 
     def _hits(self, prim, y0, y1, x0, x1) -> np.ndarray:
         """prim's float64 depth along the rays of a pixel rectangle."""
-        dirs = _pixel_rays(self.intr)[y0:y1, x0:x1] @ self.R_ws  # camera->world: R_ws.T per ray
+        dirs = _pixel_rays(self.intr, y0, y1, x0, x1) @ self.R_ws  # camera->world: R_ws.T per ray
         return prim.intersect(self.q.position, dirs, self.intr.z_near)
 
 
@@ -319,13 +327,15 @@ class RobotFootprint:
         return np.stack([ix + self.box[2], iy + self.box[0]], axis=-1)
 
 
-@functools.lru_cache(maxsize=None)
-def _pixel_rays(intr: CameraIntrinsics) -> np.ndarray:
-    """Camera-frame ray directions through pixel centers, unit z component."""
-    # filled channel by channel: the build holds little beyond the grid itself
-    rays = np.empty((intr.height, intr.width, 3))
-    rays[..., 0] = (np.arange(intr.width) + 0.5 - intr.cx) / intr.fsx
-    rays[..., 1] = ((np.arange(intr.height) + 0.5 - intr.cy) / intr.fsy)[:, None]
+def _pixel_rays(intr: CameraIntrinsics, y0, y1, x0, x1) -> np.ndarray:
+    """Camera-frame ray directions through the pixel centers of the
+    half-open rectangle [y0, y1) x [x0, x1), unit z component, built for
+    that rectangle alone from its 1-D column and row offsets: each element
+    is the value a whole-frame grid would hold at that pixel, and no grid
+    is kept per camera."""
+    rays = np.empty((y1 - y0, x1 - x0, 3))
+    rays[..., 0] = (np.arange(x0, x1) + 0.5 - intr.cx) / intr.fsx
+    rays[..., 1] = ((np.arange(y0, y1) + 0.5 - intr.cy) / intr.fsy)[:, None]
     rays[..., 2] = 1.0
     return rays
 
@@ -455,18 +465,31 @@ def write_pfm(path, values: np.ndarray) -> None:
     """Write a (height, width) depth array as a grayscale PFM: 'Pf',
     width height, scale -1.0, little-endian float32 rows bottom-up."""
     height, width = values.shape
-    rows = np.ascontiguousarray(np.flipud(values), dtype="<f4")  # one copy, written as is
+    # DepthImage.values is a reversed view of a bottom-up buffer: written
+    # as is; any other array is copied once
+    rows = np.ascontiguousarray(np.flipud(values), dtype="<f4")
     with open(path, "wb") as f:
         f.write(f"Pf\n{width} {height}\n-1.0\n".encode("ascii"))
         f.write(rows)
 
 
 def read_pfm(path) -> np.ndarray:
-    """Read a grayscale PFM into a (height, width) float32 array, top row first."""
+    """Read a grayscale PFM into a (height, width) float32 array, top row
+    first. Raises ValueError on a size line that is not two positive
+    integers and on a payload shorter than width x height floats."""
     with open(path, "rb") as f:
         if f.readline().strip() != b"Pf":
             raise ValueError("not a grayscale PFM file")
-        w, h = (int(v) for v in f.readline().split())
+        size = f.readline().split()
+        if len(size) != 2 or not all(v.isdigit() and int(v) > 0 for v in size):
+            raise ValueError(f"PFM size line must be two positive integers (width height), got {b' '.join(size)!r}")
+        w, h = map(int, size)
         scale = float(f.readline())
-        data = np.frombuffer(f.read(w * h * 4), dtype="<f4" if scale < 0 else ">f4")
+        # what the file holds, never the size line's claim: a bogus size
+        # allocates nothing before it is rejected
+        payload = f.read()
+    want = w * h * 4
+    if len(payload) < want:
+        raise ValueError(f"PFM payload holds {len(payload)} bytes, expected {want} for {w}x{h} float32 values")
+    data = np.frombuffer(payload, dtype="<f4" if scale < 0 else ">f4", count=w * h)
     return np.ascontiguousarray(np.flipud(data.reshape(h, w)), dtype=np.float32)

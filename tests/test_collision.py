@@ -343,7 +343,7 @@ class TestBoundedCheck:
         p = camera_to_world([0.0, 0.0, 3.0], Q0)
         fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
         y0, y1, x0, x1 = fp.box
-        dirs = _pixel_rays(intr)[y0:y1, x0:x1] @ world_to_camera_rotation(Q0)
+        dirs = _pixel_rays(intr, y0, y1, x0, x1) @ world_to_camera_rotation(Q0)
         t = floor.intersect(Q0.position, dirs, intr.z_near)[fp.mask_over(*fp.box)]
         assert np.any(np.isfinite(t) & (t > np.finfo(np.float32).max))
         depth = render_scene_depth(Scene((floor,)), Q0, intr)

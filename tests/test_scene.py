@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -82,7 +83,7 @@ class TestPrimitives:
         zero_dirs = nan_slabs = hits = inside = 0
         for _ in range(40):
             q = _random_pose(rng)
-            dirs = _pixel_rays(intr_small) @ world_to_camera_rotation(q)
+            dirs = _frame_rays(intr_small) @ world_to_camera_rotation(q)
             k = int(rng.integers(3))
             dirs[rng.random(dirs.shape[:2]) < 0.1, k] = rng.choice([0.0, -0.0])
             zero_dirs += int(np.sum(dirs == 0.0))
@@ -152,7 +153,7 @@ class TestRenderSceneDepth:
         rng = np.random.default_rng(11)
         step = 1e-3
         ts = np.arange(intr_small.z_near, intr_small.max_depth + step, step)
-        rays = _pixel_rays(intr_small)
+        rays = _frame_rays(intr_small)
         n_scenes, n_pixels = 20, 50
         for _ in range(n_scenes):
             prims = _random_primitives(rng, rng.integers(1, 4))
@@ -177,10 +178,16 @@ class TestRenderSceneDepth:
                 assert abs(float(depth.values[iy, ix]) - expected) < 2e-3
 
 
+def _frame_rays(intr):
+    """The camera-frame rays of the whole frame, one rectangle of the
+    image's size."""
+    return _pixel_rays(intr, 0, intr.height, 0, intr.width)
+
+
 def _reference_depth(scene, q, intr):
     """Every primitive intersected with the whole ray grid, no culling:
     the float64 minimum over primitives, clamped, then rounded once."""
-    dirs = _pixel_rays(intr) @ world_to_camera_rotation(q)
+    dirs = _frame_rays(intr) @ world_to_camera_rotation(q)
     depth = np.full(dirs.shape[:2], np.inf)
     for prim in scene.primitives:
         depth = np.minimum(depth, prim.intersect(q.position, dirs, intr.z_near))
@@ -300,7 +307,7 @@ class TestOnDemandCast:
             ref = _reference_depth(scene, q, intr_small)
             boxes, nears = _pixel_boxes(scene, q.position, R_ws, intr_small)
             kinds.update(_box_kind(box, prim, q, intr_small) for box, prim in zip(boxes, scene.primitives))
-            dirs = _pixel_rays(intr_small) @ R_ws
+            dirs = _frame_rays(intr_small) @ R_ws
             for prim, near in zip(scene.primitives, nears):
                 t = prim.intersect(q.position, dirs, intr_small.z_near)
                 assert np.all(t[np.isfinite(t)] >= near - 1e-9), prim
@@ -341,7 +348,7 @@ class TestOnDemandCast:
         for _ in range(60):
             q = _random_pose(rng)
             R_ws = world_to_camera_rotation(q)
-            dirs = _pixel_rays(intr_small) @ R_ws
+            dirs = _frame_rays(intr_small) @ R_ws
             near = _camera_frame_places(rng, intr_small)[1]
             prims = [_primitive_at(rng, camera_to_world(np.asarray(near()), q)) for _ in range(5)]
             boxes, _ = _pixel_boxes(Scene(tuple(prims)), q.position, R_ws, intr_small)
@@ -503,15 +510,11 @@ class TestOnDemandCast:
 class TestCastMemory:
     def test_full_frames_keep_no_ray_grid_per_rotation(self, intr):
         """Ten full 640x480 frames at ten rotations allocate only each
-        primitive's pixel-box rays and the image: a 2.3 MB peak measured,
+        primitive's pixel-box rays and the image: a 1.6 MB peak measured,
         bounded at 6 MB, against about 17 MB for one float64 world-ray grid."""
         rng = np.random.default_rng(31)
-        prims = []
-        for k in range(8):
-            c = np.array([rng.uniform(4.0, 8.0), *rng.uniform(-1.5, 1.5, 2)])
-            prims.append(Sphere(tuple(c), 0.2) if k % 2 else Box(tuple(c - 0.2), tuple(c + 0.2)))
-        scene = Scene(tuple(prims))
-        render_scene_depth(scene, Q0, intr).values  # builds the camera's pixel-ray grid
+        scene = _small_bodies(rng)
+        render_scene_depth(scene, Q0, intr).values  # the scene's stacked corners are built once, untraced
         tracemalloc.start()
         try:
             for _ in range(10):
@@ -522,18 +525,69 @@ class TestCastMemory:
             tracemalloc.stop()
         assert peak < 6e6, f"peak {peak / 1e6:.1f} MB"
 
-    def test_ray_grid_build_holds_little_beyond_the_grid(self, intr):
-        """The camera's 640x480 pixel-ray grid (7.4 MB) is built in place:
-        its build peaks below 1.2 times the grid, where stacking meshgrid
-        channels held about twice the grid."""
+    @pytest.mark.parametrize("camera", ["intr_small", "intr"])
+    def test_rectangle_rays_equal_the_slice_of_a_frame_build(self, camera, request):
+        """The rays built for a pixel rectangle equal, bit for bit, that
+        rectangle's slice of the rays built for the whole frame, and so do
+        their world directions after the image's rotation: over random
+        rectangles, single pixels, rectangles on each image border and the
+        whole frame."""
+        intr = request.getfixturevalue(camera)
+        h, w = intr.height, intr.width
+        frame = _frame_rays(intr)
+        assert frame.shape == (h, w, 3)
+        rng = np.random.default_rng(37)
+        rects = [(0, h, 0, w), (0, 1, 0, 1), (h - 1, h, w - 1, w), (0, 1, 0, w), (h - 1, h, 0, w),
+                 (0, h, 0, 1), (0, h, w - 1, w), (0, 7, w - 9, w), (h - 5, h, 0, 3)]
+        for _ in range(40):
+            y0, x0 = int(rng.integers(h)), int(rng.integers(w))
+            rects.append((y0, y0 + 1, x0, x0 + 1))
+            y0, y1 = np.sort(rng.integers(0, h + 1, 2))
+            x0, x1 = np.sort(rng.integers(0, w + 1, 2))
+            rects.append((int(y0), int(max(y1, y0 + 1)), int(x0), int(max(x1, x0 + 1))))
+        for _ in range(4):
+            R_ws = world_to_camera_rotation(_random_pose(rng))
+            for y0, y1, x0, x1 in rects:
+                rays = _pixel_rays(intr, y0, y1, x0, x1)
+                want = frame[y0:y1, x0:x1]
+                assert rays.shape == want.shape and np.array_equal(rays.view(np.uint64), want.view(np.uint64))
+                got_dirs, want_dirs = rays @ R_ws, want @ R_ws
+                assert np.array_equal(got_dirs.view(np.uint64), want_dirs.view(np.uint64)), (y0, y1, x0, x1)
+
+    def test_an_image_and_its_checks_leave_nothing_behind(self, intr, robot):
+        """A 640x480 image cast in full and checked 60 times holds memory
+        only while it lives: once it is dropped, the traced size is back
+        within 64 KB of where it started. The camera is one no other test
+        uses, so nothing built for an earlier image can hide what a new
+        camera would keep."""
+        camera = dataclasses.replace(intr, cx=intr.cx + 0.25)
+        rng = np.random.default_rng(43)
+        scene = _small_bodies(rng)
+        points = [camera_to_world([*rng.uniform(-1.5, 1.5, 2), rng.uniform(1.0, 9.0)], Q0) for _ in range(60)]
+        collision.check_configuration(points[0], render_scene_depth(scene, Q0, intr), robot)  # untraced warm-up
         tracemalloc.start()
         try:
-            rays = _pixel_rays.__wrapped__(intr)  # a build, not a cache hit
-            peak = tracemalloc.get_traced_memory()[1]
+            before = tracemalloc.get_traced_memory()[0]
+            depth = render_scene_depth(scene, Q0, camera)
+            depth.values
+            verdicts = {collision.check_configuration(p, depth, robot) for p in points}
+            held = tracemalloc.get_traced_memory()[0] - before
+            del depth
+            left = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert np.array_equal(rays, _pixel_rays(intr))
-        assert peak < 1.2 * rays.nbytes, f"peak {peak / rays.nbytes:.2f} x the grid"
+        assert len(verdicts) > 1, verdicts
+        assert held >= camera.width * camera.height * 4, held
+        assert left < 64e3, f"{left / 1e3:.1f} KB left"
+
+
+def _small_bodies(rng):
+    """Eight small boxes and spheres 4-8 m in front of the default pose."""
+    prims = []
+    for k in range(8):
+        c = np.array([rng.uniform(4.0, 8.0), *rng.uniform(-1.5, 1.5, 2)])
+        prims.append(Sphere(tuple(c), 0.2) if k % 2 else Box(tuple(c - 0.2), tuple(c + 0.2)))
+    return Scene(tuple(prims))
 
 
 def _random_primitives(rng, n):
@@ -762,4 +816,54 @@ class TestPfm:
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"P6\n1 1\n255\n")
         with pytest.raises(ValueError):
+            read_pfm(path)
+
+    def test_full_frame_is_written_without_a_copy(self, intr, tmp_path):
+        """A 640x480 image's values, stored bottom row first, are written
+        without copying the 1.2 MB image: the write peaks below 64 KB
+        traced. values[0] is still the top row, equal to a cast of every
+        primitive over row 0's rays."""
+        q = Configuration(0.0, 0.0, 0.0, 0.05, -0.1, 0.2)
+        scene = _small_bodies(np.random.default_rng(47))
+        values = render_scene_depth(scene, q, intr).values
+        dirs = _pixel_rays(intr, 0, 1, 0, intr.width) @ world_to_camera_rotation(q)
+        row = np.full((1, intr.width), np.inf)
+        for prim in scene.primitives:
+            row = np.minimum(row, prim.intersect(q.position, dirs, intr.z_near))
+        top = np.where(np.isfinite(row), np.minimum(row, intr.max_depth), intr.max_depth).astype(np.float32)
+        assert np.array_equal(values[0].view(np.uint32), top[0].view(np.uint32))
+        assert np.any(values != np.float32(intr.max_depth))
+        path = tmp_path / "depth.pfm"
+        tracemalloc.start()
+        try:
+            write_pfm(path, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e3, f"peak {peak / 1e3:.1f} KB"
+        assert np.array_equal(read_pfm(path).view(np.uint32), values.view(np.uint32))
+
+    def test_read_rejects_a_truncated_payload(self, tmp_path):
+        """The first 100 bytes of a 640x480 corridor render hold 84 payload
+        bytes: the error names those and the 1 228 800 expected."""
+        sc = load_scenario(SCENARIO_DIR / "corridor.json")
+        full, cut = tmp_path / "full.pfm", tmp_path / "cut.pfm"
+        write_pfm(full, render_scene_depth(sc.scene, Configuration(*sc.x0.p), sc.intrinsics).values)
+        cut.write_bytes(full.read_bytes()[:100])
+        with pytest.raises(ValueError, match=r"holds 84 bytes, expected 1228800 for 640x480"):
+            read_pfm(cut)
+
+    def test_read_rejects_a_size_beyond_the_file_without_reading_it(self, tmp_path):
+        """A size line claiming more than any buffer can hold is rejected
+        by what the file holds, not by an attempt to read the claim."""
+        path = tmp_path / "huge.pfm"
+        path.write_bytes(b"Pf\n999999999999 999999999999\n-1.0\n" + bytes(64))
+        with pytest.raises(ValueError, match=r"holds 64 bytes, expected 3999999999992000000000004 for"):
+            read_pfm(path)
+
+    @pytest.mark.parametrize("size", [b"640", b"640 480 1", b"0 480", b"640 -480", b"a b", b"6.5 4", b""])
+    def test_read_rejects_a_bad_size_line(self, size, tmp_path):
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(b"Pf\n" + size + b"\n-1.0\n" + bytes(64))
+        with pytest.raises(ValueError, match="size line must be two positive integers"):
             read_pfm(path)
