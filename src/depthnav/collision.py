@@ -49,14 +49,17 @@ class EscapeResult:
 def check_configuration(p, depth: DepthImage, robot: RobotModel) -> Verdict:
     """Classify a hallucinated robot position against a scene depth image.
 
-    Free requires the footprint farthest depth, seen from the image's pose
-    through the image's rotation, to be strictly less than the scene depth
-    at every covered pixel: the footprint's disc over its tight pixel box.
+    A footprint is the whole disc in view or empty; an empty one (the disc
+    leaves the image, or the sphere reaches before z_near) is OUT_OF_VIEW,
+    and nothing else about it is read. Free requires the footprint
+    farthest depth, seen from the image's pose through the image's
+    rotation, to be strictly less than the scene depth at every covered
+    pixel: the footprint's disc over its tight pixel box.
     The image answers that as one depth-bounded query
     (:meth:`DepthImage.farther_than`), which intersects only the primitives
-    that can lie in front of the farthest depth, over the box, asks the
+    that can lie in front of the farthest depth, over the box, and asks the
     footprint for its disc mask (``mask_over``) only over the rectangles it
-    casts, and caches nothing. A check that casts nothing builds no mask.
+    casts. A check that casts nothing builds no mask.
     """
     fp = render_robot_footprint(p, depth, robot)
     if not fp.fully_in_view:
@@ -92,34 +95,32 @@ def find_escape(
 ) -> EscapeResult:
     """Ring search for a free position around a colliding one.
 
-    Precondition: p_hit collides in depth. The planner calls it only with
-    the sample it has just found COLLISION in the same image, and checks
-    keep nothing between calls, so p_hit itself is not checked again.
-    Candidates are placed at k*d_l (k = 1, 2, ...) along the image's
-    camera-frame up, down, left and right directions mapped to the world
-    frame through the rotation the image holds (parallel to the image
-    plane), checked in that fixed order. A direction is abandoned once its
-    candidate leaves the field of view; the search is stuck when all four
-    are abandoned or k exceeds max_rings.
+    Precondition: p_hit collides in depth (the planner calls it only with
+    the sample it has just found COLLISION in the same image), so the
+    search starts at ring 1. Candidates are placed at k*d_l (k = 1, 2, ...)
+    along the image's camera-frame up, down, left and right directions,
+    mapped to the world frame by one product with the rotation the image
+    holds (parallel to the image plane), checked in that fixed order. A
+    direction is dropped from the live list once its candidate is
+    OUT_OF_VIEW (its footprint is empty); the search is stuck when no
+    direction is live or k exceeds max_rings.
     """
     if d_l <= 0:
         raise ValueError("d_l must be positive")
     if max_rings < 1:
         raise ValueError("max_rings must be at least 1")
     p_hit = np.asarray(p_hit, dtype=float)
-    R_sw = depth.R_ws.T
-    world_dirs = [R_sw @ d for d in _DIRECTIONS]
-    alive = [True] * len(world_dirs)
+    live = list(_DIRECTIONS @ depth.R_ws)  # camera->world: R_ws.T per direction
     for k in range(1, max_rings + 1):
-        if not any(alive):
-            break
-        for i, d in enumerate(world_dirs):
-            if not alive[i]:
-                continue
+        kept = []
+        for d in live:
             cand = p_hit + k * d_l * d
             v = check_configuration(cand, depth, robot)
             if v is Verdict.FREE:
                 return EscapeResult(cand)
-            if v is Verdict.OUT_OF_VIEW:
-                alive[i] = False
+            if v is not Verdict.OUT_OF_VIEW:
+                kept.append(d)
+        live = kept
+        if not live:
+            break
     return EscapeResult(None)

@@ -245,8 +245,10 @@ def run_mission(
         raise ValueError("initial state is in collision per the 3D oracle")
     gains = solve_gains(cfg)
     for label, w in (("l0", cfg.weights_l0), ("l1", cfg.weights_l1)):
-        res = are_residual(gains[label], w)
-        if res >= 1e-9:
+        g = gains[label]
+        res = are_residual(g, w)
+        # relative to the equation's largest term, so large valid weights pass
+        if res >= 1e-9 * max(1.0, w.qp, w.qv, g.s11, g.s12**2 / w.r, g.s22**2 / w.r):
             raise RuntimeError(f"Riccati residual {res:.3e} too large for mode {label}")
 
     state = PlannerState(appended=[(x0, np.zeros(3), Mode.GO_TO_GOAL.value)])

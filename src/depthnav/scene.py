@@ -293,6 +293,9 @@ class RobotModel:
 class RobotFootprint:
     """Conservative pixel disc of a hallucinated robot plus its farthest depth.
 
+    A footprint is either the whole disc, wholly inside the image, or
+    empty: a robot whose disc leaves the image, or whose sphere reaches
+    before z_near, has the empty box (0, 0, 0, 0) and is not in view.
     The disc is kept as its 1-D squared pixel-centre offsets from the disc
     centre, dy2 over the rows and dx2 over the columns of its tight
     half-open pixel rectangle box = (y0, y1, x0, x1), and its squared
@@ -310,9 +313,11 @@ class RobotFootprint:
     dx2: np.ndarray
     r2: float
     farthest_depth: float
-    fully_in_view: bool
-    center_pixel: tuple | None = None
-    pixel_radius: float = 0.0
+
+    @property
+    def fully_in_view(self) -> bool:
+        """Whether the disc lies wholly inside the image: its box is nonempty."""
+        return self.box[0] < self.box[1]
 
     def mask_over(self, y0, y1, x0, x1) -> np.ndarray:
         """The disc's bool mask over the pixel rectangle [y0, y1) x [x0, x1),
@@ -415,50 +420,47 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
 def render_robot_footprint(p, depth: DepthImage, robot: RobotModel) -> RobotFootprint:
     """Conservative pixel disc of the robot bounding sphere centered at p,
     seen from the pose of the depth image it is checked against, through
-    the image's own rotation (no rotation is computed per footprint).
+    the image's own rotation.
 
     The disc radius divides by (zc - rho), the nearest sphere depth, and is
     scaled by the view-ray secant so that every sphere surface point projects
     inside the disc even off-axis. farthest depth is zc + rho for all pixels.
-    The disc holds the in-image pixels whose centers lie within the radius.
-    It is kept as 1-D squared offsets, and its tight box is found from them
-    in O(rows + cols): a row holds a covered pixel exactly when its offset
-    plus the smallest column offset is within the radius (float addition is
-    monotone), and likewise a column; no mask is built here. A sub-pixel
-    disc keeps the pixel holding its center, and a sphere reaching before
-    z_near has an empty box.
+    A sphere reaching before z_near, or a disc not wholly inside the image,
+    gets the empty footprint; only a disc in view is built. It holds the
+    pixels whose centers lie within the radius, kept as 1-D squared
+    offsets, and its tight box is found from them in O(rows + cols): a row
+    holds a covered pixel exactly when its offset plus the smallest column
+    offset is within the radius (float addition is monotone), and likewise
+    a column; no mask is built here. A sub-pixel disc keeps the pixel
+    holding its center.
     """
     intr = depth.intr
     center_s = (np.asarray(p, dtype=float) - depth.q.position) @ depth.R_ws.T
     zc = float(center_s[2])
     rho = robot.rho
     far = zc + rho
+    empty = RobotFootprint((0, 0, 0, 0), np.empty(0), np.empty(0), 0.0, far)
     if zc - rho < intr.z_near:
-        return RobotFootprint((0, 0, 0, 0), np.empty(0), np.empty(0), 0.0, far, False)
-    r = project(center_s, intr)
+        return empty
+    rx, ry = project(center_s, intr)
     secant = float(np.linalg.norm(center_s)) / zc
     pr = max(intr.fsx, intr.fsy) * rho / (zc - rho) * secant
-    rx, ry = r
-    in_view = (rx - pr >= 0.0) and (rx + pr < intr.width) and (ry - pr >= 0.0) and (ry + pr < intr.height)
-    ix_lo = max(int(np.floor(rx - pr)), 0)
-    ix_hi = min(int(np.ceil(rx + pr)), intr.width - 1)
-    iy_lo = max(int(np.floor(ry - pr)), 0)
-    iy_hi = min(int(np.ceil(ry + pr)), intr.height - 1)
-    dx2 = (np.arange(ix_lo, ix_hi + 1) + 0.5 - rx) ** 2
-    dy2 = (np.arange(iy_lo, iy_hi + 1) + 0.5 - ry) ** 2
+    if not ((rx - pr >= 0.0) and (rx + pr < intr.width) and (ry - pr >= 0.0) and (ry + pr < intr.height)):
+        return empty
+    ix_lo, iy_lo = int(np.floor(rx - pr)), int(np.floor(ry - pr))
+    dx2 = (np.arange(ix_lo, int(np.ceil(rx + pr)) + 1) + 0.5 - rx) ** 2
+    dy2 = (np.arange(iy_lo, int(np.ceil(ry + pr)) + 1) + 0.5 - ry) ** 2
     r2 = pr * pr
-    rows = np.flatnonzero(dy2 + dx2.min(initial=np.inf) <= r2)  # none when the box is empty
+    rows = np.flatnonzero(dy2 + dx2.min() <= r2)
     if rows.size == 0:
         # sub-pixel disc: keep the pixel containing the center
-        cx_i = min(max(int(rx), 0), intr.width - 1)
-        cy_i = min(max(int(ry), 0), intr.height - 1)
-        box, dy2, dx2 = (cy_i, cy_i + 1, cx_i, cx_i + 1), np.zeros(1), np.zeros(1)
+        box, dy2, dx2 = (int(ry), int(ry) + 1, int(rx), int(rx) + 1), np.zeros(1), np.zeros(1)
     else:
         cols = np.flatnonzero(dx2 + dy2.min() <= r2)
         y0, y1, x0, x1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
         box = (iy_lo + y0, iy_lo + y1, ix_lo + x0, ix_lo + x1)
         dy2, dx2 = dy2[y0:y1], dx2[x0:x1]
-    return RobotFootprint(box, dy2, dx2, r2, far, bool(in_view), (rx, ry), pr)
+    return RobotFootprint(box, dy2, dx2, r2, far)
 
 
 def write_pfm(path, values: np.ndarray) -> None:

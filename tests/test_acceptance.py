@@ -232,12 +232,17 @@ def test_criterion_7_collision_check_throughput(intr, robot):
         np.array([rng.uniform(2.0, 6.0), rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.6)])
         for _ in range(2000)
     ]
-    t0 = time.perf_counter()
-    for p in positions:
-        check_configuration(p, depth, robot)
-    rate = len(positions) / (time.perf_counter() - t0)
-    ok = rate >= 1000.0
-    _report(7, ok, f"{rate:.0f} single-configuration checks/s at 640x480 (need >= 1000)")
+    # one cold pass swings about 2x between runs of the same code: report
+    # the median of five passes and hold the slowest to the bound
+    rates = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        for p in positions:
+            check_configuration(p, depth, robot)
+        rates.append(len(positions) / (time.perf_counter() - t0))
+    ok = min(rates) >= 1000.0
+    _report(7, ok, f"{statistics.median(rates):.0f} single-configuration checks/s at 640x480, median of "
+                   f"{len(rates)} passes (slowest {min(rates):.0f}, need >= 1000)")
 
 
 def test_criterion_8_planning_tick_budget(robot):

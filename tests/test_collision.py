@@ -190,7 +190,9 @@ class TestSoundness:
 def _pixel_list_footprint(p, q, robot, intr):
     """The footprint as the (N, 2) meshgrid list of (ix, iy) pixels it once
     was, with its farthest depth, whether it is fully in view, and which
-    branch built it: "near plane", "sub-pixel" or "disc"."""
+    branch built it: "near plane", "out of view", "sub-pixel" or "disc".
+    A footprint not wholly in view lists no pixel; an in-view one is built
+    with the image clamps the renderer no longer needs."""
     center_s = world_to_camera(p, q)
     zc = float(center_s[2])
     far = zc + robot.rho
@@ -200,6 +202,8 @@ def _pixel_list_footprint(p, q, robot, intr):
     secant = float(np.linalg.norm(center_s)) / zc
     pr = max(intr.fsx, intr.fsy) * robot.rho / (zc - robot.rho) * secant
     in_view = (rx - pr >= 0.0) and (rx + pr < intr.width) and (ry - pr >= 0.0) and (ry + pr < intr.height)
+    if not in_view:
+        return np.empty((0, 2), dtype=int), far, False, "out of view"
     ix_lo = max(int(np.floor(rx - pr)), 0)
     ix_hi = min(int(np.ceil(rx + pr)), intr.width - 1)
     iy_lo = max(int(np.floor(ry - pr)), 0)
@@ -210,8 +214,8 @@ def _pixel_list_footprint(p, q, robot, intr):
     if pix.shape[0] == 0:
         cx_i = min(max(int(rx), 0), intr.width - 1)
         cy_i = min(max(int(ry), 0), intr.height - 1)
-        return np.array([[cx_i, cy_i]], dtype=int), far, in_view, "sub-pixel"
-    return pix, far, in_view, "disc"
+        return np.array([[cx_i, cy_i]], dtype=int), far, True, "sub-pixel"
+    return pix, far, True, "disc"
 
 
 def _edge_sample(rng, intr, rho, zc):
@@ -242,12 +246,13 @@ class TestMaskWindow:
         box reads that list's bits from the checked image's values, and
         fp.pixels is that list in content and row-major order, at random
         6-DoF poses: discs anywhere in and around the view, discs touching
-        an image border, sub-pixel discs and spheres reaching before z_near."""
+        an image border, sub-pixel discs, and the empty footprints of discs
+        leaving the image and of spheres reaching before z_near."""
         intr = request.getfixturevalue(camera)
         rng = np.random.default_rng(77)
         robots = [RobotModel(rho) for rho in (0.002, 0.05, 0.35)]
         verdicts = {v: 0 for v in Verdict}
-        kinds = {"near plane": 0, "sub-pixel": 0, "disc": 0, "touching": 0}
+        kinds = {"near plane": 0, "out of view": 0, "sub-pixel": 0, "disc": 0, "touching": 0}
         for _ in range(12):
             q = Configuration(*rng.uniform(-3.0, 3.0, 3), *rng.uniform(-np.pi, np.pi, 3))
             prims = []
@@ -285,9 +290,9 @@ class TestMaskWindow:
                 y0, y1, x0, x1 = fp.box
                 under = depth.values[y0:y1, x0:x1][fp.mask_over(*fp.box)]
                 assert np.array_equal(under.view(np.uint32), values[pix[:, 1], pix[:, 0]].view(np.uint32))
+                assert in_view or fp.box == (0, 0, 0, 0), kind
                 verdicts[want] += 1
-                if in_view or kind == "near plane":
-                    kinds[kind] += 1
+                kinds[kind] += 1
                 kinds["touching"] += in_view and (y0 == 0 or x0 == 0 or y1 == intr.height or x1 == intr.width)
         assert all(verdicts.values()), verdicts
         assert all(kinds.values()), kinds

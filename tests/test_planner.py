@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from depthnav import (
     Box,
     GoalRegion,
     Mode,
+    ModeWeights,
     PlannerConfig,
     RobotModel,
     Scene,
@@ -15,6 +18,7 @@ from depthnav import (
     rollout,
     run_mission,
 )
+from depthnav import planner
 from depthnav.planner import (
     EVENT_PRIORITY,
     PlannerState,
@@ -169,6 +173,40 @@ class TestPoleMission:
         out = run_mission(scene, StateVec.rest([0.0, 0.0, 1.2]), GoalRegion(10.0, 0.0, 1.2),
                           PlannerConfig(), intr, robot)
         assert verify_mission(out.rows, scene, robot.rho).violation_count == 0
+
+
+class TestOffCentreCamera:
+    @pytest.mark.xfail(strict=True, reason="the blind-zone filter skips every sample (ROADMAP item 2)")
+    @pytest.mark.parametrize("res, cx", [("intr_small", 5.0), ("intr", 20.0)], ids=["intr_small", "intr"])
+    def test_executed_path_is_oracle_clean(self, request, res, cx):
+        """The corridor flown with the principal point near the left image
+        edge: the blind-zone radius, sized by the narrowest image margin, is
+        7.39 m instead of 1.21 m, so the planner checks no sample. Today the
+        mission reaches the goal at 4.6 s with no collision_predicted event
+        and 19 swept violations (min clearance -0.35 m)."""
+        intr = dataclasses.replace(request.getfixturevalue(res), cx=cx)
+        sc = load_scenario(SCENARIO_DIR / "corridor.json")
+        out = run_mission(sc.scene, sc.x0, sc.goal, sc.planner, intr, sc.robot)
+        assert verify_mission(out.rows, sc.scene, sc.robot.rho).violation_count == 0
+
+
+class TestRiccatiGate:
+    def test_large_valid_weights_reach_the_goal(self):
+        """qp = r = 1e9 solve to kp = 1 with an absolute residual of about
+        2e-7, tiny against the equation's 2e9-sized terms: the mission runs."""
+        sc = load_scenario(SCENARIO_DIR / "empty.json")
+        cfg = dataclasses.replace(sc.planner, weights_l0=ModeWeights(1e9, 3.3, 1e9))
+        out = run_mission(sc.scene, sc.x0, sc.goal, cfg, sc.intrinsics, sc.robot)
+        assert out.reached_goal
+
+    def test_perturbed_gain_raises(self, monkeypatch):
+        """A 0.1% error in s11 at the default l0 weights is still refused."""
+        sc = load_scenario(SCENARIO_DIR / "empty.json")
+        gains = solve_gains(sc.planner)
+        gains["l0"] = dataclasses.replace(gains["l0"], s11=gains["l0"].s11 * 1.001)
+        monkeypatch.setattr(planner, "solve_gains", lambda cfg: gains)
+        with pytest.raises(RuntimeError, match="Riccati residual .* mode l0"):
+            run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
 
 
 class TestStepPlanner:

@@ -605,9 +605,10 @@ def _random_primitives(rng, n):
 
 def _bitmap_footprint(p, q, robot, intr):
     """The footprint as a whole disc bitmap trimmed to its tight box, built
-    as render_robot_footprint once built it: (box, mask, farthest depth,
-    fully in view, center pixel, pixel radius). The reference for the
-    disc kept as 1-D offsets."""
+    as render_robot_footprint once built it, the in-image part of a disc
+    leaving the image included: (box, mask, farthest depth, fully in view,
+    center pixel, pixel radius). The reference for the disc kept as 1-D
+    offsets."""
     center_s = world_to_camera(p, q)
     zc = float(center_s[2])
     rho = robot.rho
@@ -639,12 +640,13 @@ def _bitmap_footprint(p, q, robot, intr):
 
 
 def _footprint_sweep(intr, seed, n):
-    """Seeded footprints at random 6-DoF poses, each with its bitmap
-    reference and its kind: centred, in view, border-clipped (its box on an
-    image border, partly out of view), off image, sub-pixel or before
-    z_near. The centre is drawn in pixel coordinates up to a third of the
-    frame beyond each border, or on the principal point, at a random depth,
-    and each robot is drawn from radii of 2 mm to 1 m."""
+    """Seeded footprints at random 6-DoF poses, each with its verdict in
+    an empty scene, its bitmap reference and its kind: centred, in view,
+    border-clipped (its bitmap box on an image border, partly out of
+    view), off image, sub-pixel or before z_near. The centre is drawn in
+    pixel coordinates up to a third of the frame beyond each border, or on
+    the principal point, at a random depth, and each robot is drawn from
+    radii of 2 mm to 1 m."""
     rng = np.random.default_rng(seed)
     for _ in range(n):
         q = _random_pose(rng)
@@ -671,18 +673,25 @@ def _footprint_sweep(intr, seed, n):
             kind = "border-clipped"
         else:
             kind = "other"
-        yield render_robot_footprint(p, depth, robot), ref, kind, rng
+        yield render_robot_footprint(p, depth, robot), collision.check_configuration(p, depth, robot), ref, kind, rng
 
 
 class TestRobotFootprint:
     def test_on_axis_sphere(self, intr):
+        """An on-axis sphere's disc is centred on the principal point, with
+        the documented radius fsx * rho / (zc - rho) (secant 1 on axis)."""
         robot = RobotModel(rho=0.3)
         p = camera_to_world([0.0, 0.0, 3.0], Q0)
         fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
         assert fp.fully_in_view
         assert fp.farthest_depth == pytest.approx(3.3)
-        assert fp.center_pixel == pytest.approx((intr.cx, intr.cy))
+        assert project(world_to_camera(p, Q0), intr) == pytest.approx((intr.cx, intr.cy))
+        pr = intr.fsx * robot.rho / (3.0 - robot.rho)
+        assert fp.r2 == pytest.approx(pr * pr)
         assert fp.pixels.shape[0] > 0
+        centres = fp.pixels + 0.5
+        assert centres.mean(axis=0) == pytest.approx((intr.cx, intr.cy))
+        assert np.all(np.hypot(*(centres - (intr.cx, intr.cy)).T) <= pr)
 
     def test_near_plane_violation(self, intr):
         robot = RobotModel(rho=0.3)
@@ -707,6 +716,12 @@ class TestRobotFootprint:
             p = camera_to_world(center_s, Q0)
             fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
             assert fp.fully_in_view
+            # the documented disc: centred on the projection, radius scaled
+            # by the view-ray secant, and the footprint's own squared radius
+            center = project(center_s, intr)
+            zc = center_s[2]
+            pr = max(intr.fsx, intr.fsy) * robot.rho / (zc - robot.rho) * np.linalg.norm(center_s) / zc
+            assert fp.r2 == pytest.approx(pr * pr)
             surface = np.asarray(center_s) + robot.rho * dirs
             zs = surface[:, 2]
             # farthest-depth correctness: bound holds, tight at the far pole
@@ -716,24 +731,30 @@ class TestRobotFootprint:
             visible = surface[zs >= intr.z_near]
             rx = intr.fsx * visible[:, 0] / visible[:, 2] + intr.cx
             ry = intr.fsy * visible[:, 1] / visible[:, 2] + intr.cy
-            dist = np.hypot(rx - fp.center_pixel[0], ry - fp.center_pixel[1])
-            assert np.all(dist <= fp.pixel_radius + 1e-9)
+            dist = np.hypot(rx - center[0], ry - center[1])
+            assert np.all(dist <= pr + 1e-9)
 
     @pytest.mark.parametrize("camera", ["intr_small", "intr"])
     def test_disc_equals_the_trimmed_bitmap(self, camera, request):
-        """The disc kept as 1-D offsets has the box and, bit for bit, the
-        mask of the whole disc bitmap trimmed to its tight box, and the
-        same depth, view flag, centre and radius, over a seeded sweep of
+        """A disc wholly in view, kept as 1-D offsets, has the box and, bit
+        for bit, the mask of the whole disc bitmap trimmed to its tight box,
+        and the same depth and squared radius; any other footprint is empty
+        and OUT_OF_VIEW, with the same depth. Over a seeded sweep of
         centred, in-view, border-clipped, off-image, sub-pixel and
         before-z_near footprints."""
         intr = request.getfixturevalue(camera)
         kinds = {}
-        for fp, (box, mask, far, in_view, center, pr), kind, _ in _footprint_sweep(intr, 83, 600):
-            assert fp.box == box, kind
-            assert fp.mask_over(*fp.box).shape == mask.shape and np.array_equal(fp.mask_over(*fp.box), mask), kind
-            assert (fp.farthest_depth, fp.fully_in_view, fp.center_pixel, fp.pixel_radius) == (far, in_view, center, pr)
-            iy, ix = np.nonzero(mask)
-            assert np.array_equal(fp.pixels, np.stack([ix + box[2], iy + box[0]], axis=-1))
+        for fp, verdict, (box, mask, far, in_view, center, pr), kind, _ in _footprint_sweep(intr, 83, 600):
+            assert (fp.farthest_depth, fp.fully_in_view) == (far, in_view), kind
+            if in_view:
+                assert fp.box == box, kind
+                assert fp.mask_over(*fp.box).shape == mask.shape and np.array_equal(fp.mask_over(*fp.box), mask), kind
+                assert fp.r2 == pr * pr, kind
+                iy, ix = np.nonzero(mask)
+                assert np.array_equal(fp.pixels, np.stack([ix + box[2], iy + box[0]], axis=-1))
+            else:
+                assert fp.box == (0, 0, 0, 0) and fp.pixels.shape == (0, 2), kind
+                assert verdict is collision.Verdict.OUT_OF_VIEW, kind
             kinds[kind] = kinds.get(kind, 0) + 1
         assert set(kinds) >= {"centred", "in view", "border-clipped", "off image", "sub-pixel", "near plane"}, kinds
 
@@ -742,7 +763,7 @@ class TestRobotFootprint:
         that rectangle's slice of the whole disc mask, single pixels, rows,
         columns and the whole box included."""
         rects = 0
-        for fp, _, kind, rng in _footprint_sweep(intr, 89, 300):
+        for fp, _, _, kind, rng in _footprint_sweep(intr, 89, 400):
             y0, y1, x0, x1 = fp.box
             if y0 == y1:
                 continue
