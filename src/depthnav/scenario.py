@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .frames import CameraIntrinsics
 from .lqr import ModeWeights, StateVec
 from .planner import GoalRegion, PlannerConfig
@@ -73,6 +71,12 @@ def _build(path: str, make, *args, **kwargs):
         raise ScenarioError(f"invalid {path}.{e}") from e
 
 
+def _within(p_lo, p_hi, lo, hi) -> bool:
+    """Whether the box [p_lo, p_hi] lies within the box [lo, hi], given as
+    lists of floats."""
+    return all(a <= b for a, b in zip(lo, p_lo)) and all(a <= b for a, b in zip(p_hi, hi))
+
+
 def parse_scenario(data: dict) -> ScenarioConfig:
     """Map a parsed scenario dict onto the library types, which validate
     their own fields; raises ScenarioError naming the offending field, and
@@ -106,7 +110,7 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     bounds = _build(
         "world_bounds", Box, _get(bounds_d, "min", "world_bounds"), _get(bounds_d, "max", "world_bounds")
     )
-    lo, hi = bounds.bounds()
+    lo, hi = bounds.min, bounds.max
 
     scene_d = data.get("scene", [])
     if not isinstance(scene_d, list):
@@ -120,12 +124,12 @@ def parse_scenario(data: dict) -> ScenarioConfig:
         make, keys = _PRIMITIVES[kind]
         _object(pd, path, ("type", *keys))
         prim = _build(path, make, *(_get(pd, k, path) for k in keys))
-        p_lo, p_hi = prim.bounds()
-        if not (np.all(p_lo >= lo) and np.all(p_hi <= hi)):
+        if not _within(*(b.tolist() for b in prim.bounds()), lo, hi):
             raise ScenarioError(f"{path} lies outside world_bounds")
         prims.append(prim)
 
-    if not (np.all(x0.p >= lo) and np.all(x0.p <= hi)):
+    p = x0.p.tolist()
+    if not _within(p, p, lo, hi):
         raise ScenarioError("invalid start.p: outside world_bounds")
 
     return ScenarioConfig(

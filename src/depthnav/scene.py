@@ -9,6 +9,7 @@ ray length. Pixels with no hit hold exactly max_depth.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,8 @@ __all__ = [
 # intersect(origin, dirs, z_near), the per-ray depth of the nearest surface
 # crossing at or beyond z_near (inf where none, never NaN) over the rays of
 # one cast pixel rectangle, each with unit camera-z; bounds(), the
-# world-frame AABB as (lo, hi).
+# world-frame AABB as (lo, hi); ball(), a world-frame ball holding the
+# primitive, as (centre, radius).
 
 
 @dataclass(frozen=True)
@@ -52,18 +54,24 @@ class Box:
 
     def __post_init__(self):
         coerce(self, point, "min", "max")
-        if not np.all(np.asarray(self.min) < self.max):
+        if not all(lo < hi for lo, hi in zip(self.min, self.max)):
             raise ValueError("min: must be strictly below max")
 
+    @functools.cached_property
+    def _lo(self) -> np.ndarray:
+        return np.asarray(self.min, float)
+
+    @functools.cached_property
+    def _hi(self) -> np.ndarray:
+        return np.asarray(self.max, float)
+
     def distance(self, p) -> float:
-        lo = np.asarray(self.min, float)
-        hi = np.asarray(self.max, float)
-        closest = np.clip(np.asarray(p, float), lo, hi)
+        closest = np.clip(np.asarray(p, float), self._lo, self._hi)
         return float(np.linalg.norm(closest - p))
 
     def intersect(self, origin, dirs, z_near) -> np.ndarray:
-        lo = np.asarray(self.min, float) - origin
-        hi = np.asarray(self.max, float) - origin
+        lo = self._lo - origin
+        hi = self._hi - origin
         # one slab at a time, folded into t_near/t_far in axis order;
         # 0 * inf slab degeneracies (ray origin on a slab plane) become NaN,
         # and fmax/fmin ignore NaN, matching the unbounded-slab convention
@@ -80,11 +88,18 @@ class Box:
                     np.fmax(t_near, slab_near, out=t_near)
                     np.fmin(t_far, slab_far, out=t_far)
         hit = t_near <= t_far
-        first = np.where(t_near >= z_near, t_near, t_far)
-        return np.where(hit & (first >= z_near), first, np.inf)
+        # the first crossing at or beyond z_near: t_near, else t_far
+        first = t_far
+        np.copyto(first, t_near, where=t_near >= z_near)
+        hit &= first >= z_near
+        np.copyto(first, np.inf, where=np.logical_not(hit, out=hit))
+        return first
 
     def bounds(self):
         return np.asarray(self.min), np.asarray(self.max)
+
+    def ball(self):
+        return 0.5 * (self._lo + self._hi), 0.5 * math.dist(self.min, self.max)
 
 
 @dataclass(frozen=True)
@@ -98,26 +113,47 @@ class Sphere:
         coerce(self, point, "center")
         coerce(self, real, "radius", positive=True)
 
+    @functools.cached_property
+    def _center(self) -> np.ndarray:
+        return np.asarray(self.center, float)
+
     def distance(self, p) -> float:
-        d = float(np.linalg.norm(np.asarray(p, float) - np.asarray(self.center, float)))
+        d = float(np.linalg.norm(np.asarray(p, float) - self._center))
         return max(d - self.radius, 0.0)
 
     def intersect(self, origin, dirs, z_near) -> np.ndarray:
-        c = np.asarray(self.center, float)
-        oc = origin - c
+        oc = origin - self._center
         dir_sq = np.einsum("...i,...i->...", dirs, dirs)
-        b = 2.0 * (dirs @ oc)
+        b = dirs @ oc
+        b *= 2.0
         cc = float(oc @ oc) - self.radius**2
-        disc = b * b - 4.0 * dir_sq * cc
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        t1 = (-b - sq) / (2.0 * dir_sq)
-        t2 = (-b + sq) / (2.0 * dir_sq)
-        first = np.where(t1 >= z_near, t1, t2)
-        return np.where((disc >= 0.0) & (first >= z_near), first, np.inf)
+        two_a = np.multiply(dir_sq, 2.0, out=dir_sq)
+        # disc = b * b - 4.0 * dir_sq * cc, where 4.0 * dir_sq = 2.0 * two_a exactly
+        disc = np.multiply(two_a, 2.0)
+        disc *= cc
+        bb = np.multiply(b, b)
+        np.subtract(bb, disc, out=disc)
+        sq = np.maximum(disc, 0.0)
+        np.sqrt(sq, out=sq)
+        # t1 = (-b - sq) / two_a and t2 = (-b + sq) / two_a
+        neg_b = np.negative(b, out=b)
+        t1 = np.subtract(neg_b, sq, out=bb)
+        t1 /= two_a
+        t2 = np.add(neg_b, sq, out=neg_b)
+        t2 /= two_a
+        # the first crossing at or beyond z_near: t1, else t2
+        first = t2
+        np.copyto(first, t1, where=t1 >= z_near)
+        hit = disc >= 0.0
+        hit &= first >= z_near
+        np.copyto(first, np.inf, where=np.logical_not(hit, out=hit))
+        return first
 
     def bounds(self):
-        c = np.asarray(self.center)
-        return c - self.radius, c + self.radius
+        return self._center - self.radius, self._center + self.radius
+
+    def ball(self):
+        return self._center, self.radius
 
 
 @dataclass(frozen=True)
@@ -178,6 +214,9 @@ class Wall:
         corners = [p0 + su * hu * u + sv * hv * v for su in (-1, 1) for sv in (-1, 1)]
         return np.min(corners, axis=0), np.max(corners, axis=0)
 
+    def ball(self):
+        return np.asarray(self.point, float), math.hypot(*self.half_extents)
+
 
 @dataclass(frozen=True)
 class Scene:
@@ -186,11 +225,15 @@ class Scene:
     primitives: tuple = ()
 
     @functools.cached_property
-    def _corners(self) -> np.ndarray:
-        """The world-frame corners of every primitive's bounds() box, (P, 8, 3),
-        stacked once per scene for :func:`_pixel_boxes`."""
+    def _points(self) -> tuple:
+        """The world-frame corners of every primitive's bounds() box followed
+        by its ball() centre, (P, 9, 3), and its ball radius, (P,), stacked
+        once per scene for :func:`_pixel_boxes`."""
         bounds = np.array([prim.bounds() for prim in self.primitives], float).reshape(-1, 2, 3)
-        return np.where(_CORNERS, bounds[:, 1:], bounds[:, :1])
+        balls = [prim.ball() for prim in self.primitives]
+        centres = np.array([c for c, _ in balls], float).reshape(-1, 1, 3)
+        corners = np.where(_CORNERS, bounds[:, 1:], bounds[:, :1])
+        return np.concatenate([corners, centres], axis=1), np.array([r for _, r in balls], float)
 
 
 # How far a primitive's near depth may lie beyond a queried depth and the
@@ -207,11 +250,15 @@ class DepthImage:
     Nothing is cast on construction, and nothing a query casts is kept:
     :meth:`farther_than` intersects only the primitives near enough to
     decide it, over its own rectangle, and ``values`` is one full cast,
-    made on first read. No ray grid is kept, per image or per camera: each
-    cast builds the rays of its own rectangle (:func:`_pixel_rays`). R_ws
-    is the rotation taking world coordinates into the image's camera
-    frame, computed once per image: the rays, the pixel boxes and the
-    footprints checked against the image all use it.
+    made on first read. Each primitive is cast only over its pixel box,
+    bounded by its bounds() box and, wholly beyond z_near, by its ball's
+    silhouette (:func:`_pixel_boxes`), and a rectangle of more than
+    _BAND_RAYS rays is cast in row bands (:func:`_bands`). No ray grid is
+    kept: each cast slices the rays of its own rectangle from the image's
+    1-D column and row offsets (:func:`_pixel_rays`). R_ws is the rotation
+    taking world coordinates into the image's camera frame, computed once
+    per image: the rays, the pixel boxes and the footprints checked
+    against the image all use it.
 
     ``values`` is stored in PFM row order, bottom row first, and read top
     row first through a reversed view, so :func:`write_pfm` writes its
@@ -231,11 +278,11 @@ class DepthImage:
         values = np.full((intr.height, intr.width), intr.max_depth, np.float32)[::-1]
         boxes, _ = self._boxes
         for prim, (y0, y1, x0, x1) in zip(self._scene.primitives, boxes):
-            if y0 < y1 and x0 < x1:
+            for a0, a1 in _bands(y0, y1, x0, x1):
                 # float32 rounding is monotone, so rounding each float64 minimum
                 # gives the bits of rounding the minimum over all primitives
-                view = values[y0:y1, x0:x1]
-                np.minimum(view, self._hits(prim, y0, y1, x0, x1), out=view, casting="same_kind")
+                view = values[a0:a1, x0:x1]
+                np.minimum(view, self._hits(prim, a0, a1, x0, x1), out=view, casting="same_kind")
         return values
 
     def farther_than(self, box, mask_over, z) -> bool:
@@ -250,8 +297,9 @@ class DepthImage:
         A pixel with no hit holds max_depth, so z at or beyond it is never
         exceeded. A primitive whose near depth lies more than _NEAR_MARGIN
         beyond z cannot hit in front of z and is skipped; each other one is
-        intersected over the rectangle inside its pixel box, and the first
-        that reaches z decides."""
+        intersected over the rectangle inside its pixel box, one row band
+        at a time (:func:`_bands`), and the first band that reaches z
+        decides."""
         intr = self.intr
         if not z < np.float32(intr.max_depth):
             return False
@@ -259,23 +307,28 @@ class DepthImage:
         reach = z + _NEAR_MARGIN
         boxes, nears = self._boxes
         for prim, (by0, by1, bx0, bx1), near in zip(self._scene.primitives, boxes, nears):
-            a0, a1, b0, b1 = max(y0, by0), min(y1, by1), max(x0, bx0), min(x1, bx1)
-            if near > reach or a0 >= a1 or b0 >= b1:
+            if near > reach:
                 continue
-            # clamped in float64 before rounding, as the cast rounds each
-            # minimum: the same float32 bits, and no overflow past float32
-            hit = np.minimum(self._hits(prim, a0, a1, b0, b1)[mask_over(a0, a1, b0, b1)], intr.max_depth)
-            if not np.all(z < hit.astype(np.float32)):
-                return False
+            b0, b1 = max(x0, bx0), min(x1, bx1)
+            for a0, a1 in _bands(max(y0, by0), min(y1, by1), b0, b1):
+                # clamped in float64 before rounding, as the cast rounds each
+                # minimum: the same float32 bits, and no overflow past float32
+                hit = np.minimum(self._hits(prim, a0, a1, b0, b1)[mask_over(a0, a1, b0, b1)], intr.max_depth)
+                if not np.all(z < hit.astype(np.float32)):
+                    return False
         return True
 
     @functools.cached_property
     def _boxes(self) -> tuple:
         return _pixel_boxes(self._scene, self.q.position, self.R_ws, self.intr)
 
+    @functools.cached_property
+    def _offsets(self) -> tuple:
+        return _ray_offsets(self.intr)
+
     def _hits(self, prim, y0, y1, x0, x1) -> np.ndarray:
         """prim's float64 depth along the rays of a pixel rectangle."""
-        dirs = _pixel_rays(self.intr, y0, y1, x0, x1) @ self.R_ws  # camera->world: R_ws.T per ray
+        dirs = _pixel_rays(self._offsets, y0, y1, x0, x1) @ self.R_ws  # camera->world: R_ws.T per ray
         return prim.intersect(self.q.position, dirs, self.intr.z_near)
 
 
@@ -332,17 +385,43 @@ class RobotFootprint:
         return np.stack([ix + self.box[2], iy + self.box[0]], axis=-1)
 
 
-def _pixel_rays(intr: CameraIntrinsics, y0, y1, x0, x1) -> np.ndarray:
+def _ray_offsets(intr: CameraIntrinsics) -> tuple:
+    """The 1-D camera-frame offsets of the pixel-centre rays: x over the
+    columns and y over the rows of the frame."""
+    cols = (np.arange(intr.width) + 0.5 - intr.cx) / intr.fsx
+    rows = (np.arange(intr.height) + 0.5 - intr.cy) / intr.fsy
+    return cols, rows
+
+
+def _pixel_rays(offsets, y0, y1, x0, x1) -> np.ndarray:
     """Camera-frame ray directions through the pixel centers of the
-    half-open rectangle [y0, y1) x [x0, x1), unit z component, built for
-    that rectangle alone from its 1-D column and row offsets: each element
-    is the value a whole-frame grid would hold at that pixel, and no grid
-    is kept per camera."""
+    half-open rectangle [y0, y1) x [x0, x1), unit z component, sliced from
+    the 1-D offsets of :func:`_ray_offsets`: each element is the value a
+    whole-frame grid would hold at that pixel, and no grid is kept."""
+    cols, rows = offsets
     rays = np.empty((y1 - y0, x1 - x0, 3))
-    rays[..., 0] = (np.arange(x0, x1) + 0.5 - intr.cx) / intr.fsx
-    rays[..., 1] = ((np.arange(y0, y1) + 0.5 - intr.cy) / intr.fsy)[:, None]
+    rays[..., 0] = cols[x0:x1]
+    rays[..., 1] = rows[y0:y1, None]
     rays[..., 2] = 1.0
     return rays
+
+
+# The most rays one cast takes: a larger rectangle is cast in row bands of
+# at most this many rays (one row at least), so its rays, their world
+# directions (192 KB each) and its per-ray temporaries (64 KB) are small
+# enough for malloc to reuse from the heap; a whole 640x480 frame cast at
+# once maps fresh pages and page-faults them in on every cast
+_BAND_RAYS = 8192
+
+
+def _bands(y0, y1, x0, x1):
+    """The row bands [a0, a1) in which the pixel rectangle [y0, y1) x
+    [x0, x1) is cast, top to bottom, each of at most _BAND_RAYS rays or one
+    row; none when the rectangle is empty."""
+    if x0 < x1:
+        step = max(_BAND_RAYS // (x1 - x0), 1)
+        for a0 in range(y0, y1, step):
+            yield a0, min(a0 + step, y1)
 
 
 # the 8 corners of an axis-aligned box, as a choice of lo (False) or hi (True) per axis
@@ -354,20 +433,29 @@ _EDGES = np.array([(i, i | b) for i in range(8) for b in (1, 2, 4) if not i & b]
 _SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 _PADS = np.array([-1.0, 2.0, -1.0, 2.0])
 _CLAMP_LO = np.array([0.0, -np.inf, 0.0, -np.inf])
+# the tangent root of each of (v_min, -v_max, u_min, -u_max): -sqrt or +sqrt
+_ROOTS = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
 def _pixel_boxes(scene: Scene, origin, R_ws, intr: CameraIntrinsics) -> tuple:
     """Half-open pixel rectangles (y0, y1, x0, x1), one per primitive, each
-    holding every pixel whose ray can meet it at depth >= z_near: the
-    projection of its bounds() box clipped at z = z_near, padded by a pixel
-    for rounding; empty when the whole box lies before z_near. A box that
-    straddles z_near projects its corners at or beyond z_near and the points
-    where its edges cross z_near: the vertices of the clipped box, which
-    holds every such hit. Also each primitive's near depth, the smallest
-    camera z of those vertices, below which it has no hit (inf when the
-    box is empty). All primitives are boxed in one array pass over the
-    scene's stacked corners."""
-    cam = (scene._corners - origin) @ R_ws.T  # (P, 8, 3)
+    holding every pixel whose ray can meet it at depth >= z_near, padded by
+    a pixel for rounding; empty when the whole bounds() box lies before
+    z_near. A rectangle bounds the projection of the bounds() box clipped
+    at z = z_near: a box that straddles z_near projects its corners at or
+    beyond z_near and the points where its edges cross z_near, the vertices
+    of the clipped box, which holds every such hit. Where the primitive's
+    ball() lies wholly beyond z_near, the rectangle is also bounded by the
+    ball's silhouette, whose extremes are exact in closed form. Also each
+    primitive's near depth, below which it has no hit: the smallest camera
+    z of those vertices (inf when the box is empty), or the ball's nearest
+    depth where that lies farther. All primitives are boxed in one array
+    pass over the scene's stacked corners and balls."""
+    points, radii = scene._points
+    # one product for the corners and the centre: a stacked product gives
+    # each primitive the bits of its own
+    points = (points - origin) @ R_ws.T  # (P, 9, 3)
+    cam, ball = points[:, :8], points[:, 8]
     near = intr.z_near
     pts, keep = cam, cam[..., 2] >= near
     ends = keep[:, _EDGES]  # (P, 12, 2): each edge end at or beyond z_near
@@ -383,20 +471,35 @@ def _pixel_boxes(scene: Scene, origin, R_ws, intr: CameraIntrinsics) -> tuple:
         pts = np.concatenate([cam, cut], axis=1)
         keep = np.concatenate([keep, cross], axis=1)
     # each vertex's image coordinates as (v, -v, u, -u), so one minimum gives
-    # both extremes (negation is exact); the principal point is added after
-    # the minimum, which rounds the same because adding is monotone. Pixel
+    # both extremes (negation is exact); the principal point is added last,
+    # which rounds the same because adding is monotone. Pixel
     # ix's ray passes through u = ix + 0.5. A dropped vertex, which may lie
     # at z <= 0, is not divided and stays inf.
     fy, fx, cy, cx = intr.fsy, intr.fsx, intr.cy - 0.5, intr.cx - 0.5
     ext = np.full(keep.shape + (4,), np.inf)
     np.divide(pts[..., [1, 1, 0, 0]] * (fy, -fy, fx, -fx), pts[..., 2:], out=ext, where=keep[..., None])
-    ext = ext.min(axis=1) + (cy, -cy, cx, -cx)
+    ext = ext.min(axis=1)
+    nears = np.where(keep, pts[..., 2], np.inf).min(axis=1)
+    # a ball (x, y, z) of radius r wholly beyond z_near: x / z over it spans
+    # the two tangent planes through the camera centre,
+    # u = (x z -+ r sqrt(x^2 + z^2 - r^2)) / (z^2 - r^2), and y / z likewise;
+    # the tighter of each extreme is kept, as a maximum of (v_min, -v_max,
+    # u_min, -u_max)
+    ball_near = ball[:, 2] - radii
+    beyond = ball_near > near
+    if beyond.any():
+        c, r = ball[beyond], radii[beyond, None]
+        xy, z = c[:, [1, 1, 0, 0]], c[:, 2:]
+        d = z * z - r * r
+        tangent = (xy * z + r * np.sqrt(xy * xy + d) * _ROOTS) * (fy, -fy, fx, -fx) / d
+        ext[beyond] = np.maximum(ext[beyond], tangent)
+        np.maximum(nears, ball_near, out=nears)
+    ext += (cy, -cy, cx, -cx)
     # floor(v_min) - 1 and ceil(v_max) + 2 = 2 - floor(-v_max), likewise for u
     boxes = np.floor(ext, out=ext) * _SIGNS + _PADS  # (y0, y1, x0, x1)
     np.maximum(boxes, _CLAMP_LO, out=boxes)
     np.minimum(boxes, (np.inf, intr.height, np.inf, intr.width), out=boxes)
     boxes[np.isinf(boxes[:, 0])] = 0  # nothing kept: wholly before z_near
-    nears = np.where(keep, pts[..., 2], np.inf).min(axis=1)
     return list(map(tuple, boxes.astype(int).tolist())), nears.tolist()
 
 
@@ -406,13 +509,15 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
     Depth is the smallest camera-frame z >= z_near over all primitive
     intersections along each pixel ray, clamped to max_depth; max_depth
     where nothing is hit. Each primitive is intersected only with the rays
-    of its pixel box (:func:`_pixel_boxes`, its bounds clipped at the near
-    plane), so a primitive the camera is passing casts only the frame edge
-    it reaches, with the same bits as an unculled cast. A depth-bounded
-    query (:meth:`DepthImage.farther_than`) further skips every primitive
-    whose near depth lies beyond its depth and casts only its own
-    rectangle; ``values`` casts the whole frame once.
-    Deterministic.
+    of its pixel box (:func:`_pixel_boxes`: its bounds clipped at the near
+    plane, and the silhouette of its bounding ball where that lies wholly
+    beyond the near plane), so a primitive the camera is passing casts only
+    the frame edge it reaches and a sphere only the rays near its disc,
+    with the same bits as an unculled cast. A depth-bounded query
+    (:meth:`DepthImage.farther_than`) further skips every primitive whose
+    near depth lies beyond its depth and casts only its own rectangle,
+    stopping at the first row band that decides; ``values`` casts the whole
+    frame once. Deterministic.
     """
     return DepthImage(scene, q, intr)
 

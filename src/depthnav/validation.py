@@ -51,7 +51,13 @@ def vector(name: str, value, n: int = 3, positive: bool = False) -> np.ndarray:
 
 
 def point(name: str, value, n: int = 3, positive: bool = False) -> tuple:
-    """``vector`` as a tuple of floats, for frozen, hashable primitives."""
+    """``vector`` as a tuple of floats, for frozen, hashable primitives. A
+    list or tuple of n finite floats (positive where asked), as a parsed
+    scenario gives, is taken as it is, without an array."""
+    if type(value) in (list, tuple) and len(value) == n and all(
+        type(v) is float and math.isfinite(v) and (v > 0.0 or not positive) for v in value
+    ):
+        return tuple(value)
     return tuple(vector(name, value, n, positive).tolist())
 
 

@@ -24,7 +24,7 @@ from depthnav import (
 from depthnav import collision
 from depthnav.frames import world_to_camera_rotation
 from depthnav.oracle import brute_force_collision
-from depthnav.scene import _pixel_rays
+from depthnav.scene import _pixel_rays, _ray_offsets
 
 Q0 = Configuration(0.0, 0.0, 0.0)
 
@@ -348,7 +348,7 @@ class TestBoundedCheck:
         p = camera_to_world([0.0, 0.0, 3.0], Q0)
         fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
         y0, y1, x0, x1 = fp.box
-        dirs = _pixel_rays(intr, y0, y1, x0, x1) @ world_to_camera_rotation(Q0)
+        dirs = _pixel_rays(_ray_offsets(intr), y0, y1, x0, x1) @ world_to_camera_rotation(Q0)
         t = floor.intersect(Q0.position, dirs, intr.z_near)[fp.mask_over(*fp.box)]
         assert np.any(np.isfinite(t) & (t > np.finfo(np.float32).max))
         depth = render_scene_depth(Scene((floor,)), Q0, intr)

@@ -23,7 +23,16 @@ from depthnav import (
     write_pfm,
 )
 from depthnav import collision, frames, planner
-from depthnav.scene import _CORNERS, _EDGES, RobotFootprint, RobotModel, _pixel_boxes, _pixel_rays
+from depthnav.scene import (
+    _BAND_RAYS,
+    _CORNERS,
+    _EDGES,
+    RobotFootprint,
+    RobotModel,
+    _pixel_boxes,
+    _pixel_rays,
+    _ray_offsets,
+)
 from depthnav.frames import world_to_camera_rotation
 
 from conftest import SCENARIO_DIR, CountingBox
@@ -181,7 +190,7 @@ class TestRenderSceneDepth:
 def _frame_rays(intr):
     """The camera-frame rays of the whole frame, one rectangle of the
     image's size."""
-    return _pixel_rays(intr, 0, intr.height, 0, intr.width)
+    return _pixel_rays(_ray_offsets(intr), 0, intr.height, 0, intr.width)
 
 
 def _reference_depth(scene, q, intr):
@@ -241,12 +250,17 @@ def _random_pose(rng):
     return Configuration(*rng.uniform(-3.0, 3.0, 3), *rng.uniform(-np.pi, np.pi, 3))
 
 
-def _pixel_box(prim, origin, R_ws, intr):
+def _pixel_box(prim, origin, R_ws, intr, ball=True):
     """One primitive's pixel box and near depth, computed on its own: the
     reference for _pixel_boxes, which boxes every primitive of an image in
-    one pass."""
+    one pass. The projection of its bounds() box clipped at z_near, bounded
+    further (unless ball is False) by the silhouette of its ball() where the
+    ball lies wholly beyond z_near, each extreme taken as the tighter of the
+    two."""
     lo, hi = prim.bounds()
-    cam = (np.where(_CORNERS, hi, lo) - origin) @ R_ws.T
+    centre, r = prim.ball()
+    points = (np.concatenate([np.where(_CORNERS, hi, lo), [centre]]) - origin) @ R_ws.T
+    cam, (xc, yc, zc) = points[:8], points[8].tolist()
     z = cam[:, 2]
     z_min, z_max = z.min(), z.max()
     if z_max < intr.z_near:
@@ -260,15 +274,26 @@ def _pixel_box(prim, origin, R_ws, intr):
         cut[:, 2] = intr.z_near
         cam = np.concatenate([cam[z >= intr.z_near], cut])
         z = cam[:, 2]
-    u = intr.fsx * cam[:, 0] / z + (intr.cx - 0.5)
-    v = intr.fsy * cam[:, 1] / z + (intr.cy - 0.5)
+    u = intr.fsx * cam[:, 0] / z
+    v = intr.fsy * cam[:, 1] / z
+    u_min, u_max, v_min, v_max, near = u.min(), u.max(), v.min(), v.max(), float(z.min())
+    if ball and zc - r > intr.z_near:
+        # the tangent planes through the camera centre bound x / z and y / z
+        d = zc * zc - r * r
+        su, sv = math.sqrt(xc * xc + d), math.sqrt(yc * yc + d)
+        u_min = max(u_min, intr.fsx * (xc * zc - r * su) / d)
+        u_max = min(u_max, intr.fsx * (xc * zc + r * su) / d)
+        v_min = max(v_min, intr.fsy * (yc * zc - r * sv) / d)
+        v_max = min(v_max, intr.fsy * (yc * zc + r * sv) / d)
+        near = max(near, zc - r)
+    cu, cv = intr.cx - 0.5, intr.cy - 0.5
     box = (
-        max(math.floor(v.min()) - 1, 0),
-        min(math.ceil(v.max()) + 2, intr.height),
-        max(math.floor(u.min()) - 1, 0),
-        min(math.ceil(u.max()) + 2, intr.width),
+        max(math.floor(v_min + cv) - 1, 0),
+        min(math.ceil(v_max + cv) + 2, intr.height),
+        max(math.floor(u_min + cu) - 1, 0),
+        min(math.ceil(u_max + cu) + 2, intr.width),
     )
-    return box, float(z.min())
+    return box, near
 
 
 def _box_kind(box, prim, q, intr):
@@ -478,8 +503,8 @@ class TestOnDemandCast:
         """A depth-bounded query intersects no primitive whose near depth
         lies beyond its reach, intersects the others only over its
         rectangle inside their pixel boxes, stops at the first primitive in
-        front of its depth and keeps nothing; values is one full cast, and a
-        second read casts nothing."""
+        front of its depth and keeps nothing; values is one full cast, in
+        row bands, and a second read casts nothing."""
         wall = CountingBox((3.0, -5.0, -5.0), (4.0, 5.0, 5.0))  # fills the view at 3 m
         post = CountingBox((1.5, -0.2, -0.2), (1.6, 0.2, 0.2))  # a small box nearer, at the centre
         depth = render_scene_depth(Scene((wall, post)), Q0, intr_small)
@@ -501,10 +526,132 @@ class TestOnDemandCast:
         assert wall.calls == [3 * 6, 10 * 30, 3 * 6]
         del wall.calls[:], post.calls[:]
         depth.values
-        assert wall.calls == [intr_small.width * intr_small.height]
+        # the whole-frame wall in row bands of at most _BAND_RAYS rays
+        rows = _BAND_RAYS // intr_small.width
+        bands = [rows] * (intr_small.height // rows) + [intr_small.height % rows]
+        assert wall.calls == [n * intr_small.width for n in bands if n]
+        assert sum(wall.calls) == intr_small.width * intr_small.height and len(wall.calls) > 1
         assert post.calls == [(y1 - y0) * (x1 - x0)]
+        calls = len(wall.calls), len(post.calls)
         depth.values
-        assert len(wall.calls) == len(post.calls) == 1
+        assert (len(wall.calls), len(post.calls)) == calls
+
+    def test_large_rectangles_are_cast_in_row_bands(self, intr_small):
+        """A rectangle of more than _BAND_RAYS rays is cast in row bands of
+        at most that many rays, top to bottom: a depth-bounded query stops
+        at the first band that decides, and casts every band when none
+        does. Over seeded scenes and masks, banded queries give the verdict
+        read from a cast of every primitive over every ray."""
+        h, w = intr_small.height, intr_small.width
+        rows = _BAND_RAYS // w
+        assert rows * w <= _BAND_RAYS < h * w
+        wall = CountingBox((3.0, -5.0, -5.0), (4.0, 5.0, 5.0))  # fills the view at 3 m
+        depth = render_scene_depth(Scene((wall,)), Q0, intr_small)
+        frame = (0, h, 0, w)
+        everywhere = _mask_over(frame, np.ones((h, w), bool))
+        assert not depth.farther_than(frame, everywhere, 3.5)
+        assert wall.calls == [rows * w]  # the first band decides
+        del wall.calls[:]
+        assert depth.farther_than(frame, everywhere, 2.9995)  # within reach of the wall, never beyond it
+        assert wall.calls == [min(rows, h - a) * w for a in range(0, h, rows)]
+
+        rng = np.random.default_rng(71)
+        answers = {True: 0, False: 0}
+        for _ in range(12):
+            q = _random_pose(rng)
+            scene = _camera_frame_scene(rng, q, intr_small, int(rng.integers(4, 10)))
+            ref = _reference_depth(scene, q, intr_small)
+            depth = render_scene_depth(scene, q, intr_small)
+            for _ in range(4):
+                y0 = int(rng.integers(0, h - rows - 1))
+                box = (y0, int(rng.integers(y0 + rows + 1, h + 1)), 0, w)
+                mask = rng.random((box[1] - y0, w)) < 0.9
+                under = ref[y0 : box[1]][mask]
+                for z in (float(under.min()), float(np.nextafter(under.min(), np.float32(0.0))),
+                          float(under[rng.integers(under.size)])):
+                    want = bool(np.all(z < under))
+                    assert depth.farther_than(box, _mask_over(box, mask), z) is want, z
+                    answers[want] += 1
+        assert all(answers.values()), answers
+
+    def test_every_hit_lies_in_its_box(self, intr_small):
+        """Every pixel whose full-grid ray meets a primitive lies inside its
+        pixel box, over seeded 6-DoF poses with boxes, spheres and walls in
+        front of, straddling z_near, behind and beside the camera, and
+        spheres on the frame edge. The ball bound tightens the boxes of
+        spheres wholly beyond z_near and leaves those of spheres straddling
+        z_near as the bounds() box gives them."""
+        rng = np.random.default_rng(67)
+        h, w = intr_small.height, intr_small.width
+
+        def edge():
+            # a centre projecting on or just beyond one of the frame's edges
+            z = rng.uniform(1.0, 6.0)
+            u, v = (rng.choice([0.0, w]) + rng.uniform(-8, 8), rng.uniform(0, h)) if rng.random() < 0.5 else (
+                rng.uniform(0, w), rng.choice([0.0, h]) + rng.uniform(-8, 8))
+            return [(u - intr_small.cx) * z / intr_small.fsx, (v - intr_small.cy) * z / intr_small.fsy, z]
+
+        places = (*_camera_frame_places(rng, intr_small), edge)
+        counts = {"hits": 0, "tightened": 0, "straddling spheres": 0, "edge spheres": 0}
+        for _ in range(60):
+            q = _random_pose(rng)
+            R_ws = world_to_camera_rotation(q)
+            dirs = _frame_rays(intr_small) @ R_ws
+            # a sphere, then a random primitive, at each place
+            drawn = [places[k % len(places)] for k in range(2 * len(places))]
+            prims = []
+            for k, place in enumerate(drawn):
+                c = camera_to_world(np.asarray(place()), q)
+                prims.append(Sphere(tuple(c), float(rng.uniform(0.1, 0.8))) if k < len(places) else _primitive_at(rng, c))
+            boxes, _ = _pixel_boxes(Scene(tuple(prims)), q.position, R_ws, intr_small)
+            for place, prim, box in zip(drawn, prims, boxes):
+                y0, y1, x0, x1 = box
+                iy, ix = np.nonzero(np.isfinite(prim.intersect(q.position, dirs, intr_small.z_near)))
+                assert np.all((y0 <= iy) & (iy < y1) & (x0 <= ix) & (ix < x1)), prim
+                counts["hits"] += iy.size
+                if not isinstance(prim, Sphere):
+                    continue
+                aabb_box, _ = _pixel_box(prim, q.position, R_ws, intr_small, ball=False)
+                centre, r = world_to_camera(prim.center, q), prim.radius
+                if abs(centre[2] - intr_small.z_near) < r:
+                    counts["straddling spheres"] += iy.size > 0
+                    assert box == aabb_box
+                counts["tightened"] += box != aabb_box
+                counts["edge spheres"] += place is edge and iy.size > 0 and (
+                    y0 == 0 or x0 == 0 or y1 == h or x1 == w)
+        assert all(n >= 20 for n in counts.values()), counts
+
+    def test_dense_frames_cast_fewer_sphere_rays(self, intr):
+        """A 640x480 scene of 12 boxes and 12 spheres 2.6-9.4 m ahead, seen
+        from seeded 6-DoF poses behind them, as the benchmark's frames are:
+        the ball bound casts at most 0.6 of the sphere rays that the
+        bounds() boxes alone cast (0.57 measured), and no more box
+        rays."""
+        rng = np.random.default_rng(73)
+
+        def centre():
+            return np.array([rng.uniform(3.0, 9.0), rng.uniform(-3.0, 3.0), rng.uniform(0.2, 3.0)])
+
+        prims = []
+        for _ in range(12):
+            c, half = centre(), rng.uniform(0.1, 0.4, 3)
+            prims.append(Box(tuple(c - half), tuple(c + half)))
+        prims += [Sphere(tuple(centre()), float(rng.uniform(0.1, 0.4))) for _ in range(12)]
+        scene = Scene(tuple(prims))
+        cast = {Box: 0, Sphere: 0}
+        aabb = {Box: 0, Sphere: 0}
+        for _ in range(16):
+            pose = rng.uniform((-1.0, -1.0, 0.8, -0.3, -0.3, -0.5), (0.5, 1.0, 2.0, 0.3, 0.3, 0.5))
+            q = Configuration(*pose)
+            R_ws = world_to_camera_rotation(q)
+            for prim in prims:
+                y0, y1, x0, x1 = _pixel_box(prim, q.position, R_ws, intr, ball=False)[0]
+                aabb[type(prim)] += max(y1 - y0, 0) * max(x1 - x0, 0)
+            depth = render_scene_depth(scene, q, intr)
+            for prim, (y0, y1, x0, x1) in zip(prims, depth._boxes[0]):
+                cast[type(prim)] += max(y1 - y0, 0) * max(x1 - x0, 0)
+        assert cast[Sphere] <= 0.6 * aabb[Sphere], (cast, aabb)
+        assert cast[Box] <= aabb[Box], (cast, aabb)
 
 
 class TestCastMemory:
@@ -548,7 +695,7 @@ class TestCastMemory:
         for _ in range(4):
             R_ws = world_to_camera_rotation(_random_pose(rng))
             for y0, y1, x0, x1 in rects:
-                rays = _pixel_rays(intr, y0, y1, x0, x1)
+                rays = _pixel_rays(_ray_offsets(intr), y0, y1, x0, x1)
                 want = frame[y0:y1, x0:x1]
                 assert rays.shape == want.shape and np.array_equal(rays.view(np.uint64), want.view(np.uint64))
                 got_dirs, want_dirs = rays @ R_ws, want @ R_ws
@@ -847,7 +994,7 @@ class TestPfm:
         q = Configuration(0.0, 0.0, 0.0, 0.05, -0.1, 0.2)
         scene = _small_bodies(np.random.default_rng(47))
         values = render_scene_depth(scene, q, intr).values
-        dirs = _pixel_rays(intr, 0, 1, 0, intr.width) @ world_to_camera_rotation(q)
+        dirs = _pixel_rays(_ray_offsets(intr), 0, 1, 0, intr.width) @ world_to_camera_rotation(q)
         row = np.full((1, intr.width), np.inf)
         for prim in scene.primitives:
             row = np.minimum(row, prim.intersect(q.position, dirs, intr.z_near))
