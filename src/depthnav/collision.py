@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from .frames import CameraIntrinsics
 from .scene import DepthImage, RobotModel, render_robot_footprint
 
 __all__ = [
@@ -69,19 +70,33 @@ def check_configuration(p, depth: DepthImage, robot: RobotModel) -> Verdict:
     return Verdict.COLLISION
 
 
-def waypoints2collision(samples, depth: DepthImage, robot: RobotModel):
-    """Check time-ordered positions; return (verdict, index of first non-free).
+def _blind_zone_radius(intr: CameraIntrinsics, robot: RobotModel) -> float:
+    """Distance below which an on-axis robot footprint cannot fit the image."""
+    margin = min(intr.cx, intr.cy, intr.width - intr.cx, intr.height - intr.cy)
+    return intr.z_near + robot.rho + robot.rho * max(intr.fsx, intr.fsy) / margin
 
-    Returns (FREE, None) when every sample is free. Raises ValueError on an
-    empty sample list (degenerate trajectory).
+
+def waypoints2collision(lookahead, depth: DepthImage, robot: RobotModel):
+    """Check a lookahead against a depth image; return (verdict, index into
+    the lookahead of the first non-free sample), or (FREE, None).
+
+    lookahead holds the (N, 3) sample positions, start sample first. The
+    start sample is never read: it is the end of the trajectory the caller
+    already holds. Every other sample within the blind-zone radius of the
+    image's camera (:func:`_blind_zone_radius`, too close for its footprint
+    disc to fit the image) is skipped; the rest are checked in order, and
+    the first that is not FREE decides. Raises ValueError on an empty
+    lookahead (degenerate trajectory).
     """
-    samples = list(samples)
-    if not samples:
+    if len(lookahead) == 0:
         raise ValueError("degenerate trajectory: no samples to check")
-    for i, p in enumerate(samples):
-        v = check_configuration(p, depth, robot)
-        if v is not Verdict.FREE:
-            return v, i
+    blind = _blind_zone_radius(depth.intr, robot)
+    cam = depth.q.position
+    for i, p in enumerate(lookahead[1:], start=1):
+        if np.linalg.norm(p - cam) > blind:
+            v = check_configuration(p, depth, robot)
+            if v is not Verdict.FREE:
+                return v, i
     return Verdict.FREE, None
 
 

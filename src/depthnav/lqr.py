@@ -21,6 +21,7 @@ __all__ = [
     "LookAheadTrajectory",
     "solve_are_axis",
     "are_residual",
+    "horizon_steps",
     "rollout",
 ]
 
@@ -103,6 +104,18 @@ def _law(p, v, x_ref: StateVec, g: AxisGain, u_max: float | None) -> np.ndarray:
     return u if u_max is None else np.clip(u, -u_max, u_max)
 
 
+def horizon_steps(tau: float, ts: float) -> int:
+    """Number of ts samples after the start in one horizon of tau seconds.
+
+    Raises ValueError, naming tau, unless tau / ts is finite and tau an
+    integral multiple of ts (within 1e-9 s).
+    """
+    n = tau / ts
+    if not math.isfinite(n) or abs(round(n) * ts - tau) > 1e-9:
+        raise ValueError(f"tau: must be a finite integral multiple of ts, got tau / ts = {n!r}")
+    return round(n)
+
+
 def rollout(
     x0: StateVec,
     x_ref: StateVec,
@@ -120,9 +133,7 @@ def rollout(
     """
     if tau <= 0 or ts <= 0:
         raise ValueError("tau and ts must be positive")
-    n_steps = round(tau / ts)
-    if abs(n_steps * ts - tau) > 1e-9:
-        raise ValueError("tau must be an integral multiple of ts")
+    n_steps = horizon_steps(tau, ts)
 
     p = x0.p.copy()
     v = x0.v.copy()

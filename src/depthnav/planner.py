@@ -18,7 +18,7 @@ import numpy as np
 
 from .collision import Verdict, find_escape, waypoints2collision
 from .frames import CameraIntrinsics, Configuration
-from .lqr import ModeWeights, StateVec, are_residual, rollout, solve_are_axis
+from .lqr import ModeWeights, StateVec, are_residual, horizon_steps, rollout, solve_are_axis
 from .oracle import brute_force_collision
 from .scene import RobotModel, Scene, render_scene_depth
 from .validation import coerce, integer, real
@@ -77,12 +77,11 @@ class PlannerConfig:
         coerce(self, integer, "max_rings", minimum=1)
         if self.u_max is not None:
             coerce(self, real, "u_max", positive=True)
-        if abs(self.horizon_samples * self.ts - self.tau) > 1e-9:
-            raise ValueError("tau: must be an integral multiple of ts")
+        horizon_steps(self.tau, self.ts)
 
     @property
     def horizon_samples(self) -> int:
-        return round(self.tau / self.ts)
+        return horizon_steps(self.tau, self.ts)
 
 
 # executed-trajectory row fields, in trajectory.csv column order
@@ -141,12 +140,6 @@ def guard_l1_to_l0(x: StateVec, x_esc: StateVec, eps_reach: float) -> bool:
     return float(np.linalg.norm(x.p - x_esc.p)) <= eps_reach
 
 
-def _blind_zone_radius(intr: CameraIntrinsics, robot: RobotModel) -> float:
-    """Distance below which an on-axis robot footprint cannot fit the image."""
-    margin = min(intr.cx, intr.cy, intr.width - intr.cx, intr.height - intr.cy)
-    return intr.z_near + robot.rho + robot.rho * max(intr.fsx, intr.fsy) / margin
-
-
 def step_planner(
     scene: Scene,
     state: PlannerState,
@@ -161,7 +154,8 @@ def step_planner(
     Generates one lookahead from the end of the appended trajectory: toward
     the goal in l0, toward the escape point in l1. In l0 it renders a depth
     image from the current configuration and checks the lookahead against
-    it; a free lookahead is appended, one leaving the view appends nothing
+    it (:func:`waypoints2collision` decides which samples the check reads);
+    a free lookahead is appended, one leaving the view appends nothing
     (the next tick regenerates the same lookahead and checks it in a fresh
     image), and a predicted collision starts the escape search. In l1 the
     lookahead is appended unchecked.
@@ -189,18 +183,8 @@ def step_planner(
     if state.mode is Mode.GO_TO_GOAL:
         q_c = Configuration(*exec_state.p.tolist())  # heading held toward +x: no yaw planning
         depth = render_scene_depth(scene, q_c, intr)
-        # the junction sample and samples inside the robot's current blind
-        # zone (too close to the camera for their footprint disc to fit the
-        # image) are not re-checked
         positions = la.positions()
-        blind = _blind_zone_radius(intr, robot)
-        cam = q_c.position
-        check_idx = [
-            i for i in range(1, len(positions)) if np.linalg.norm(positions[i] - cam) > blind
-        ]
-        if check_idx:
-            verdict, j = waypoints2collision([positions[i] for i in check_idx], depth, robot)
-            hit_idx = check_idx[j] if j is not None else None
+        verdict, hit_idx = waypoints2collision(positions, depth, robot)
 
     if verdict is Verdict.FREE:
         state.appended.extend((s, u, state.mode.value) for s, u in la.samples[1:])

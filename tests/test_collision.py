@@ -26,6 +26,8 @@ from depthnav.frames import world_to_camera_rotation
 from depthnav.oracle import brute_force_collision
 from depthnav.scene import _pixel_rays, _ray_offsets
 
+from conftest import CountingBox
+
 Q0 = Configuration(0.0, 0.0, 0.0)
 
 
@@ -58,34 +60,61 @@ class TestCheckConfiguration:
 
 
 class TestWaypoints2Collision:
+    """A lookahead is checked from its start sample's successor on; every
+    index refers to the whole lookahead, start sample first."""
+
     def test_all_free(self, wall_scene, intr):
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
-        samples = [camera_to_world([0.0, 0.0, z], Q0) for z in (2.0, 2.4, 2.8, 3.2, 3.6)]
-        assert waypoints2collision(samples, depth, robot) == (Verdict.FREE, None)
+        lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in (0.0, 2.0, 2.4, 2.8, 3.2, 3.6)]
+        assert waypoints2collision(lookahead, depth, robot) == (Verdict.FREE, None)
 
     def test_first_collision_index(self, wall_scene, intr):
         scene, depth = wall_scene
         robot = RobotModel(rho=0.3)
-        zs = [2.0, 2.5, 3.0, 4.9, 3.0]
-        samples = [camera_to_world([0.0, 0.0, z], Q0) for z in zs]
-        verdict, idx = waypoints2collision(samples, depth, robot)
-        assert (verdict, idx) == (Verdict.COLLISION, 3)
+        zs = [0.0, 2.0, 2.5, 3.0, 4.9, 3.0]
+        lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in zs]
+        verdict, idx = waypoints2collision(lookahead, depth, robot)
+        assert (verdict, idx) == (Verdict.COLLISION, 4)
         # cross-check against the 3D oracle: only that sample truly intersects
-        assert brute_force_collision(scene, samples[3], robot.rho)
-        assert not any(brute_force_collision(scene, samples[i], robot.rho) for i in (0, 1, 2, 4))
+        assert brute_force_collision(scene, lookahead[4], robot.rho)
+        assert not any(brute_force_collision(scene, lookahead[i], robot.rho) for i in (0, 1, 2, 3, 5))
 
     def test_out_of_view_index(self, wall_scene, intr):
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
-        samples = [camera_to_world([0.0, 0.0, z], Q0) for z in (2.0, 2.4, 2.8, 3.2)]
-        samples.append(camera_to_world([5.0, 0.0, 3.0], Q0))
-        assert waypoints2collision(samples, depth, robot) == (Verdict.OUT_OF_VIEW, 4)
+        lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in (0.0, 2.0, 2.4, 2.8, 3.2)]
+        lookahead.append(camera_to_world([5.0, 0.0, 3.0], Q0))
+        assert waypoints2collision(lookahead, depth, robot) == (Verdict.OUT_OF_VIEW, 5)
+
+    def test_start_sample_is_never_read(self, wall_scene, intr):
+        """The start sample is the end of the trajectory already held: a
+        lookahead starting behind the wall but free after it is FREE."""
+        _, depth = wall_scene
+        robot = RobotModel(rho=0.3)
+        lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in (5.0, 3.6, 3.2, 2.8)]
+        assert check_configuration(lookahead[0], depth, robot) is Verdict.COLLISION
+        assert waypoints2collision(lookahead, depth, robot) == (Verdict.FREE, None)
+
+    def test_blind_lookahead_reads_nothing(self, intr, robot):
+        """Samples within the blind-zone radius of the camera are skipped,
+        even ones whose footprint fits the image and would collide: a
+        lookahead wholly inside it is FREE and casts no ray."""
+        blind = collision._blind_zone_radius(intr, robot)
+        box = CountingBox((1.4, -5.0, -5.0), (2.0, 5.0, 5.0))  # fills the view at 1.4 m
+        depth = render_scene_depth(Scene((box,)), Q0, intr)
+        lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in (0.0, 0.3, 0.6, 0.9, 1.2)]
+        assert all(np.linalg.norm(p - Q0.position) <= blind for p in lookahead)
+        assert waypoints2collision(lookahead, depth, robot) == (Verdict.FREE, None)
+        assert box.calls == []
+        # the last sample, were it read, would cast the box and collide
+        assert check_configuration(lookahead[-1], depth, robot) is Verdict.COLLISION
+        assert box.calls != []
 
     def test_empty_list_raises(self, wall_scene, intr):
         _, depth = wall_scene
         with pytest.raises(ValueError):
-            waypoints2collision([], depth, RobotModel())
+            waypoints2collision(np.empty((0, 3)), depth, RobotModel())
 
 
 def _gap_scene(gap_lo: float, gap_hi: float):

@@ -81,6 +81,20 @@ def test_run_rejects_invalid_field(tmp_path, capsys, keys, value, path):
     assert not out.exists()
 
 
+def test_run_rejects_overflowing_horizon(tmp_path, capsys):
+    """tau / ts overflows to infinity: an invalid tau, not an OverflowError."""
+    data = _with(("planner", "tau"), 1e300)
+    data["planner"]["ts"] = 1e-300
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert cli(["run", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: invalid planner.tau:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # (key path of the unknown key, the field path the error must name)
 UNKNOWN = [
     (("seed",), "seed"),

@@ -192,6 +192,12 @@ class TestRollout:
         with pytest.raises(ValueError):
             rollout(StateVec.rest([0, 0, 0]), StateVec.rest([1, 0, 0]), g, 0.7, 0.2)
 
+    def test_rejects_overflowing_horizon(self):
+        """tau / ts overflows to infinity: a ValueError, not an OverflowError."""
+        g = solve_are_axis(L0)
+        with pytest.raises(ValueError, match="tau"):
+            rollout(StateVec.rest([0, 0, 0]), StateVec.rest([1, 0, 0]), g, 1e300, 1e-300)
+
     def test_integrates_only_up_to_the_last_sample(self, monkeypatch):
         """One law evaluation per sample plus 10 RK4 substeps of 4 between
         consecutive samples: nothing is integrated past the last sample."""

@@ -13,16 +13,17 @@ from depthnav import (
     Scene,
     Sphere,
     StateVec,
+    Verdict,
     guard_l1_to_l0,
     load_scenario,
     rollout,
     run_mission,
 )
-from depthnav import planner
+from depthnav import collision, planner
+from depthnav.collision import _blind_zone_radius
 from depthnav.planner import (
     EVENT_PRIORITY,
     PlannerState,
-    _blind_zone_radius,
     solve_gains,
     step_planner,
 )
@@ -142,6 +143,38 @@ class TestCorridorMission:
         """
         sc, out = corridor
         assert max_junction_mismatch(sc, out) <= 1e-9
+
+    def test_sample_accounting(self, monkeypatch):
+        """Of the 36 executed samples after the start, 17 were read by the
+        image check of the tick that appended them, 10 were skipped by it
+        (inside the blind zone) and 9 are l1 samples, appended unchecked."""
+        read, reading = set(), []
+        check = collision.check_configuration
+        waypoints = planner.waypoints2collision
+
+        def recording_check(p, *args):
+            reading.append(tuple(p.tolist()))
+            return check(p, *args)
+
+        def recording_waypoints(lookahead, *args):
+            reading.clear()
+            with monkeypatch.context() as m:
+                m.setattr(collision, "check_configuration", recording_check)
+                verdict, idx = waypoints(lookahead, *args)
+            if verdict is Verdict.FREE:  # the lookahead is appended
+                read.update(reading)
+            return verdict, idx
+
+        monkeypatch.setattr(planner, "waypoints2collision", recording_waypoints)
+        _, out = _run("corridor")
+        assert out.status == "reached_goal" and out.time == pytest.approx(7.2)
+        counts = {"read": 0, "skipped": 0, "unchecked": 0}
+        for r in out.rows[1:]:
+            if r["mode"] == "l1":
+                counts["unchecked"] += 1
+            else:
+                counts["read" if (r["px"], r["py"], r["pz"]) in read else "skipped"] += 1
+        assert counts == {"read": 17, "skipped": 10, "unchecked": 9}
 
     def test_determinism(self):
         _, out1 = _run("corridor")
