@@ -17,9 +17,8 @@ import sys
 from pathlib import Path
 
 from .frames import Configuration
-from .lqr import are_residual
 from .oracle import verify_mission
-from .planner import ROW_COLUMNS as CSV_COLUMNS, PlannerConfig, run_mission, solve_gains
+from .planner import ROW_COLUMNS as CSV_COLUMNS, PlannerConfig, run_mission
 from .scenario import ScenarioError, load_scenario
 from .scene import render_scene_depth, write_pfm
 
@@ -86,10 +85,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gains(args) -> int:
     cfg = load_scenario(args.scenario).planner if args.scenario else PlannerConfig()
-    weights = {"l0": cfg.weights_l0, "l1": cfg.weights_l1}
-    for mode, g in solve_gains(cfg).items():
-        res = are_residual(g, weights[mode])
-        print(f"mode {mode}: kp = {g.kp:.6f}  kv = {g.kv:.6f}  ARE residual = {res:.3e}")
+    for mode, w in (("l0", cfg.weights_l0), ("l1", cfg.weights_l1)):
+        print(f"mode {mode}: kp = {w.gain.kp:.6f}  kv = {w.gain.kv:.6f}  ARE residual = {w.residual:.3e}")
     return 0
 
 

@@ -7,7 +7,7 @@ Riccati equation has a closed-form positive-definite solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -42,19 +42,6 @@ class StateVec:
 
 
 @dataclass(frozen=True)
-class ModeWeights:
-    """Per-axis LQR weights: qp on position, qv on velocity, r on input."""
-
-    qp: float
-    qv: float
-    r: float
-
-    def __post_init__(self):
-        coerce(self, real, "qp", "r", positive=True)
-        coerce(self, real, "qv", nonnegative=True)
-
-
-@dataclass(frozen=True)
 class AxisGain:
     """Riccati solution entries and the resulting feedback gains for one axis."""
 
@@ -63,6 +50,37 @@ class AxisGain:
     s22: float
     kp: float
     kv: float
+
+
+@dataclass(frozen=True)
+class ModeWeights:
+    """Per-axis LQR weights: qp on position, qv on velocity, r on input.
+
+    Construction solves the closed form once and keeps its axis gain and
+    Riccati residual. Weights whose solution has a non-finite entry, a kp or
+    kv that is not positive, or a residual not below 1e-9 of the equation's
+    largest term (a NaN residual included) raise a ValueError naming qp.
+    """
+
+    qp: float
+    qv: float
+    r: float
+    gain: AxisGain = field(init=False, repr=False, compare=False)
+    residual: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        coerce(self, real, "qp", "r", positive=True)
+        coerce(self, real, "qv", nonnegative=True)
+        g = solve_are_axis(self)
+        given = f"weights qp, qv, r = {self.qp!r}, {self.qv!r}, {self.r!r}"
+        if not (all(map(math.isfinite, vars(g).values())) and g.kp > 0 and g.kv > 0):
+            raise ValueError(f"qp: {given} give kp = {g.kp!r}, kv = {g.kv!r}; both must be finite and positive")
+        res = are_residual(g, self)
+        # relative to the equation's largest term, so large valid weights pass
+        if not res < 1e-9 * max(1.0, self.qp, self.qv, g.s11, g.s12 * g.s12 / self.r, g.s22 * g.s22 / self.r):
+            raise ValueError(f"qp: {given} leave a Riccati residual of {res:.3e}")
+        object.__setattr__(self, "gain", g)
+        object.__setattr__(self, "residual", res)
 
 
 @dataclass
@@ -107,13 +125,13 @@ def _law(p, v, x_ref: StateVec, g: AxisGain, u_max: float | None) -> np.ndarray:
 def horizon_steps(tau: float, ts: float) -> int:
     """Number of ts samples after the start in one horizon of tau seconds.
 
-    Raises ValueError, naming tau, unless tau / ts is finite and tau an
-    integral multiple of ts (within 1e-9 s).
+    Raises ValueError, naming tau, unless tau / ts is finite and tau a
+    positive integral multiple of ts (within 1e-9 s).
     """
     n = tau / ts
-    if not math.isfinite(n) or abs(round(n) * ts - tau) > 1e-9:
-        raise ValueError(f"tau: must be a finite integral multiple of ts, got tau / ts = {n!r}")
-    return round(n)
+    if not math.isfinite(n) or (k := round(n)) < 1 or abs(k * ts - tau) > 1e-9:
+        raise ValueError(f"tau: must be a positive integral multiple of ts, got tau / ts = {n!r}")
+    return k
 
 
 def rollout(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .collision import Verdict, find_escape, waypoints2collision
 from .frames import CameraIntrinsics, Configuration
-from .lqr import ModeWeights, StateVec, are_residual, horizon_steps, rollout, solve_are_axis
+from .lqr import ModeWeights, StateVec, horizon_steps, rollout
 from .oracle import brute_force_collision
 from .scene import RobotModel, Scene, render_scene_depth
 from .validation import coerce, integer, real
@@ -77,6 +77,9 @@ class PlannerConfig:
         coerce(self, integer, "max_rings", minimum=1)
         if self.u_max is not None:
             coerce(self, real, "u_max", positive=True)
+        for name in ("weights_l0", "weights_l1"):
+            if not isinstance(getattr(self, name), ModeWeights):
+                raise TypeError(f"{name}: must be ModeWeights, got {getattr(self, name)!r}")
         horizon_steps(self.tau, self.ts)
 
     @property
@@ -207,8 +210,8 @@ def _row(t: float, mode_label: str, s: StateVec, u, event: str) -> dict:
 
 
 def solve_gains(cfg: PlannerConfig) -> dict:
-    """Per-mode axis gains, solved once prior to the mission."""
-    return {"l0": solve_are_axis(cfg.weights_l0), "l1": solve_are_axis(cfg.weights_l1)}
+    """Per-mode axis gains, as each mode's weights solved and checked them."""
+    return {"l0": cfg.weights_l0.gain, "l1": cfg.weights_l1.gain}
 
 
 def run_mission(
@@ -228,12 +231,6 @@ def run_mission(
     if brute_force_collision(scene, x0.p, robot.rho):
         raise ValueError("initial state is in collision per the 3D oracle")
     gains = solve_gains(cfg)
-    for label, w in (("l0", cfg.weights_l0), ("l1", cfg.weights_l1)):
-        g = gains[label]
-        res = are_residual(g, w)
-        # relative to the equation's largest term, so large valid weights pass
-        if res >= 1e-9 * max(1.0, w.qp, w.qv, g.s11, g.s12**2 / w.r, g.s22**2 / w.r):
-            raise RuntimeError(f"Riccati residual {res:.3e} too large for mode {label}")
 
     state = PlannerState(appended=[(x0, np.zeros(3), Mode.GO_TO_GOAL.value)])
     rows: list = []

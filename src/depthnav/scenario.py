@@ -5,16 +5,18 @@ All units are SI, all angles radians. Unspecified sections fall back to
 defaults: the 640x480 camera below, and the library types' own defaults
 (camera range 0.3-10 m, rho = 0.35 m sphere, planner timings tau = 0.8 s /
 ts = 0.2 s).
-Each type validates its own fields; parsing only adds the section path.
+A section's keys are its type's init fields, and each type validates its own
+fields; parsing only adds the section path.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 from .frames import CameraIntrinsics
-from .lqr import ModeWeights, StateVec
+from .lqr import StateVec
 from .planner import GoalRegion, PlannerConfig
 from .scene import Box, RobotModel, Scene, Sphere, Wall
 
@@ -38,35 +40,40 @@ class ScenarioConfig:
 _DEFAULT_INTR = dict(fsx=385.0, fsy=385.0, cx=320.0, cy=240.0, width=640, height=480)
 _DEFAULT_BOUNDS = {"min": [-50, -50, -50], "max": [50, 50, 50]}
 _SECTIONS = ("intrinsics", "robot", "planner", "start", "goal", "world_bounds", "scene")
-# JSON type name -> constructor and the keys of its positional arguments
-_PRIMITIVES = {
-    "box": (Box, ("min", "max")),
-    "sphere": (Sphere, ("center", "radius")),
-    "wall": (Wall, ("point", "normal", "half_extents")),
-}
-_PRIMITIVE_KEYS = {"type"}.union(*(keys for _, keys in _PRIMITIVES.values()))
+_PRIMITIVES = {"box": Box, "sphere": Sphere, "wall": Wall}  # JSON type name -> type
 
 
-def _object(v, path: str, keys) -> dict:
-    """v as a JSON object whose keys all lie in keys; path is '' for the root."""
-    if not isinstance(v, dict):
+@functools.cache
+def _schema(T) -> tuple:
+    """T's init field names, those with no default, and {name: type} of
+    those whose default is itself a configuration dataclass."""
+    init = [f for f in fields(T) if f.init]
+    required = [f.name for f in init if f.default is MISSING and f.default_factory is MISSING]
+    nested = {f.name: type(f.default) for f in init if is_dataclass(f.default)}
+    return {f.name for f in init}, required, nested
+
+
+def _build(path: str, T, obj, **defaults):
+    """T built from the JSON object obj at path, whose keys are T's init
+    fields; defaults fill the keys obj leaves out, and a field whose default
+    is a dataclass is built from its own object at path.key. A key T lacks,
+    a required key obj lacks (or gives as null) and a field T rejects each
+    raise a ScenarioError naming the field path."""
+    keys, required, nested = _schema(T)
+    if not isinstance(obj, dict):
         raise ScenarioError(f"invalid {path}: must be a JSON object")
-    for key in v:
+    for key in obj:
         if key not in keys:
-            raise ScenarioError(f"unknown field {path + '.' if path else ''}{key}")
-    return v
-
-
-def _get(d: dict, key: str, path: str):
-    if d.get(key) is None:
-        raise ScenarioError(f"missing required field {path}.{key}")
-    return d[key]
-
-
-def _build(path: str, make, *args, **kwargs):
-    """make(*args, **kwargs); a field it rejects becomes a ScenarioError at path."""
+            raise ScenarioError(f"unknown field {path}.{key}")
+    for key in required:
+        if obj.get(key) is None and key not in defaults:
+            raise ScenarioError(f"missing required field {path}.{key}")
+    kwargs = {**defaults, **obj}
+    for key, sub in nested.items():
+        if key in obj:
+            kwargs[key] = _build(f"{path}.{key}", sub, obj[key])
     try:
-        return make(*args, **kwargs)
+        return T(**kwargs)
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"invalid {path}.{e}") from e
 
@@ -78,38 +85,21 @@ def _within(p_lo, p_hi, lo, hi) -> bool:
 
 
 def parse_scenario(data: dict) -> ScenarioConfig:
-    """Map a parsed scenario dict onto the library types, which validate
-    their own fields; raises ScenarioError naming the offending field, and
-    rejects a key no section defines with its path."""
-    _object(data, "", _SECTIONS)
-    intr_keys = [f.name for f in fields(CameraIntrinsics)]
-    intr_d = {**_DEFAULT_INTR, **_object(data.get("intrinsics", {}), "intrinsics", intr_keys)}
-    intr = _build("intrinsics", CameraIntrinsics, **intr_d)
-    robot_d = _object(data.get("robot", {}), "robot", ("rho",))
-    robot = _build("robot", RobotModel, robot_d.get("rho", RobotModel.rho))
-
-    planner_keys = [f.name for f in fields(PlannerConfig)]
-    kwargs = dict(_object(data.get("planner", {}), "planner", planner_keys))
-    for key in ("weights_l0", "weights_l1"):
-        if key in kwargs:
-            path = f"planner.{key}"
-            w = _object(kwargs[key], path, ("qp", "qv", "r"))
-            kwargs[key] = _build(path, ModeWeights, *(_get(w, k, path) for k in ("qp", "qv", "r")))
-    planner = _build("planner", PlannerConfig, **kwargs)
-
-    start = _object(data.get("start", {}), "start", ("p", "v"))
-    x0 = _build("start", StateVec, _get(start, "p", "start"), start.get("v", [0.0, 0.0, 0.0]))
-
-    goal_d = _object(data.get("goal", {}), "goal", ("x_goal", "y_ref", "z_ref"))
-    goal = _build(
-        "goal", GoalRegion, _get(goal_d, "x_goal", "goal"),
-        goal_d.get("y_ref", x0.p[1]), goal_d.get("z_ref", x0.p[2]),
-    )
-
-    bounds_d = _object(data.get("world_bounds", _DEFAULT_BOUNDS), "world_bounds", ("min", "max"))
-    bounds = _build(
-        "world_bounds", Box, _get(bounds_d, "min", "world_bounds"), _get(bounds_d, "max", "world_bounds")
-    )
+    """Map a parsed scenario dict onto the library types, whose init fields
+    are each section's keys and which validate their own fields; raises
+    ScenarioError naming the offending field, and rejects a key no section
+    defines with its path."""
+    if not isinstance(data, dict):
+        raise ScenarioError("scenario root must be a JSON object")
+    for key in data:
+        if key not in _SECTIONS:
+            raise ScenarioError(f"unknown field {key}")
+    intr = _build("intrinsics", CameraIntrinsics, data.get("intrinsics", {}), **_DEFAULT_INTR)
+    robot = _build("robot", RobotModel, data.get("robot", {}))
+    planner = _build("planner", PlannerConfig, data.get("planner", {}))
+    x0 = _build("start", StateVec, data.get("start", {}), v=[0.0, 0.0, 0.0])
+    goal = _build("goal", GoalRegion, data.get("goal", {}), y_ref=x0.p[1], z_ref=x0.p[2])
+    bounds = _build("world_bounds", Box, data.get("world_bounds", _DEFAULT_BOUNDS))
     lo, hi = bounds.min, bounds.max
 
     scene_d = data.get("scene", [])
@@ -118,12 +108,14 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     prims = []
     for i, pd in enumerate(scene_d):
         path = f"scene[{i}]"
-        kind = _get(_object(pd, path, _PRIMITIVE_KEYS), "type", path)
+        if not isinstance(pd, dict):
+            raise ScenarioError(f"invalid {path}: must be a JSON object")
+        kind = pd.get("type")
+        if kind is None:
+            raise ScenarioError(f"missing required field {path}.type")
         if not isinstance(kind, str) or kind not in _PRIMITIVES:
             raise ScenarioError(f"unknown primitive type {kind!r} at {path}.type")
-        make, keys = _PRIMITIVES[kind]
-        _object(pd, path, ("type", *keys))
-        prim = _build(path, make, *(_get(pd, k, path) for k in keys))
+        prim = _build(path, _PRIMITIVES[kind], {k: v for k, v in pd.items() if k != "type"})
         if not _within(*(b.tolist() for b in prim.bounds()), lo, hi):
             raise ScenarioError(f"{path} lies outside world_bounds")
         prims.append(prim)
@@ -147,6 +139,4 @@ def load_scenario(path) -> ScenarioConfig:
         raise ScenarioError(f"cannot read scenario file: {e}") from e
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario parse error: {e}") from e
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario root must be a JSON object")
     return parse_scenario(data)

@@ -37,6 +37,16 @@ __all__ = [
 ]
 
 
+def _dot(a, b) -> float:
+    """Dot product of two 3-lists of floats, summed in axis order with no
+    BLAS call, so its bits do not depend on the host's BLAS kernel."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _norm(d) -> float:
+    return math.sqrt(_dot(d, d))
+
+
 # Primitive protocol (Box, Sphere, Wall): distance(p) for the oracle;
 # intersect(origin, dirs, z_near), the per-ray depth of the nearest surface
 # crossing at or beyond z_near (inf where none, never NaN) over the rays of
@@ -66,8 +76,8 @@ class Box:
         return np.asarray(self.max, float)
 
     def distance(self, p) -> float:
-        closest = np.clip(np.asarray(p, float), self._lo, self._hi)
-        return float(np.linalg.norm(closest - p))
+        p = np.asarray(p, float).tolist()
+        return _norm([min(max(x, lo), hi) - x for x, lo, hi in zip(p, self.min, self.max)])
 
     def intersect(self, origin, dirs, z_near) -> np.ndarray:
         lo = self._lo - origin
@@ -118,7 +128,7 @@ class Sphere:
         return np.asarray(self.center, float)
 
     def distance(self, p) -> float:
-        d = float(np.linalg.norm(np.asarray(p, float) - self._center))
+        d = _norm([x - c for x, c in zip(np.asarray(p, float).tolist(), self.center)])
         return max(d - self.radius, 0.0)
 
     def intersect(self, origin, dirs, z_near) -> np.ndarray:
@@ -173,7 +183,8 @@ class Wall:
         if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
             raise ValueError(f"normal: must be unit length, got {self.normal!r}")
 
-    def axes(self):
+    @functools.cached_property
+    def _axes(self):
         n = np.asarray(self.normal, float)
         ref = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
         u = np.cross(ref, n)
@@ -182,20 +193,18 @@ class Wall:
         return u, v
 
     def distance(self, p) -> float:
-        p = np.asarray(p, float)
-        p0 = np.asarray(self.point, float)
-        u, v = self.axes()
-        rel = p - p0
-        cu = np.clip(rel @ u, -self.half_extents[0], self.half_extents[0])
-        cv = np.clip(rel @ v, -self.half_extents[1], self.half_extents[1])
-        closest = p0 + cu * u + cv * v
-        return float(np.linalg.norm(p - closest))
+        p = np.asarray(p, float).tolist()
+        u, v = (a.tolist() for a in self._axes)
+        hu, hv = self.half_extents
+        rel = [x - o for x, o in zip(p, self.point)]
+        cu, cv = min(max(_dot(rel, u), -hu), hu), min(max(_dot(rel, v), -hv), hv)
+        return _norm([x - (o + cu * a + cv * b) for x, o, a, b in zip(p, self.point, u, v)])
 
     def intersect(self, origin, dirs, z_near) -> np.ndarray:
         origins = origin[None, None, :]
         p0 = np.asarray(self.point, float)
         n = np.asarray(self.normal, float)
-        u, v = self.axes()
+        u, v = self._axes
         denom = dirs @ n
         with np.errstate(divide="ignore", invalid="ignore"):
             t = ((p0 - origins) @ n) / denom
@@ -208,7 +217,7 @@ class Wall:
         return np.where(ok, t, np.inf)
 
     def bounds(self):
-        u, v = self.axes()
+        u, v = self._axes
         p0 = np.asarray(self.point)
         hu, hv = self.half_extents
         corners = [p0 + su * hu * u + sv * hv * v for su in (-1, 1) for sv in (-1, 1)]

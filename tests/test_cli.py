@@ -200,6 +200,17 @@ class TestGains:
         assert cli(["gains", str(SCENARIO_DIR / "corridor.json")]) == 0
         assert "kp = 0.577350" in capsys.readouterr().out
 
+    def test_weights_with_infinite_gain_exit_one(self, tmp_path, capsys):
+        """qp = r = 1e200 solve to kp = inf: refused, not printed."""
+        data = json.loads((SCENARIO_DIR / "corridor.json").read_text())
+        data["planner"]["weights_l1"] = {"qp": 1e200, "qv": 0.1, "r": 1e200}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        assert cli(["gains", str(scenario)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid planner.weights_l1.qp:")
+
 
 class TestParserReuse:
     def test_calls_carry_nothing_between_them(self, tmp_path, capsys):

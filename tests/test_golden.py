@@ -71,7 +71,9 @@ CLUTTER_DIGESTS = [
     "a756816fb2756cc2",  # 3: reached_goal at 7.6 s
     "9fa74779359d2a45",  # 4: reached_goal at 9.6 s
     "60e2f20724026c20",  # 5: reached_goal at 8.8 s, 78 oracle violations
-    "2f457f781527c44b",  # 6: reached_goal at 4.6 s
+    # 6: its min_clearance took a BLAS norm until the oracle summed its own
+    # squares; the recorded value is the one every OpenBLAS kernel now gives
+    "012524bbf0018514",  # 6: reached_goal at 4.6 s
     "2437e16a6a69e853",  # 7: reached_goal at 4.6 s
     "b6482767a1080148",  # 8: reached_goal at 4.6 s
     "f8a1dca91b7c07d6",  # 9: reached_goal at 7.0 s, 33 oracle violations

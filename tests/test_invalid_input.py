@@ -95,6 +95,31 @@ def test_run_rejects_overflowing_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
+# planner values each field accepts alone, which together leave no usable
+# mission: (planner keys and values, the error's field path)
+UNFLYABLE = [
+    ({"weights_l1": {"qp": 1e200, "qv": 0.1, "r": 1e200}}, "planner.weights_l1.qp"),  # kp = inf
+    ({"weights_l0": {"qp": 1e-300, "qv": 0.1, "r": 1e-300}}, "planner.weights_l0.qp"),  # kp = 0
+    ({"tau": 1e-10, "ts": 0.2}, "planner.tau"),  # a horizon of no sample
+]
+
+
+@pytest.mark.parametrize("values, path", UNFLYABLE, ids=[path for _, path in UNFLYABLE])
+def test_run_rejects_unflyable_planner(tmp_path, capsys, values, path):
+    """Rejected when the scenario is parsed, not found by a mission that
+    dies, times out or warns."""
+    data = copy.deepcopy(BASE)
+    data["planner"].update(values)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert cli(["run", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid {path}:")
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
 # (key path of the unknown key, the field path the error must name)
 UNKNOWN = [
     (("seed",), "seed"),

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from depthnav import Box, OracleReport, Scene, Sphere, brute_force_collision, verify_mission
+from depthnav import Box, OracleReport, Scene, Sphere, Wall, brute_force_collision, verify_mission
 from depthnav.oracle import CLEARANCE_SENTINEL
 
 
@@ -11,6 +13,29 @@ def _rows(points, ts=0.2):
          "vx": 0.0, "vy": 0.0, "vz": 0.0, "ux": 0.0, "uy": 0.0, "uz": 0.0, "event": "none"}
         for i, p in enumerate(points)
     ]
+
+
+def _norm(d) -> float:
+    d0, d1, d2 = d.tolist()
+    return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+
+
+class TestDistance:
+    def test_norms_are_summed_in_axis_order(self):
+        """Each distance is sqrt(d0*d0 + d1*d1 + d2*d2) of its offset, bit
+        for bit, so it does not depend on the host's BLAS kernel."""
+        box = Box((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+        sphere = Sphere((0.5, -1.0, 2.0), 0.4)
+        for p in np.random.default_rng(5).uniform(-5.0, 5.0, (200, 3)):
+            assert box.distance(p) == _norm(np.clip(p, box._lo, box._hi) - p)
+            assert sphere.distance(p) == max(_norm(p - sphere._center) - 0.4, 0.0)
+
+    def test_wall_distance_clamps_to_its_rectangle(self):
+        # in-plane axes u = -y and v = +z
+        wall = Wall((9.0, 2.0, 1.0), (-1.0, 0.0, 0.0), (0.5, 0.5))
+        assert wall.distance([8.0, 2.0, 1.0]) == 1.0
+        assert wall.distance([9.0, 2.2, 0.7]) == 0.0
+        assert wall.distance([8.0, 2.8, 1.9]) == pytest.approx(math.sqrt(1.25), abs=1e-12)
 
 
 class TestBruteForceCollision:

@@ -19,7 +19,7 @@ from depthnav import (
     rollout,
     run_mission,
 )
-from depthnav import collision, planner
+from depthnav import collision, lqr, planner
 from depthnav.collision import _blind_zone_radius
 from depthnav.planner import (
     EVENT_PRIORITY,
@@ -81,6 +81,10 @@ class TestPlannerConfig:
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError):
             PlannerConfig(ts=0.0)
+
+    def test_rejects_weights_of_another_type(self):
+        with pytest.raises(TypeError, match="^weights_l0: must be ModeWeights"):
+            PlannerConfig(weights_l0=(1.0, 0.1, 3.0))
 
 
 class TestEmptySceneMission:
@@ -233,13 +237,17 @@ class TestRiccatiGate:
         assert out.reached_goal
 
     def test_perturbed_gain_raises(self, monkeypatch):
-        """A 0.1% error in s11 at the default l0 weights is still refused."""
-        sc = load_scenario(SCENARIO_DIR / "empty.json")
-        gains = solve_gains(sc.planner)
-        gains["l0"] = dataclasses.replace(gains["l0"], s11=gains["l0"].s11 * 1.001)
-        monkeypatch.setattr(planner, "solve_gains", lambda cfg: gains)
-        with pytest.raises(RuntimeError, match="Riccati residual .* mode l0"):
-            run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
+        """A 0.1% error in s11 at the default l0 weights is refused when the
+        weights are built, naming qp."""
+        solve = lqr.solve_are_axis
+
+        def perturbed(w):
+            g = solve(w)
+            return dataclasses.replace(g, s11=g.s11 * 1.001)
+
+        monkeypatch.setattr(lqr, "solve_are_axis", perturbed)
+        with pytest.raises(ValueError, match="^qp: .* Riccati residual"):
+            ModeWeights(1.0, 0.1, 3.0)
 
 
 class TestStepPlanner:
