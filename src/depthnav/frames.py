@@ -64,6 +64,9 @@ class Configuration:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics.
@@ -71,7 +74,8 @@ class CameraIntrinsics:
     fsx, fsy are focal length times pixel density (pixels), cx, cy the
     principal point (pixels), strictly inside the image: on its border no
     footprint disc fits in view. z_near is the minimum imageable depth and
-    max_depth the sensor range, both meters.
+    max_depth the sensor range, both meters; max_depth is at most float32's
+    largest value, since a pixel with no hit holds it as float32.
     """
 
     fsx: float
@@ -92,6 +96,8 @@ class CameraIntrinsics:
                 raise ValueError(f"{name}: must lie strictly inside the image, got {getattr(self, name)}")
         if not self.z_near < self.max_depth:
             raise ValueError(f"z_near: must be below max_depth, got {self.z_near}")
+        if self.max_depth > _F32_MAX:
+            raise ValueError(f"max_depth: must be at most float32's largest value {_F32_MAX!r}, got {self.max_depth!r}")
 
 
 def _rx(a: float) -> np.ndarray:

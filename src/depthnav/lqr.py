@@ -28,7 +28,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StateVec:
-    """Flat-output state: 3D position and velocity."""
+    """The vehicle's flat-output state: 3D position and velocity."""
 
     p: np.ndarray
     v: np.ndarray
@@ -115,58 +115,50 @@ def are_residual(g: AxisGain, w: ModeWeights) -> float:
     return float(np.abs(res).max())
 
 
-def _law(p, v, x_ref: StateVec, g: AxisGain, u_max: float | None) -> np.ndarray:
-    """State-feedback acceleration command, identical gains on each axis,
-    each axis clamped to [-u_max, u_max] unless u_max is None."""
-    u = -g.kp * (p - x_ref.p) - g.kv * (v - x_ref.v)
-    return u if u_max is None else np.clip(u, -u_max, u_max)
+def _law(p, v, p_ref, g: AxisGain) -> np.ndarray:
+    """State-feedback acceleration command toward the point p_ref at rest,
+    with identical gains on each axis."""
+    return -g.kp * (p - p_ref) - g.kv * v
 
 
 def horizon_steps(tau: float, ts: float) -> int:
     """Number of ts samples after the start in one horizon of tau seconds.
 
-    Raises ValueError, naming tau, unless tau / ts is finite and tau a
+    Raises ValueError naming the field unless tau and ts are finite and
+    positive, and ValueError naming tau unless tau / ts is finite and tau a
     positive integral multiple of ts (within 1e-9 s).
     """
+    tau, ts = real("tau", tau, positive=True), real("ts", ts, positive=True)
     n = tau / ts
     if not math.isfinite(n) or (k := round(n)) < 1 or abs(k * ts - tau) > 1e-9:
         raise ValueError(f"tau: must be a positive integral multiple of ts, got tau / ts = {n!r}")
     return k
 
 
-def rollout(
-    x0: StateVec,
-    x_ref: StateVec,
-    g: AxisGain,
-    tau: float,
-    ts: float,
-    u_max: float | None = None,
-) -> LookAheadTrajectory:
-    """Integrate the closed loop over one horizon, sampling every ts seconds.
+def rollout(x0: StateVec, p_ref: np.ndarray, g: AxisGain, tau: float, ts: float) -> LookAheadTrajectory:
+    """Integrate the closed loop to the point p_ref over one horizon,
+    sampling every ts seconds.
 
     Uses fixed-substep RK4 with substep ts/10, integrating no further than
     the last sample. Every sample's input and every RK4 stage evaluate the
-    one control law, which clamps each input axis to u_max when it is given.
-    The first sample equals x0 exactly (no hover assumption).
+    one control law. The first sample equals x0 exactly (no hover assumption).
     """
-    if tau <= 0 or ts <= 0:
-        raise ValueError("tau and ts must be positive")
     n_steps = horizon_steps(tau, ts)
 
     p = x0.p.copy()
     v = x0.v.copy()
-    samples = [(StateVec(p, v), _law(p, v, x_ref, g, u_max))]
+    samples = [(StateVec(p, v), _law(p, v, p_ref, g))]
     h = ts / 10.0
     for _ in range(n_steps):
         for _ in range(10):
-            k1p, k1v = v, _law(p, v, x_ref, g, u_max)
+            k1p, k1v = v, _law(p, v, p_ref, g)
             p2, v2 = p + 0.5 * h * k1p, v + 0.5 * h * k1v
-            k2p, k2v = v2, _law(p2, v2, x_ref, g, u_max)
+            k2p, k2v = v2, _law(p2, v2, p_ref, g)
             p3, v3 = p + 0.5 * h * k2p, v + 0.5 * h * k2v
-            k3p, k3v = v3, _law(p3, v3, x_ref, g, u_max)
+            k3p, k3v = v3, _law(p3, v3, p_ref, g)
             p4, v4 = p + h * k3p, v + h * k3v
-            k4p, k4v = v4, _law(p4, v4, x_ref, g, u_max)
+            k4p, k4v = v4, _law(p4, v4, p_ref, g)
             p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        samples.append((StateVec(p, v), _law(p, v, x_ref, g, u_max)))
+        samples.append((StateVec(p, v), _law(p, v, p_ref, g)))
     return LookAheadTrajectory(samples)

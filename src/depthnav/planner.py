@@ -56,8 +56,8 @@ class GoalRegion:
     def contains(self, p) -> bool:
         return float(p[0]) >= self.x_goal
 
-    def reference(self) -> StateVec:
-        return StateVec.rest([self.x_goal, self.y_ref, self.z_ref])
+    def reference(self) -> np.ndarray:
+        return np.array([self.x_goal, self.y_ref, self.z_ref])
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,10 @@ class PlannerConfig:
     mission_timeout: float = 60.0
     weights_l0: ModeWeights = ModeWeights(1.0, 0.1, 3.0)
     weights_l1: ModeWeights = ModeWeights(1.0, 0.1, 0.1)
-    u_max: float | None = None  # None: unclamped inputs
 
     def __post_init__(self):
         coerce(self, real, "tau", "ts", "d_l", "eps_reach", "mission_timeout", positive=True)
         coerce(self, integer, "max_rings", minimum=1)
-        if self.u_max is not None:
-            coerce(self, real, "u_max", positive=True)
         for name in ("weights_l0", "weights_l1"):
             if not isinstance(getattr(self, name), ModeWeights):
                 raise TypeError(f"{name}: must be ModeWeights, got {getattr(self, name)!r}")
@@ -108,7 +105,7 @@ class PlannerState:
     appended: list  # list[(StateVec, u ndarray, mode label)]
     exec_idx: int = 0
     tick: int = 0
-    x_esc: StateVec | None = None  # the escape point, set exactly in l1
+    x_esc: np.ndarray | None = None  # the escape point, set exactly in l1
     events: list = field(default_factory=list)
 
     @property
@@ -138,9 +135,9 @@ class MissionOutcome:
         return self.status == "reached_goal"
 
 
-def guard_l1_to_l0(x: StateVec, x_esc: StateVec, eps_reach: float) -> bool:
+def guard_l1_to_l0(x: StateVec, x_esc: np.ndarray, eps_reach: float) -> bool:
     """Fires once the escape point is physically reached."""
-    return float(np.linalg.norm(x.p - x_esc.p)) <= eps_reach
+    return float(np.linalg.norm(x.p - x_esc)) <= eps_reach
 
 
 def step_planner(
@@ -150,18 +147,17 @@ def step_planner(
     goal: GoalRegion,
     intr: CameraIntrinsics,
     robot: RobotModel,
-    gains: dict,
 ) -> PlannerState:
     """One planning tick at the executor's current time.
 
-    Generates one lookahead from the end of the appended trajectory: toward
-    the goal in l0, toward the escape point in l1. In l0 it renders a depth
-    image from the current configuration and checks the lookahead against
-    it (:func:`waypoints2collision` decides which samples the check reads);
-    a free lookahead is appended, one leaving the view appends nothing
-    (the next tick regenerates the same lookahead and checks it in a fresh
-    image), and a predicted collision starts the escape search. In l1 the
-    lookahead is appended unchecked.
+    Generates one lookahead from the end of the appended trajectory with
+    the mode's gain, to a point at rest: the goal in l0, the escape point in
+    l1. In l0 it renders a depth image from the current configuration and
+    checks the lookahead against it (:func:`waypoints2collision` decides
+    which samples the check reads); a free lookahead is appended, one
+    leaving the view appends nothing (the next tick regenerates the same
+    lookahead and checks it in a fresh image), and a predicted collision
+    starts the escape search. In l1 the lookahead is appended unchecked.
     """
     exec_state = state.exec_sample[0]
 
@@ -176,8 +172,11 @@ def step_planner(
         return state  # buffer holds a full horizon; nothing to generate
 
     x_start = state.appended[-1][0]
-    x_ref = state.x_esc if state.mode is Mode.ESCAPE else goal.reference()
-    la = rollout(x_start, x_ref, gains[state.mode.value], cfg.tau, cfg.ts, u_max=cfg.u_max)
+    if state.mode is Mode.ESCAPE:
+        p_ref, w = state.x_esc, cfg.weights_l1
+    else:
+        p_ref, w = goal.reference(), cfg.weights_l0
+    la = rollout(x_start, p_ref, w.gain, cfg.tau, cfg.ts)
 
     # escape maneuvers head to an already-verified free point while cutting
     # across the view cone; they are appended without a render or image
@@ -199,7 +198,7 @@ def step_planner(
         if esc.stuck:
             state.log("stuck")
         else:
-            state.x_esc = StateVec.rest(esc.position)
+            state.x_esc = esc.position
             state.log("escape_found", position=[float(v) for v in esc.position])
     return state
 
@@ -230,7 +229,6 @@ def run_mission(
     """
     if brute_force_collision(scene, x0.p, robot.rho):
         raise ValueError("initial state is in collision per the 3D oracle")
-    gains = solve_gains(cfg)
 
     state = PlannerState(appended=[(x0, np.zeros(3), Mode.GO_TO_GOAL.value)])
     rows: list = []
@@ -238,7 +236,7 @@ def run_mission(
     while True:
         t = state.tick * cfg.ts
         n_before = len(state.events)
-        step_planner(scene, state, cfg, goal, intr, robot, gains)
+        step_planner(scene, state, cfg, goal, intr, robot)
         tick_events = [e["event"] for e in state.events[n_before:]]
         if starved:
             tick_events.append("starvation")

@@ -4,37 +4,39 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from depthnav import Box, CameraIntrinsics, RobotModel, StateVec, rollout, solve_are_axis
+from depthnav import Box, CameraIntrinsics, RobotModel, rollout
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
+def replay_steps(sc, out):
+    """Yield (s0, s1, p_ref, gain, same_leg) for each appended step s0 -> s1.
+
+    p_ref and gain are the reference point and the axis gain of the mode
+    that generated s1: the goal point and l0's gain, or the escape point of
+    the matching `escape_found` event and l1's gain. same_leg is true when
+    s0 was generated toward the same reference (the start counts as l0).
+    """
+    escapes = iter(np.array(e["position"]) for e in out.events if e["event"] == "escape_found")
+    p_ref = goal_ref = sc.goal.reference()
+    for (s0, _, label0), (s1, _, label) in zip(out.appended, out.appended[1:]):
+        if label != label0:
+            p_ref = next(escapes) if label == "l1" else goal_ref
+        w = sc.planner.weights_l1 if label == "l1" else sc.planner.weights_l0
+        yield s0, s1, p_ref, w.gain, label == label0
+
+
 def max_junction_mismatch(sc, out):
     """Worst position/velocity gap when each appended step is re-integrated
-    from its predecessor with the generating mode's gains and reference.
+    from its predecessor with the generating mode's gain and reference.
 
     Zero (up to float noise) means the chained trajectory is junction-
     continuous: no lookahead boundary introduces a state jump.
     """
-    gains = {
-        "l0": solve_are_axis(sc.planner.weights_l0),
-        "l1": solve_are_axis(sc.planner.weights_l1),
-    }
-    escapes = iter(
-        StateVec.rest(e["position"]) for e in out.events if e["event"] == "escape_found"
-    )
-    goal_ref = sc.goal.reference()
-    x_ref = goal_ref
-    prev_label = "l0"
+    ts = sc.planner.ts
     worst = 0.0
-    for (s0, _, _), (s1, _, label) in zip(out.appended, out.appended[1:]):
-        if label == "l1" and prev_label == "l0":
-            x_ref = next(escapes)
-        elif label == "l0":
-            x_ref = goal_ref
-        prev_label = label
-        la = rollout(s0, x_ref, gains[label], sc.planner.ts, sc.planner.ts, u_max=sc.planner.u_max)
-        s_pred, _ = la.samples[1]
+    for s0, s1, p_ref, g, _ in replay_steps(sc, out):
+        s_pred, _ = rollout(s0, p_ref, g, ts, ts).samples[1]
         worst = max(
             worst,
             float(np.max(np.abs(s_pred.p - s1.p))),

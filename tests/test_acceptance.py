@@ -36,7 +36,7 @@ from depthnav import (
 from depthnav.oracle import brute_force_collision
 from depthnav.scene import RobotModel
 
-from conftest import SCENARIO_DIR, max_junction_mismatch
+from conftest import SCENARIO_DIR, max_junction_mismatch, replay_steps
 
 Q0 = Configuration(0.0, 0.0, 0.0)
 
@@ -175,33 +175,19 @@ def test_criterion_5_projection_fidelity(intr):
     )
 
 
+def _lyapunov(s, p_ref, g) -> float:
+    """V = sum over axes of e^T S e, e = (position error, velocity)."""
+    S = np.array([[g.s11, g.s12], [g.s12, g.s22]])
+    errors = (np.array([s.p[ax] - p_ref[ax], s.v[ax]]) for ax in range(3))
+    return sum(float(e @ S @ e) for e in errors)
+
+
 def _lyapunov_violation(sc, out):
-    """Largest Lyapunov increase along appended samples sharing one reference."""
-    gains = {
-        "l0": solve_are_axis(sc.planner.weights_l0),
-        "l1": solve_are_axis(sc.planner.weights_l1),
-    }
-    escapes = iter(StateVec.rest(e["position"]) for e in out.events if e["event"] == "escape_found")
-    goal_ref = sc.goal.reference()
-    x_ref, prev_label = goal_ref, "l0"
+    """Largest Lyapunov increase along appended steps sharing one reference."""
     worst = 0.0
-    prev_V = None
-    for s, _, label in out.appended:
-        if label == "l1" and prev_label == "l0":
-            x_ref, prev_V = next(escapes), None
-        elif label == "l0" and prev_label == "l1":
-            x_ref, prev_V = goal_ref, None
-        prev_label = label
-        g = gains[label]
-        S = np.array([[g.s11, g.s12], [g.s12, g.s22]])
-        V = sum(
-            float(np.array([s.p[ax] - x_ref.p[ax], s.v[ax] - x_ref.v[ax]]) @ S
-                  @ np.array([s.p[ax] - x_ref.p[ax], s.v[ax] - x_ref.v[ax]]))
-            for ax in range(3)
-        )
-        if prev_V is not None:
-            worst = max(worst, V - prev_V)
-        prev_V = V
+    for s0, s1, p_ref, g, same_leg in replay_steps(sc, out):
+        if same_leg:
+            worst = max(worst, _lyapunov(s1, p_ref, g) - _lyapunov(s0, p_ref, g))
     return worst
 
 
@@ -248,7 +234,7 @@ def test_criterion_7_collision_check_throughput(intr, robot):
 def test_criterion_8_planning_tick_budget(robot):
     """Median full tick (render + check + rollout) within the 33 ms budget."""
     sc = load_scenario(SCENARIO_DIR / "corridor.json")
-    g = solve_are_axis(sc.planner.weights_l0)
+    g = sc.planner.weights_l0.gain
     goal_ref = sc.goal.reference()
     times = []
     for x in np.linspace(0.0, 7.0, 15):

@@ -13,6 +13,7 @@ from depthnav import (
     rollout,
     solve_are_axis,
 )
+from depthnav.lqr import horizon_steps
 
 L0 = ModeWeights(1.0, 0.1, 3.0)
 L1 = ModeWeights(1.0, 0.1, 0.1)
@@ -84,26 +85,27 @@ class TestAreResidual:
         assert are_residual(solve_are_axis(w), w) < 1e-12
 
 
-def _control(x: StateVec, x_ref: StateVec, g) -> np.ndarray:
+def _control(x: StateVec, p_ref, g) -> np.ndarray:
     """The control law's command at x: the input of a rollout's first sample."""
-    return rollout(x, x_ref, g, 0.2, 0.2).samples[0][1]
+    return rollout(x, p_ref, g, 0.2, 0.2).samples[0][1]
 
 
 class TestControl:
     def test_zero_at_equilibrium(self):
+        """At rest at the reference point the command is exactly zero."""
         g = solve_are_axis(L0)
-        x = StateVec([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
-        assert np.allclose(_control(x, x, g), 0.0)
+        x = StateVec.rest([1.0, 2.0, 3.0])
+        assert np.array_equal(_control(x, x.p, g), np.zeros(3))
 
     def test_unit_position_error(self):
         g = solve_are_axis(L0)
         x = StateVec([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        u = _control(x, StateVec.rest([0.0, 0.0, 0.0]), g)
+        u = _control(x, np.zeros(3), g)
         assert np.allclose(u, [-0.5773502691896257, 0.0, 0.0], atol=1e-12)
 
     def test_linearity(self):
         g = solve_are_axis(L1)
-        ref = StateVec.rest([0.0, 0.0, 0.0])
+        ref = np.zeros(3)
         x1 = StateVec([0.5, -0.2, 0.1], [0.3, 0.0, -0.4])
         x2 = StateVec(2 * x1.p, 2 * x1.v)
         assert np.allclose(2 * _control(x1, ref, g), _control(x2, ref, g), atol=1e-12)
@@ -113,7 +115,7 @@ class TestRollout:
     def test_equilibrium_rollout(self):
         g = solve_are_axis(L0)
         x = StateVec.rest([1.0, 2.0, 3.0])
-        la = rollout(x, x, g, 0.8, 0.2)
+        la = rollout(x, x.p, g, 0.8, 0.2)
         assert len(la.samples) == 5
         for s, u in la.samples:
             assert np.allclose(s.p, x.p) and np.allclose(s.v, 0.0)
@@ -121,7 +123,7 @@ class TestRollout:
 
     def test_monotone_approach_to_reference(self):
         g = solve_are_axis(L0)
-        la = rollout(StateVec.rest([0.0, 0.0, 0.0]), StateVec.rest([1.0, 0.0, 0.0]), g, 0.8, 0.2)
+        la = rollout(StateVec.rest([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), g, 0.8, 0.2)
         xs = [float(s.p[0]) for s, _ in la.samples]
         assert len(xs) == 5
         assert all(b > a for a, b in zip(xs, xs[1:]))
@@ -129,7 +131,7 @@ class TestRollout:
     def test_first_sample_is_exactly_x0(self):
         g = solve_are_axis(L1)
         x0 = StateVec([0.3, -0.2, 1.1], [0.5, 0.1, -0.7])
-        la = rollout(x0, StateVec.rest([2.0, 0.0, 1.0]), g, 0.8, 0.2)
+        la = rollout(x0, np.array([2.0, 0.0, 1.0]), g, 0.8, 0.2)
         s0, _ = la.samples[0]
         assert np.array_equal(s0.p, x0.p) and np.array_equal(s0.v, x0.v)
 
@@ -138,20 +140,20 @@ class TestRollout:
         for w in (L0, L1):
             g = solve_are_axis(w)
             x0 = StateVec([0.0, 0.5, -0.3], [1.0, -0.5, 0.2])
-            ref = StateVec.rest([3.0, 0.0, 1.0])
+            ref = np.array([3.0, 0.0, 1.0])
             la = rollout(x0, ref, g, 0.8, 0.2)
             p, v = x0.p.copy(), x0.v.copy()
             h = 1e-4
             fine = [(p.copy(), v.copy())]
             for k in range(4):
                 for _ in range(2000):
-                    k1p, k1v = v, -g.kp * (p - ref.p) - g.kv * (v - ref.v)
+                    k1p, k1v = v, -g.kp * (p - ref) - g.kv * v
                     p2, v2 = p + 0.5 * h * k1p, v + 0.5 * h * k1v
-                    k2p, k2v = v2, -g.kp * (p2 - ref.p) - g.kv * (v2 - ref.v)
+                    k2p, k2v = v2, -g.kp * (p2 - ref) - g.kv * v2
                     p3, v3 = p + 0.5 * h * k2p, v + 0.5 * h * k2v
-                    k3p, k3v = v3, -g.kp * (p3 - ref.p) - g.kv * (v3 - ref.v)
+                    k3p, k3v = v3, -g.kp * (p3 - ref) - g.kv * v3
                     p4, v4 = p + h * k3p, v + h * k3v
-                    k4p, k4v = v4, -g.kp * (p4 - ref.p) - g.kv * (v4 - ref.v)
+                    k4p, k4v = v4, -g.kp * (p4 - ref) - g.kv * v4
                     p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
                     v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
                 fine.append((p.copy(), v.copy()))
@@ -163,40 +165,34 @@ class TestRollout:
         for w in (L0, L1):
             g = solve_are_axis(w)
             S = np.array([[g.s11, g.s12], [g.s12, g.s22]])
-            ref = StateVec.rest([2.0, -1.0, 0.5])
+            ref = np.array([2.0, -1.0, 0.5])
             la = rollout(StateVec([0.0, 0.0, 0.0], [1.5, -0.5, 0.0]), ref, g, 0.8, 0.2)
             values = []
             for s, _ in la.samples:
                 V = 0.0
                 for ax in range(3):
-                    e = np.array([s.p[ax] - ref.p[ax], s.v[ax] - ref.v[ax]])
+                    e = np.array([s.p[ax] - ref[ax], s.v[ax]])
                     V += float(e @ S @ e)
                 values.append(V)
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_axis_decoupling(self):
         g = solve_are_axis(L0)
-        la = rollout(StateVec.rest([1.0, 0.0, 0.0]), StateVec.rest([0.0, 0.0, 0.0]), g, 0.8, 0.2)
+        la = rollout(StateVec.rest([1.0, 0.0, 0.0]), np.zeros(3), g, 0.8, 0.2)
         for s, u in la.samples:
             assert u[1] == 0.0 and u[2] == 0.0
             assert s.p[1] == 0.0 and s.p[2] == 0.0
 
-    def test_input_clamp(self):
-        g = solve_are_axis(L1)
-        la = rollout(StateVec.rest([0.0, 0.0, 0.0]), StateVec.rest([5.0, 0.0, 0.0]), g, 0.8, 0.2, u_max=2.0)
-        for _, u in la.samples:
-            assert np.all(np.abs(u) <= 2.0 + 1e-12)
-
     def test_rejects_non_integral_horizon(self):
         g = solve_are_axis(L0)
         with pytest.raises(ValueError):
-            rollout(StateVec.rest([0, 0, 0]), StateVec.rest([1, 0, 0]), g, 0.7, 0.2)
+            rollout(StateVec.rest([0, 0, 0]), np.array([1.0, 0.0, 0.0]), g, 0.7, 0.2)
 
     def test_rejects_overflowing_horizon(self):
         """tau / ts overflows to infinity: a ValueError, not an OverflowError."""
         g = solve_are_axis(L0)
         with pytest.raises(ValueError, match="tau"):
-            rollout(StateVec.rest([0, 0, 0]), StateVec.rest([1, 0, 0]), g, 1e300, 1e-300)
+            rollout(StateVec.rest([0, 0, 0]), np.array([1.0, 0.0, 0.0]), g, 1e300, 1e-300)
 
     def test_integrates_only_up_to_the_last_sample(self, monkeypatch):
         """One law evaluation per sample plus 10 RK4 substeps of 4 between
@@ -209,9 +205,26 @@ class TestRollout:
 
         original = lqr._law
         monkeypatch.setattr(lqr, "_law", counting_law)
-        la = rollout(StateVec.rest([0, 0, 0]), StateVec.rest([1, 0, 0]), solve_are_axis(L0), 0.8, 0.2)
+        la = rollout(StateVec.rest([0, 0, 0]), np.array([1.0, 0.0, 0.0]), solve_are_axis(L0), 0.8, 0.2)
         assert len(la.samples) == 5
         assert len(calls) == 1 + 4 * (10 * 4 + 1)
+
+
+class TestHorizonSteps:
+    def test_rejects_non_positive_step(self):
+        """ts = 0 names ts: a ValueError, not a ZeroDivisionError."""
+        with pytest.raises(ValueError, match="^ts: must be positive"):
+            horizon_steps(0.8, 0.0)
+
+    def test_rejects_negative_horizon(self):
+        """Two negative times divide to a positive ratio; tau is refused first."""
+        with pytest.raises(ValueError, match="^tau: must be positive"):
+            horizon_steps(-0.8, -0.2)
+
+    def test_rejects_non_finite_times(self):
+        for tau, ts, field in ((math.inf, 0.2, "tau"), (0.8, math.nan, "ts")):
+            with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+                horizon_steps(tau, ts)
 
 
 class TestClosedLoopProperties:

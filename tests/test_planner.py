@@ -62,7 +62,7 @@ def _clutter(rng) -> Scene:
 
 class TestGuards:
     def test_l1_to_l0_distance_threshold(self):
-        esc = StateVec.rest([1.0, 0.0, 0.0])
+        esc = np.array([1.0, 0.0, 0.0])
         assert guard_l1_to_l0(StateVec.rest([1.0, 0.0, 0.0]), esc, 0.15)
         assert guard_l1_to_l0(StateVec.rest([1.1, 0.0, 0.0]), esc, 0.15)
         assert not guard_l1_to_l0(StateVec.rest([2.0, 0.0, 0.0]), esc, 0.15)
@@ -81,6 +81,10 @@ class TestPlannerConfig:
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError):
             PlannerConfig(ts=0.0)
+
+    def test_solve_gains_reads_the_weights(self):
+        cfg = PlannerConfig()
+        assert solve_gains(cfg) == {"l0": cfg.weights_l0.gain, "l1": cfg.weights_l1.gain}
 
     def test_rejects_weights_of_another_type(self):
         with pytest.raises(TypeError, match="^weights_l0: must be ModeWeights"):
@@ -261,11 +265,10 @@ class TestStepPlanner:
         )
         cfg = PlannerConfig(d_l=1.0)
         goal = GoalRegion(10.0, 0.0, 1.5)
-        gains = solve_gains(cfg)
         x0 = StateVec([1.2, 0.0, 1.5], [2.0, 0.0, 0.0])
         state = PlannerState(appended=[(x0, np.zeros(3), "l0")])
         for _ in range(25):
-            step_planner(scene, state, cfg, goal, intr, robot, gains)
+            step_planner(scene, state, cfg, goal, intr, robot)
             if state.mode is Mode.ESCAPE:
                 break
             if state.exec_idx < len(state.appended) - 1:
@@ -273,7 +276,7 @@ class TestStepPlanner:
             state.tick += 1
         assert state.mode is Mode.ESCAPE
         assert state.x_esc is not None
-        assert state.x_esc.p[2] > 1.5  # escape found through the gap above
+        assert state.x_esc[2] > 1.5  # escape found through the gap above
 
     def test_casts_only_for_checked_samples(self, intr, robot):
         """An l0 tick whose lookahead lies wholly inside the blind zone checks
@@ -283,9 +286,9 @@ class TestStepPlanner:
         box = CountingBox((6.0, -2.0, 0.0), (6.5, 2.0, 3.0))
         floor = CountingBox((-5.0, -5.0, -1.0), (20.0, 5.0, 0.0))
         scene = Scene((box, floor))
-        cfg = PlannerConfig(u_max=0.5)  # slow start: the first lookaheads stay blind
+        # slow start: a heavy l0 input weight keeps the first lookaheads blind
+        cfg = PlannerConfig(weights_l0=ModeWeights(1.0, 0.1, 300.0))
         goal = GoalRegion(10.0, 0.0, 1.2)
-        gains = solve_gains(cfg)
         blind = _blind_zone_radius(intr, robot)
         x0 = StateVec.rest([0.0, 0.0, 1.2])
         state = PlannerState(appended=[(x0, np.zeros(3), "l0")])
@@ -293,7 +296,7 @@ class TestStepPlanner:
         for _ in range(60):
             cam = state.exec_sample[0].p
             n_appended = len(state.appended)
-            step_planner(scene, state, cfg, goal, intr, robot, gains)
+            step_planner(scene, state, cfg, goal, intr, robot)
             assert state.mode is Mode.GO_TO_GOAL and not state.events
             new = [s.p for s, _, _ in state.appended[n_appended:]]
             if new and all(np.linalg.norm(p - cam) <= blind for p in new):
@@ -323,19 +326,17 @@ class TestStepPlanner:
             ))
         deferrals = rechecked = 0
         for scene, x0, goal, cfg, intr, robot in missions:
-            gains = solve_gains(cfg)
             state = PlannerState(appended=[(x0, np.zeros(3), "l0")])
             pending = None  # the trajectory end at a deferral on the previous tick
             while state.tick * cfg.ts < cfg.mission_timeout:
                 before, n_events = list(state.appended), len(state.events)
-                step_planner(scene, state, cfg, goal, intr, robot, gains)
+                step_planner(scene, state, cfg, goal, intr, robot)
                 events = [e["event"] for e in state.events[n_events:]]
                 new = state.appended[len(before):]
                 if pending is not None:
                     assert events or new
                     if new:
-                        ref = goal.reference()
-                        la = rollout(pending, ref, gains["l0"], cfg.tau, cfg.ts, u_max=cfg.u_max)
+                        la = rollout(pending, goal.reference(), cfg.weights_l0.gain, cfg.tau, cfg.ts)
                         assert len(new) == len(la.samples) - 1
                         for (s, u, label), (s_la, u_la) in zip(new, la.samples[1:]):
                             assert label == "l0"
