@@ -20,6 +20,7 @@ import numpy as np
 
 from .frames import CameraIntrinsics
 from .scene import DepthImage, RobotModel, render_robot_footprint
+from .validation import integer, real
 
 __all__ = [
     "Verdict",
@@ -120,10 +121,8 @@ def find_escape(
     OUT_OF_VIEW (its footprint is empty); the search is stuck when no
     direction is live or k exceeds max_rings.
     """
-    if d_l <= 0:
-        raise ValueError("d_l must be positive")
-    if max_rings < 1:
-        raise ValueError("max_rings must be at least 1")
+    d_l = real("d_l", d_l, positive=True)
+    max_rings = integer("max_rings", max_rings, minimum=1)
     p_hit = np.asarray(p_hit, dtype=float)
     live = list(_DIRECTIONS @ depth.R_ws)  # camera->world: R_ws.T per direction
     for k in range(1, max_rings + 1):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -579,20 +581,29 @@ def render_robot_footprint(p, depth: DepthImage, robot: RobotModel) -> RobotFoot
 
 def write_pfm(path, values: np.ndarray) -> None:
     """Write a (height, width) depth array as a grayscale PFM: 'Pf',
-    width height, scale -1.0, little-endian float32 rows bottom-up."""
+    width height, scale -1.0, little-endian float32 rows bottom-up.
+
+    An existing file is overwritten in place, then cut to the bytes written
+    if it was longer: opening with O_TRUNC would free every block of the
+    old file only for the write to allocate them again. Like a truncating
+    write it is not atomic; a reader during the write may see old bytes."""
     height, width = values.shape
     # DepthImage.values is a reversed view of a bottom-up buffer: written
     # as is; any other array is copied once
     rows = np.ascontiguousarray(np.flipud(values), dtype="<f4")
-    with open(path, "wb") as f:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         f.write(f"Pf\n{width} {height}\n-1.0\n".encode("ascii"))
         f.write(rows)
+        # only a regular file can be cut: /dev/null or a pipe cannot
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size > f.tell():
+            f.truncate()
 
 
 def read_pfm(path) -> np.ndarray:
     """Read a grayscale PFM into a (height, width) float32 array, top row
     first. Raises ValueError on a size line that is not two positive
-    integers and on a payload shorter than width x height floats."""
+    integers and on a payload that is not exactly width x height floats."""
     with open(path, "rb") as f:
         if f.readline().strip() != b"Pf":
             raise ValueError("not a grayscale PFM file")
@@ -605,7 +616,7 @@ def read_pfm(path) -> np.ndarray:
         # allocates nothing before it is rejected
         payload = f.read()
     want = w * h * 4
-    if len(payload) < want:
+    if len(payload) != want:
         raise ValueError(f"PFM payload holds {len(payload)} bytes, expected {want} for {w}x{h} float32 values")
     data = np.frombuffer(payload, dtype="<f4" if scale < 0 else ">f4", count=w * h)
     return np.ascontiguousarray(np.flipud(data.reshape(h, w)), dtype=np.float32)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -155,10 +156,19 @@ class TestRender:
     ])
     def test_matches_golden_pfm(self, tmp_path, name, pose):
         """Full frames byte-identical to tests/golden/render/, written by an
-        unculled renderer; the 6-DoF pose sees a wall box straddle z_near."""
-        out = tmp_path / "depth.pfm"
-        assert cli(["render", str(SCENARIO_DIR / "corridor.json"), *pose, "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "render" / f"{name}.pfm").read_bytes()
+        unculled renderer; the 6-DoF pose sees a wall box straddle z_near.
+        The render overwrites a file in place: over a longer one (the other
+        golden plus 1 KB of junk) it leaves the golden's bytes and no more,
+        and over the null device, which cannot be cut, it still exits 0."""
+        corridor = str(SCENARIO_DIR / "corridor.json")
+        golden = (GOLDEN_DIR / "render" / f"{name}.pfm").read_bytes()
+        other = "corridor_6dof" if name == "corridor_start" else "corridor_start"
+        out, longer = tmp_path / "depth.pfm", tmp_path / "longer.pfm"
+        longer.write_bytes((GOLDEN_DIR / "render" / f"{other}.pfm").read_bytes() + b"\xff" * 1024)
+        for path in (out, longer):
+            assert cli(["render", corridor, *pose, "--out", str(path)]) == 0
+            assert path.read_bytes() == golden
+        assert cli(["render", corridor, *pose, "--out", os.devnull]) == 0
 
     def test_negative_exponent_pose(self, tmp_path):
         a = tmp_path / "a.pfm"

@@ -186,10 +186,10 @@ class TestFindEscape:
 
     def test_invalid_parameters(self, intr, robot):
         depth = render_scene_depth(Scene(), Q0, intr)
-        with pytest.raises(ValueError):
-            find_escape([1.0, 0.0, 0.0], depth, 0.0, 20, robot)
-        with pytest.raises(ValueError):
-            find_escape([1.0, 0.0, 0.0], depth, 0.5, 0, robot)
+        for d_l, max_rings, field in [(0.0, 20, "d_l"), (float("nan"), 20, "d_l"),
+                                      (0.5, 0, "max_rings"), (0.5, 2.5, "max_rings")]:
+            with pytest.raises(ValueError, match=rf"^{field}: "):
+                find_escape([1.0, 0.0, 0.0], depth, d_l, max_rings, robot)
 
 
 class TestSoundness:

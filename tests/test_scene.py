@@ -1021,6 +1021,16 @@ class TestPfm:
         with pytest.raises(ValueError, match=r"holds 84 bytes, expected 1228800 for 640x480"):
             read_pfm(cut)
 
+    def test_read_rejects_a_payload_with_bytes_left_over(self, tmp_path):
+        """A 640x480 render followed by 1 KB of junk, as a writer that did not
+        cut a longer old file would leave it: the error names both sizes."""
+        sc = load_scenario(SCENARIO_DIR / "corridor.json")
+        path = tmp_path / "long.pfm"
+        write_pfm(path, render_scene_depth(sc.scene, Configuration(*sc.x0.p), sc.intrinsics).values)
+        path.write_bytes(path.read_bytes() + bytes(1024))
+        with pytest.raises(ValueError, match=r"holds 1229824 bytes, expected 1228800 for 640x480"):
+            read_pfm(path)
+
     def test_read_rejects_a_size_beyond_the_file_without_reading_it(self, tmp_path):
         """A size line claiming more than any buffer can hold is rejected
         by what the file holds, not by an attempt to read the claim."""
