@@ -38,7 +38,7 @@ class StateVec:
 
     @staticmethod
     def rest(p) -> "StateVec":
-        return StateVec(np.asarray(p, dtype=float), np.zeros(3))
+        return StateVec(p, np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,10 @@ class ModeWeights:
 
 @dataclass
 class LookAheadTrajectory:
-    """One horizon of closed-loop samples: (state, input) every ts seconds."""
+    """One horizon of closed-loop samples every ts seconds, one row
+    [p | v | u] (trajectory.csv's px..uz) per sample."""
 
-    samples: list  # list[(StateVec, np.ndarray)]
-
-    def positions(self) -> np.ndarray:
-        return np.array([s.p for s, _ in self.samples])
+    samples: np.ndarray  # (n + 1, 9)
 
 
 def solve_are_axis(w: ModeWeights) -> AxisGain:
@@ -135,21 +133,22 @@ def horizon_steps(tau: float, ts: float) -> int:
     return k
 
 
-def rollout(x0: StateVec, p_ref: np.ndarray, g: AxisGain, tau: float, ts: float) -> LookAheadTrajectory:
-    """Integrate the closed loop to the point p_ref over one horizon,
-    sampling every ts seconds.
+def rollout(x0, p_ref: np.ndarray, g: AxisGain, n: int, ts: float) -> LookAheadTrajectory:
+    """Integrate the closed loop to the point p_ref for n samples after the
+    start, sampling every ts seconds.
 
-    Uses fixed-substep RK4 with substep ts/10, integrating no further than
-    the last sample. Every sample's input and every RK4 stage evaluate the
-    one control law. The first sample equals x0 exactly (no hover assumption).
+    x0 is any array whose first six entries are [p | v], such as a sample
+    row. The caller's n and ts are taken as they are (see
+    :func:`horizon_steps`). Uses fixed-substep RK4 with substep ts/10,
+    integrating no further than the last sample. Every sample's input and
+    every RK4 stage evaluate the one control law. The first sample's state
+    equals x0 exactly (no hover assumption).
     """
-    n_steps = horizon_steps(tau, ts)
-
-    p = x0.p.copy()
-    v = x0.v.copy()
-    samples = [(StateVec(p, v), _law(p, v, p_ref, g))]
+    samples = np.empty((n + 1, 9))
+    p, v = x0[:3], x0[3:6]
+    samples[0, :3], samples[0, 3:6], samples[0, 6:] = p, v, _law(p, v, p_ref, g)
     h = ts / 10.0
-    for _ in range(n_steps):
+    for k in range(1, n + 1):
         for _ in range(10):
             k1p, k1v = v, _law(p, v, p_ref, g)
             p2, v2 = p + 0.5 * h * k1p, v + 0.5 * h * k1v
@@ -160,5 +159,5 @@ def rollout(x0: StateVec, p_ref: np.ndarray, g: AxisGain, tau: float, ts: float)
             k4p, k4v = v4, _law(p4, v4, p_ref, g)
             p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        samples.append((StateVec(p, v), _law(p, v, p_ref, g)))
+        samples[k, :3], samples[k, 3:6], samples[k, 6:] = p, v, _law(p, v, p_ref, g)
     return LookAheadTrajectory(samples)

@@ -70,6 +70,7 @@ class PlannerConfig:
     mission_timeout: float = 60.0
     weights_l0: ModeWeights = ModeWeights(1.0, 0.1, 3.0)
     weights_l1: ModeWeights = ModeWeights(1.0, 0.1, 0.1)
+    horizon_samples: int = field(init=False, repr=False, compare=False)  # samples after a lookahead's start
 
     def __post_init__(self):
         coerce(self, real, "tau", "ts", "d_l", "eps_reach", "mission_timeout", positive=True)
@@ -77,11 +78,7 @@ class PlannerConfig:
         for name in ("weights_l0", "weights_l1"):
             if not isinstance(getattr(self, name), ModeWeights):
                 raise TypeError(f"{name}: must be ModeWeights, got {getattr(self, name)!r}")
-        horizon_steps(self.tau, self.ts)
-
-    @property
-    def horizon_samples(self) -> int:
-        return horizon_steps(self.tau, self.ts)
+        object.__setattr__(self, "horizon_samples", horizon_steps(self.tau, self.ts))
 
 
 # executed-trajectory row fields, in trajectory.csv column order
@@ -102,7 +99,12 @@ EVENT_PRIORITY = (
 
 @dataclass
 class PlannerState:
-    appended: list  # list[(StateVec, u ndarray, mode label)]
+    """The appended trajectory, start included, as one row [p | v | u]
+    (ROW_COLUMNS[2:11]) and one mode label per sample, and the executor's
+    place in it."""
+
+    appended: np.ndarray  # (N, 9)
+    modes: list  # N mode labels
     exec_idx: int = 0
     tick: int = 0
     x_esc: np.ndarray | None = None  # the escape point, set exactly in l1
@@ -111,10 +113,6 @@ class PlannerState:
     @property
     def mode(self) -> Mode:
         return Mode.GO_TO_GOAL if self.x_esc is None else Mode.ESCAPE
-
-    @property
-    def exec_sample(self):
-        return self.appended[self.exec_idx]
 
     def log(self, event: str, **info):
         self.events.append({"tick": self.tick, "event": event, "mode": self.mode.value, **info})
@@ -127,7 +125,8 @@ class MissionOutcome:
     status: str  # reached_goal | stuck | timed_out
     time: float
     rows: list  # executed trajectory rows (dicts, one per tick)
-    appended: list  # full feasible trajectory samples
+    appended: np.ndarray  # the appended trajectory's (N, 9) sample rows
+    modes: list  # their N mode labels
     events: list
 
     @property
@@ -135,9 +134,9 @@ class MissionOutcome:
         return self.status == "reached_goal"
 
 
-def guard_l1_to_l0(x: StateVec, x_esc: np.ndarray, eps_reach: float) -> bool:
-    """Fires once the escape point is physically reached."""
-    return float(np.linalg.norm(x.p - x_esc)) <= eps_reach
+def guard_l1_to_l0(p: np.ndarray, x_esc: np.ndarray, eps_reach: float) -> bool:
+    """Fires once the escape point is physically reached from position p."""
+    return float(np.linalg.norm(p - x_esc)) <= eps_reach
 
 
 def step_planner(
@@ -159,37 +158,38 @@ def step_planner(
     lookahead and checks it in a fresh image), and a predicted collision
     starts the escape search. In l1 the lookahead is appended unchecked.
     """
-    exec_state = state.exec_sample[0]
+    p_exec = state.appended[state.exec_idx, :3]
 
     # l1 -> l0: escape physically reached; resume toward goal from the actual state
-    if state.mode is Mode.ESCAPE and guard_l1_to_l0(exec_state, state.x_esc, cfg.eps_reach):
+    if state.mode is Mode.ESCAPE and guard_l1_to_l0(p_exec, state.x_esc, cfg.eps_reach):
         state.log("escape_reached")
-        del state.appended[state.exec_idx + 1 :]
+        state.appended = state.appended[: state.exec_idx + 1]
+        del state.modes[state.exec_idx + 1 :]
         state.x_esc = None
 
     unexecuted = len(state.appended) - 1 - state.exec_idx
     if unexecuted > cfg.horizon_samples:
         return state  # buffer holds a full horizon; nothing to generate
 
-    x_start = state.appended[-1][0]
     if state.mode is Mode.ESCAPE:
         p_ref, w = state.x_esc, cfg.weights_l1
     else:
         p_ref, w = goal.reference(), cfg.weights_l0
-    la = rollout(x_start, p_ref, w.gain, cfg.tau, cfg.ts)
+    la = rollout(state.appended[-1], p_ref, w.gain, cfg.horizon_samples, cfg.ts)
+    positions = la.samples[:, :3]
 
     # escape maneuvers head to an already-verified free point while cutting
     # across the view cone; they are appended without a render or image
     # check (end-to-end safety is covered by the 3D oracle sweep)
     verdict, hit_idx = Verdict.FREE, None
     if state.mode is Mode.GO_TO_GOAL:
-        q_c = Configuration(*exec_state.p.tolist())  # heading held toward +x: no yaw planning
+        q_c = Configuration(*p_exec.tolist())  # heading held toward +x: no yaw planning
         depth = render_scene_depth(scene, q_c, intr)
-        positions = la.positions()
         verdict, hit_idx = waypoints2collision(positions, depth, robot)
 
     if verdict is Verdict.FREE:
-        state.appended.extend((s, u, state.mode.value) for s, u in la.samples[1:])
+        state.appended = np.concatenate((state.appended, la.samples[1:]))
+        state.modes += [state.mode.value] * cfg.horizon_samples
     elif verdict is Verdict.OUT_OF_VIEW:
         state.log("deferred", sample=hit_idx)
     else:  # collision predicted somewhere in [k*tau, (k+1)*tau]
@@ -203,8 +203,8 @@ def step_planner(
     return state
 
 
-def _row(t: float, mode_label: str, s: StateVec, u, event: str) -> dict:
-    values = [round(t, 9), mode_label, *s.p.tolist(), *s.v.tolist(), *u.tolist(), event]
+def _row(t: float, mode_label: str, sample: np.ndarray, event: str) -> dict:
+    values = [round(t, 9), mode_label, *sample.tolist(), event]
     return dict(zip(ROW_COLUMNS, values))
 
 
@@ -230,7 +230,8 @@ def run_mission(
     if brute_force_collision(scene, x0.p, robot.rho):
         raise ValueError("initial state is in collision per the 3D oracle")
 
-    state = PlannerState(appended=[(x0, np.zeros(3), Mode.GO_TO_GOAL.value)])
+    start = np.concatenate((x0.p, x0.v, np.zeros(3)))
+    state = PlannerState(appended=start[None], modes=[Mode.GO_TO_GOAL.value])
     rows: list = []
     starved = False  # the executor could not advance at the end of the last tick
     while True:
@@ -240,27 +241,21 @@ def run_mission(
         tick_events = [e["event"] for e in state.events[n_before:]]
         if starved:
             tick_events.append("starvation")
-        s, u, mode_label = state.exec_sample
+        sample = state.appended[state.exec_idx]
 
         status = None
         if "stuck" in tick_events:
             status = "stuck"
-        elif goal.contains(s.p):
+        elif goal.contains(sample):
             tick_events.append("goal")
             status = "reached_goal"
         elif t >= cfg.mission_timeout:
             status = "timed_out"
 
         event = min(tick_events, key=EVENT_PRIORITY.index) if tick_events else "none"
-        rows.append(_row(t, mode_label, s, u, event))
+        rows.append(_row(t, state.modes[state.exec_idx], sample, event))
         if status is not None:
-            return MissionOutcome(
-                status=status,
-                time=t,
-                rows=rows,
-                appended=list(state.appended),
-                events=list(state.events),
-            )
+            return MissionOutcome(status, t, rows, state.appended, state.modes, state.events)
 
         starved = state.exec_idx == len(state.appended) - 1
         if not starved:

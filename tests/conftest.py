@@ -10,7 +10,8 @@ SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def replay_steps(sc, out):
-    """Yield (s0, s1, p_ref, gain, same_leg) for each appended step s0 -> s1.
+    """Yield (s0, s1, p_ref, gain, same_leg) for each appended step s0 -> s1,
+    where s0 and s1 are sample rows [p | v | u].
 
     p_ref and gain are the reference point and the axis gain of the mode
     that generated s1: the goal point and l0's gain, or the escape point of
@@ -19,7 +20,7 @@ def replay_steps(sc, out):
     """
     escapes = iter(np.array(e["position"]) for e in out.events if e["event"] == "escape_found")
     p_ref = goal_ref = sc.goal.reference()
-    for (s0, _, label0), (s1, _, label) in zip(out.appended, out.appended[1:]):
+    for s0, s1, label0, label in zip(out.appended, out.appended[1:], out.modes, out.modes[1:]):
         if label != label0:
             p_ref = next(escapes) if label == "l1" else goal_ref
         w = sc.planner.weights_l1 if label == "l1" else sc.planner.weights_l0
@@ -36,11 +37,11 @@ def max_junction_mismatch(sc, out):
     ts = sc.planner.ts
     worst = 0.0
     for s0, s1, p_ref, g, _ in replay_steps(sc, out):
-        s_pred, _ = rollout(s0, p_ref, g, ts, ts).samples[1]
+        s_pred = rollout(s0, p_ref, g, 1, ts).samples[1]
         worst = max(
             worst,
-            float(np.max(np.abs(s_pred.p - s1.p))),
-            float(np.max(np.abs(s_pred.v - s1.v))),
+            float(np.max(np.abs(s_pred[:3] - s1[:3]))),
+            float(np.max(np.abs(s_pred[3:6] - s1[3:6]))),
         )
     return worst
 

@@ -16,7 +16,6 @@ from depthnav import (
     Configuration,
     ModeWeights,
     Scene,
-    StateVec,
     Verdict,
     Wall,
     are_residual,
@@ -176,9 +175,10 @@ def test_criterion_5_projection_fidelity(intr):
 
 
 def _lyapunov(s, p_ref, g) -> float:
-    """V = sum over axes of e^T S e, e = (position error, velocity)."""
+    """V = sum over axes of e^T S e, e = (position error, velocity), at the
+    sample row s."""
     S = np.array([[g.s11, g.s12], [g.s12, g.s22]])
-    errors = (np.array([s.p[ax] - p_ref[ax], s.v[ax]]) for ax in range(3))
+    errors = (np.array([s[ax] - p_ref[ax], s[3 + ax]]) for ax in range(3))
     return sum(float(e @ S @ e) for e in errors)
 
 
@@ -239,11 +239,11 @@ def test_criterion_8_planning_tick_budget(robot):
     times = []
     for x in np.linspace(0.0, 7.0, 15):
         q_c = Configuration(float(x), 0.0, 1.2)
-        x_start = StateVec([float(x), 0.0, 1.2], [2.0, 0.0, 0.0])
+        x_start = np.array([float(x), 0.0, 1.2, 2.0, 0.0, 0.0])
         t0 = time.perf_counter()
         depth = render_scene_depth(sc.scene, q_c, sc.intrinsics)
-        la = rollout(x_start, goal_ref, g, sc.planner.tau, sc.planner.ts)
-        waypoints2collision(la.positions(), depth, robot)
+        la = rollout(x_start, goal_ref, g, sc.planner.horizon_samples, sc.planner.ts)
+        waypoints2collision(la.samples[:, :3], depth, robot)
         times.append(time.perf_counter() - t0)
     median_ms = statistics.median(times) * 1e3
     detail = f"median planning tick {median_ms:.1f} ms at 640x480 (30 FPS budget 33 ms)"

@@ -128,6 +128,7 @@ UNKNOWN = [
     (("robot", "rh0"), "robot.rh0"),
     (("planner", "umax"), "planner.umax"),
     (("planner", "u_max"), "planner.u_max"),  # the loop has no input clamp
+    (("planner", "horizon_samples"), "planner.horizon_samples"),  # derived from tau and ts
     (("planner", "weights_l0", "q"), "planner.weights_l0.q"),
     (("planner", "weights_l1", "R"), "planner.weights_l1.R"),
     (("start", "vel"), "start.vel"),

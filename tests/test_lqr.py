@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,64 +86,68 @@ class TestAreResidual:
         assert are_residual(solve_are_axis(w), w) < 1e-12
 
 
-def _control(x: StateVec, p_ref, g) -> np.ndarray:
+def _state(p, v=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """A rollout start [p | v]."""
+    return np.array([*p, *v], dtype=float)
+
+
+def _control(x, p_ref, g) -> np.ndarray:
     """The control law's command at x: the input of a rollout's first sample."""
-    return rollout(x, p_ref, g, 0.2, 0.2).samples[0][1]
+    return rollout(x, p_ref, g, 1, 0.2).samples[0, 6:]
 
 
 class TestControl:
     def test_zero_at_equilibrium(self):
         """At rest at the reference point the command is exactly zero."""
         g = solve_are_axis(L0)
-        x = StateVec.rest([1.0, 2.0, 3.0])
-        assert np.array_equal(_control(x, x.p, g), np.zeros(3))
+        x = _state([1.0, 2.0, 3.0])
+        assert np.array_equal(_control(x, x[:3], g), np.zeros(3))
 
     def test_unit_position_error(self):
         g = solve_are_axis(L0)
-        x = StateVec([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        x = _state([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         u = _control(x, np.zeros(3), g)
         assert np.allclose(u, [-0.5773502691896257, 0.0, 0.0], atol=1e-12)
 
     def test_linearity(self):
         g = solve_are_axis(L1)
         ref = np.zeros(3)
-        x1 = StateVec([0.5, -0.2, 0.1], [0.3, 0.0, -0.4])
-        x2 = StateVec(2 * x1.p, 2 * x1.v)
+        x1 = _state([0.5, -0.2, 0.1], [0.3, 0.0, -0.4])
+        x2 = 2 * x1
         assert np.allclose(2 * _control(x1, ref, g), _control(x2, ref, g), atol=1e-12)
 
 
 class TestRollout:
     def test_equilibrium_rollout(self):
         g = solve_are_axis(L0)
-        x = StateVec.rest([1.0, 2.0, 3.0])
-        la = rollout(x, x.p, g, 0.8, 0.2)
+        x = _state([1.0, 2.0, 3.0])
+        la = rollout(x, x[:3], g, 4, 0.2)
         assert len(la.samples) == 5
-        for s, u in la.samples:
-            assert np.allclose(s.p, x.p) and np.allclose(s.v, 0.0)
-            assert np.allclose(u, 0.0)
+        for s in la.samples:
+            assert np.allclose(s[:3], x[:3]) and np.allclose(s[3:6], 0.0)
+            assert np.allclose(s[6:], 0.0)
 
     def test_monotone_approach_to_reference(self):
         g = solve_are_axis(L0)
-        la = rollout(StateVec.rest([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), g, 0.8, 0.2)
-        xs = [float(s.p[0]) for s, _ in la.samples]
+        la = rollout(_state([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), g, 4, 0.2)
+        xs = la.samples[:, 0].tolist()
         assert len(xs) == 5
         assert all(b > a for a, b in zip(xs, xs[1:]))
 
     def test_first_sample_is_exactly_x0(self):
         g = solve_are_axis(L1)
-        x0 = StateVec([0.3, -0.2, 1.1], [0.5, 0.1, -0.7])
-        la = rollout(x0, np.array([2.0, 0.0, 1.0]), g, 0.8, 0.2)
-        s0, _ = la.samples[0]
-        assert np.array_equal(s0.p, x0.p) and np.array_equal(s0.v, x0.v)
+        x0 = _state([0.3, -0.2, 1.1], [0.5, 0.1, -0.7])
+        la = rollout(x0, np.array([2.0, 0.0, 1.0]), g, 4, 0.2)
+        assert np.array_equal(la.samples[0, :6], x0)
 
     def test_matches_fine_reference_integration(self):
         """RK4 at ts/10 agrees with a 1e-4 s substep reference within 1e-6 m."""
         for w in (L0, L1):
             g = solve_are_axis(w)
-            x0 = StateVec([0.0, 0.5, -0.3], [1.0, -0.5, 0.2])
+            x0 = _state([0.0, 0.5, -0.3], [1.0, -0.5, 0.2])
             ref = np.array([3.0, 0.0, 1.0])
-            la = rollout(x0, ref, g, 0.8, 0.2)
-            p, v = x0.p.copy(), x0.v.copy()
+            la = rollout(x0, ref, g, 4, 0.2)
+            p, v = x0[:3].copy(), x0[3:].copy()
             h = 1e-4
             fine = [(p.copy(), v.copy())]
             for k in range(4):
@@ -157,42 +162,31 @@ class TestRollout:
                     p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
                     v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
                 fine.append((p.copy(), v.copy()))
-            for (s, _), (pf, vf) in zip(la.samples, fine):
-                assert np.max(np.abs(s.p - pf)) < 1e-6
-                assert np.max(np.abs(s.v - vf)) < 1e-6
+            for s, (pf, vf) in zip(la.samples, fine):
+                assert np.max(np.abs(s[:3] - pf)) < 1e-6
+                assert np.max(np.abs(s[3:6] - vf)) < 1e-6
 
     def test_lyapunov_non_increasing(self):
         for w in (L0, L1):
             g = solve_are_axis(w)
             S = np.array([[g.s11, g.s12], [g.s12, g.s22]])
             ref = np.array([2.0, -1.0, 0.5])
-            la = rollout(StateVec([0.0, 0.0, 0.0], [1.5, -0.5, 0.0]), ref, g, 0.8, 0.2)
+            la = rollout(_state([0.0, 0.0, 0.0], [1.5, -0.5, 0.0]), ref, g, 4, 0.2)
             values = []
-            for s, _ in la.samples:
+            for s in la.samples:
                 V = 0.0
                 for ax in range(3):
-                    e = np.array([s.p[ax] - ref[ax], s.v[ax]])
+                    e = np.array([s[ax] - ref[ax], s[3 + ax]])
                     V += float(e @ S @ e)
                 values.append(V)
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_axis_decoupling(self):
         g = solve_are_axis(L0)
-        la = rollout(StateVec.rest([1.0, 0.0, 0.0]), np.zeros(3), g, 0.8, 0.2)
-        for s, u in la.samples:
-            assert u[1] == 0.0 and u[2] == 0.0
-            assert s.p[1] == 0.0 and s.p[2] == 0.0
-
-    def test_rejects_non_integral_horizon(self):
-        g = solve_are_axis(L0)
-        with pytest.raises(ValueError):
-            rollout(StateVec.rest([0, 0, 0]), np.array([1.0, 0.0, 0.0]), g, 0.7, 0.2)
-
-    def test_rejects_overflowing_horizon(self):
-        """tau / ts overflows to infinity: a ValueError, not an OverflowError."""
-        g = solve_are_axis(L0)
-        with pytest.raises(ValueError, match="tau"):
-            rollout(StateVec.rest([0, 0, 0]), np.array([1.0, 0.0, 0.0]), g, 1e300, 1e-300)
+        la = rollout(_state([1.0, 0.0, 0.0]), np.zeros(3), g, 4, 0.2)
+        for s in la.samples:
+            assert s[7] == 0.0 and s[8] == 0.0
+            assert s[1] == 0.0 and s[2] == 0.0
 
     def test_integrates_only_up_to_the_last_sample(self, monkeypatch):
         """One law evaluation per sample plus 10 RK4 substeps of 4 between
@@ -205,12 +199,28 @@ class TestRollout:
 
         original = lqr._law
         monkeypatch.setattr(lqr, "_law", counting_law)
-        la = rollout(StateVec.rest([0, 0, 0]), np.array([1.0, 0.0, 0.0]), solve_are_axis(L0), 0.8, 0.2)
+        la = rollout(_state([0, 0, 0]), np.array([1.0, 0.0, 0.0]), solve_are_axis(L0), 4, 0.2)
         assert len(la.samples) == 5
         assert len(calls) == 1 + 4 * (10 * 4 + 1)
 
+    def test_a_trajectory_row_is_a_start(self):
+        """Any array whose first six entries are [p | v] starts a rollout:
+        from a sample row it continues the rollout that wrote the row."""
+        g = solve_are_axis(L1)
+        la = rollout(_state([0.3, -0.2, 1.1], [0.5, 0.1, -0.7]), np.array([2.0, 0.0, 1.0]), g, 4, 0.2)
+        assert np.array_equal(rollout(la.samples[2], np.array([2.0, 0.0, 1.0]), g, 2, 0.2).samples, la.samples[2:])
+
 
 class TestHorizonSteps:
+    def test_rejects_non_integral_horizon(self):
+        with pytest.raises(ValueError):
+            horizon_steps(0.7, 0.2)
+
+    def test_rejects_overflowing_horizon(self):
+        """tau / ts overflows to infinity: a ValueError, not an OverflowError."""
+        with pytest.raises(ValueError, match="tau"):
+            horizon_steps(1e300, 1e-300)
+
     def test_rejects_non_positive_step(self):
         """ts = 0 names ts: a ValueError, not a ZeroDivisionError."""
         with pytest.raises(ValueError, match="^ts: must be positive"):
@@ -248,3 +258,10 @@ class TestStateVec:
     def test_rest_has_zero_velocity(self):
         x = StateVec.rest([1.0, 2.0, 3.0])
         assert np.array_equal(x.v, np.zeros(3))
+
+    @pytest.mark.parametrize("p", [[0, 0, "x"], None], ids=["string", "none"])
+    def test_rest_names_a_position_that_is_not_numbers(self, p):
+        """rest builds through the validated constructor: a string entry or
+        None is refused naming p, not by numpy's float conversion."""
+        with pytest.raises(TypeError, match=r"^p: must be 3 real numbers, got " + re.escape(repr(p)) + "$"):
+            StateVec.rest(p)

@@ -60,12 +60,17 @@ def _clutter(rng) -> Scene:
     return Scene(tuple(prims))
 
 
+def _start(x0: StateVec) -> PlannerState:
+    """A planner state holding only the start sample, at rest input, in l0."""
+    return PlannerState(appended=np.concatenate((x0.p, x0.v, np.zeros(3)))[None], modes=["l0"])
+
+
 class TestGuards:
     def test_l1_to_l0_distance_threshold(self):
         esc = np.array([1.0, 0.0, 0.0])
-        assert guard_l1_to_l0(StateVec.rest([1.0, 0.0, 0.0]), esc, 0.15)
-        assert guard_l1_to_l0(StateVec.rest([1.1, 0.0, 0.0]), esc, 0.15)
-        assert not guard_l1_to_l0(StateVec.rest([2.0, 0.0, 0.0]), esc, 0.15)
+        assert guard_l1_to_l0(np.array([1.0, 0.0, 0.0]), esc, 0.15)
+        assert guard_l1_to_l0(np.array([1.1, 0.0, 0.0]), esc, 0.15)
+        assert not guard_l1_to_l0(np.array([2.0, 0.0, 0.0]), esc, 0.15)
 
 
 class TestPlannerConfig:
@@ -90,6 +95,13 @@ class TestPlannerConfig:
         with pytest.raises(TypeError, match="^weights_l0: must be ModeWeights"):
             PlannerConfig(weights_l0=(1.0, 0.1, 3.0))
 
+    def test_horizon_samples_is_derived_when_built(self):
+        """horizon_samples is no init field: replace rebuilds it from tau and
+        ts, and the constructor refuses it."""
+        assert dataclasses.replace(PlannerConfig(), tau=1.0).horizon_samples == 5
+        with pytest.raises(TypeError):
+            PlannerConfig(horizon_samples=5)
+
 
 class TestEmptySceneMission:
     def test_reaches_goal_in_l0(self, empty):
@@ -101,7 +113,7 @@ class TestEmptySceneMission:
 
     def test_progress_strictly_decreasing(self, empty):
         sc, out = empty
-        dists = [sc.goal.x_goal - s.p[0] for s, _, _ in out.appended]
+        dists = (sc.goal.x_goal - out.appended[:, 0]).tolist()
         assert all(b < a for a, b in zip(dists, dists[1:]))
 
     def test_no_starvation_or_collisions(self, empty):
@@ -265,8 +277,7 @@ class TestStepPlanner:
         )
         cfg = PlannerConfig(d_l=1.0)
         goal = GoalRegion(10.0, 0.0, 1.5)
-        x0 = StateVec([1.2, 0.0, 1.5], [2.0, 0.0, 0.0])
-        state = PlannerState(appended=[(x0, np.zeros(3), "l0")])
+        state = _start(StateVec([1.2, 0.0, 1.5], [2.0, 0.0, 0.0]))
         for _ in range(25):
             step_planner(scene, state, cfg, goal, intr, robot)
             if state.mode is Mode.ESCAPE:
@@ -290,19 +301,18 @@ class TestStepPlanner:
         cfg = PlannerConfig(weights_l0=ModeWeights(1.0, 0.1, 300.0))
         goal = GoalRegion(10.0, 0.0, 1.2)
         blind = _blind_zone_radius(intr, robot)
-        x0 = StateVec.rest([0.0, 0.0, 1.2])
-        state = PlannerState(appended=[(x0, np.zeros(3), "l0")])
+        state = _start(StateVec.rest([0.0, 0.0, 1.2]))
         blind_ticks, checking = 0, False
         for _ in range(60):
-            cam = state.exec_sample[0].p
+            cam = state.appended[state.exec_idx, :3]
             n_appended = len(state.appended)
             step_planner(scene, state, cfg, goal, intr, robot)
             assert state.mode is Mode.GO_TO_GOAL and not state.events
-            new = [s.p for s, _, _ in state.appended[n_appended:]]
-            if new and all(np.linalg.norm(p - cam) <= blind for p in new):
+            new = state.appended[n_appended:, :3]
+            if len(new) and all(np.linalg.norm(p - cam) <= blind for p in new):
                 assert box.calls == [] and floor.calls == []
                 blind_ticks += 1
-            elif new:
+            elif len(new):
                 checking = True
                 break
             if state.exec_idx < len(state.appended) - 1:
@@ -326,22 +336,20 @@ class TestStepPlanner:
             ))
         deferrals = rechecked = 0
         for scene, x0, goal, cfg, intr, robot in missions:
-            state = PlannerState(appended=[(x0, np.zeros(3), "l0")])
+            state = _start(x0)
             pending = None  # the trajectory end at a deferral on the previous tick
             while state.tick * cfg.ts < cfg.mission_timeout:
-                before, n_events = list(state.appended), len(state.events)
+                before, n_events = state.appended.copy(), len(state.events)
                 step_planner(scene, state, cfg, goal, intr, robot)
                 events = [e["event"] for e in state.events[n_events:]]
                 new = state.appended[len(before):]
                 if pending is not None:
-                    assert events or new
-                    if new:
-                        la = rollout(pending, goal.reference(), cfg.weights_l0.gain, cfg.tau, cfg.ts)
+                    assert events or len(new)
+                    if len(new):
+                        la = rollout(pending, goal.reference(), cfg.weights_l0.gain, cfg.horizon_samples, cfg.ts)
                         assert len(new) == len(la.samples) - 1
-                        for (s, u, label), (s_la, u_la) in zip(new, la.samples[1:]):
-                            assert label == "l0"
-                            assert np.array_equal(s.p, s_la.p) and np.array_equal(s.v, s_la.v)
-                            assert np.array_equal(u, u_la)
+                        assert state.modes[len(before):] == ["l0"] * len(new)
+                        assert np.array_equal(new, la.samples[1:])
                         rechecked += 1
                 pending = None
                 if "deferred" in events:
@@ -349,15 +357,54 @@ class TestStepPlanner:
                     assert state.mode is Mode.GO_TO_GOAL and state.events[-1]["mode"] == "l0"
                     # nothing appended (escape_reached may have dropped unexecuted samples)
                     assert len(state.appended) <= len(before)
-                    assert all(a is b for a, b in zip(state.appended, before))
-                    pending = state.appended[-1][0]
-                if "stuck" in events or goal.contains(state.exec_sample[0].p):
+                    assert np.array_equal(state.appended, before[: len(state.appended)])
+                    pending = state.appended[-1]
+                if "stuck" in events or goal.contains(state.appended[state.exec_idx]):
                     break
                 if state.exec_idx < len(state.appended) - 1:
                     state.exec_idx += 1
                 state.tick += 1
         assert deferrals >= 2
         assert rechecked >= 1
+
+    def test_tick_grows_the_trajectory_by_one_horizon(self, intr_small, robot):
+        """A free l0 tick appends exactly one horizon of rows and labels; a
+        tick whose buffer already holds more than a horizon changes neither
+        the trajectory nor the event log. len(state.appended) counts
+        samples, start included."""
+        cfg = PlannerConfig()
+        state = _start(StateVec.rest([0.0, 0.0, 1.2]))
+        goal = GoalRegion(10.0, 0.0, 1.2)
+        for n in (1 + cfg.horizon_samples, 1 + 2 * cfg.horizon_samples):
+            step_planner(Scene(()), state, cfg, goal, intr_small, robot)
+            assert len(state.appended) == len(state.modes) == n
+            assert state.modes == ["l0"] * n and not state.events
+        full = state.appended
+        step_planner(Scene(()), state, cfg, goal, intr_small, robot)
+        assert state.appended is full and len(state.modes) == len(full) and not state.events
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_rollout_writes_n_plus_one_rows(self, n):
+        la = rollout(np.zeros(6), np.array([1.0, 0.0, 0.0]), PlannerConfig().weights_l0.gain, n, 0.2)
+        assert la.samples.shape == (n + 1, 9)
+
+    def test_mission_validates_only_its_inputs(self, monkeypatch):
+        """Once the scenario is built, a mission builds no StateVec and
+        re-derives no horizon: its samples are the program's own arithmetic."""
+        sc = load_scenario(SCENARIO_DIR / "corridor.json")
+        calls = {"StateVec": 0, "horizon_steps": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(StateVec, "__post_init__", counted("StateVec", StateVec.__post_init__))
+        monkeypatch.setattr(planner, "horizon_steps", counted("horizon_steps", planner.horizon_steps))
+        out = run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
+        assert out.status == "reached_goal"
+        assert calls == {"StateVec": 0, "horizon_steps": 0}
 
     def test_rejects_colliding_start(self, intr, robot):
         scene = Scene((Box((0.0, -1.0, -1.0), (2.0, 1.0, 1.0)),))
