@@ -77,28 +77,32 @@ def _blind_zone_radius(intr: CameraIntrinsics, robot: RobotModel) -> float:
     return intr.z_near + robot.rho + robot.rho * max(intr.fsx, intr.fsy) / margin
 
 
-def waypoints2collision(lookahead, depth: DepthImage, robot: RobotModel):
-    """Check a lookahead against a depth image; return (verdict, index into
-    the lookahead of the first non-free sample), or (FREE, None).
+def waypoints2collision(lookahead, depth: DepthImage | None, robot: RobotModel) -> list:
+    """Check a lookahead against a depth image; return one reason per
+    sample after the start, in order.
 
     lookahead holds the (N, 3) sample positions, start sample first. The
     start sample is never read: it is the end of the trajectory the caller
     already holds. Every other sample within the blind-zone radius of the
     image's camera (:func:`_blind_zone_radius`, too close for its footprint
-    disc to fit the image) is skipped; the rest are checked in order, and
-    the first that is not FREE decides. Raises ValueError on an empty
-    lookahead (degenerate trajectory).
+    disc to fit the image) is "blind"; the rest are checked in order, each
+    reading as its verdict's value ("free", "collision", "out_of_view"),
+    and the first that is not free decides: every sample after it is
+    "unchecked". With no image (depth None) every sample is "unchecked".
+    Raises ValueError on an empty lookahead (degenerate trajectory).
     """
     if len(lookahead) == 0:
         raise ValueError("degenerate trajectory: no samples to check")
-    blind = _blind_zone_radius(depth.intr, robot)
-    cam = depth.q.position
-    for i, p in enumerate(lookahead[1:], start=1):
-        if np.linalg.norm(p - cam) > blind:
-            v = check_configuration(p, depth, robot)
-            if v is not Verdict.FREE:
-                return v, i
-    return Verdict.FREE, None
+    reasons = []
+    if depth is not None:
+        blind = _blind_zone_radius(depth.intr, robot)
+        cam = depth.q.position
+        for p in lookahead[1:]:
+            checked = np.linalg.norm(p - cam) > blind
+            reasons.append(check_configuration(p, depth, robot).value if checked else "blind")
+            if reasons[-1] not in (Verdict.FREE.value, "blind"):
+                break
+    return reasons + ["unchecked"] * (len(lookahead) - 1 - len(reasons))
 
 
 # camera-frame displacement directions, checked in this fixed order:

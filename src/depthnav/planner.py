@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .collision import Verdict, find_escape, waypoints2collision
+from .collision import find_escape, waypoints2collision
 from .frames import CameraIntrinsics, Configuration
 from .lqr import ModeWeights, StateVec, horizon_steps, rollout
 from .oracle import brute_force_collision
@@ -100,11 +100,13 @@ EVENT_PRIORITY = (
 @dataclass
 class PlannerState:
     """The appended trajectory, start included, as one row [p | v | u]
-    (ROW_COLUMNS[2:11]) and one mode label per sample, and the executor's
-    place in it."""
+    (ROW_COLUMNS[2:11]), one mode label and one check reason per sample
+    ("start" first, then what :func:`waypoints2collision` returned), and
+    the executor's place in it."""
 
     appended: np.ndarray  # (N, 9)
     modes: list  # N mode labels
+    reasons: list  # N check reasons
     exec_idx: int = 0
     tick: int = 0
     x_esc: np.ndarray | None = None  # the escape point, set exactly in l1
@@ -127,6 +129,7 @@ class MissionOutcome:
     rows: list  # executed trajectory rows (dicts, one per tick)
     appended: np.ndarray  # the appended trajectory's (N, 9) sample rows
     modes: list  # their N mode labels
+    reasons: list  # their N check reasons
     events: list
 
     @property
@@ -151,12 +154,13 @@ def step_planner(
 
     Generates one lookahead from the end of the appended trajectory with
     the mode's gain, to a point at rest: the goal in l0, the escape point in
-    l1. In l0 it renders a depth image from the current configuration and
-    checks the lookahead against it (:func:`waypoints2collision` decides
-    which samples the check reads); a free lookahead is appended, one
-    leaving the view appends nothing (the next tick regenerates the same
-    lookahead and checks it in a fresh image), and a predicted collision
-    starts the escape search. In l1 the lookahead is appended unchecked.
+    l1. In l0 it renders a depth image from the current configuration; in
+    l1 there is none. :func:`waypoints2collision` gives each sample its
+    reason, and the first "collision" or "out_of_view" decides: with none
+    the lookahead is appended with its reasons, one leaving the view
+    appends nothing (the next tick regenerates the same lookahead and
+    checks it in a fresh image), and a predicted collision starts the
+    escape search.
     """
     p_exec = state.appended[state.exec_idx, :3]
 
@@ -164,35 +168,32 @@ def step_planner(
     if state.mode is Mode.ESCAPE and guard_l1_to_l0(p_exec, state.x_esc, cfg.eps_reach):
         state.log("escape_reached")
         state.appended = state.appended[: state.exec_idx + 1]
-        del state.modes[state.exec_idx + 1 :]
+        del state.modes[state.exec_idx + 1 :], state.reasons[state.exec_idx + 1 :]
         state.x_esc = None
 
     unexecuted = len(state.appended) - 1 - state.exec_idx
     if unexecuted > cfg.horizon_samples:
         return state  # buffer holds a full horizon; nothing to generate
 
+    # escape maneuvers head to an already-verified free point while cutting
+    # across the view cone; they get no image, so every sample reads
+    # "unchecked" (end-to-end safety is covered by the 3D oracle sweep)
     if state.mode is Mode.ESCAPE:
-        p_ref, w = state.x_esc, cfg.weights_l1
+        p_ref, w, depth = state.x_esc, cfg.weights_l1, None
     else:
         p_ref, w = goal.reference(), cfg.weights_l0
-    la = rollout(state.appended[-1], p_ref, w.gain, cfg.horizon_samples, cfg.ts)
-    positions = la.samples[:, :3]
-
-    # escape maneuvers head to an already-verified free point while cutting
-    # across the view cone; they are appended without a render or image
-    # check (end-to-end safety is covered by the 3D oracle sweep)
-    verdict, hit_idx = Verdict.FREE, None
-    if state.mode is Mode.GO_TO_GOAL:
         q_c = Configuration(*p_exec.tolist())  # heading held toward +x: no yaw planning
         depth = render_scene_depth(scene, q_c, intr)
-        verdict, hit_idx = waypoints2collision(positions, depth, robot)
+    la = rollout(state.appended[-1], p_ref, w.gain, cfg.horizon_samples, cfg.ts)
+    positions = la.samples[:, :3]
+    reasons = waypoints2collision(positions, depth, robot)
 
-    if verdict is Verdict.FREE:
-        state.appended = np.concatenate((state.appended, la.samples[1:]))
-        state.modes += [state.mode.value] * cfg.horizon_samples
-    elif verdict is Verdict.OUT_OF_VIEW:
-        state.log("deferred", sample=hit_idx)
-    else:  # collision predicted somewhere in [k*tau, (k+1)*tau]
+    # the check stops at its first sample that is not free, so at most one
+    # sample reads "out_of_view" or "collision"; reasons[i] is sample i + 1's
+    if "out_of_view" in reasons:
+        state.log("deferred", sample=reasons.index("out_of_view") + 1)
+    elif "collision" in reasons:  # collision predicted somewhere in [k*tau, (k+1)*tau]
+        hit_idx = reasons.index("collision") + 1
         state.log("collision_predicted", sample=hit_idx)
         esc = find_escape(positions[hit_idx], depth, cfg.d_l, cfg.max_rings, robot)
         if esc.stuck:
@@ -200,6 +201,10 @@ def step_planner(
         else:
             state.x_esc = esc.position
             state.log("escape_found", position=[float(v) for v in esc.position])
+    else:
+        state.appended = np.concatenate((state.appended, la.samples[1:]))
+        state.modes += [state.mode.value] * cfg.horizon_samples
+        state.reasons += reasons
     return state
 
 
@@ -231,7 +236,7 @@ def run_mission(
         raise ValueError("initial state is in collision per the 3D oracle")
 
     start = np.concatenate((x0.p, x0.v, np.zeros(3)))
-    state = PlannerState(appended=start[None], modes=[Mode.GO_TO_GOAL.value])
+    state = PlannerState(appended=start[None], modes=[Mode.GO_TO_GOAL.value], reasons=["start"])
     rows: list = []
     starved = False  # the executor could not advance at the end of the last tick
     while True:
@@ -255,7 +260,7 @@ def run_mission(
         event = min(tick_events, key=EVENT_PRIORITY.index) if tick_events else "none"
         rows.append(_row(t, state.modes[state.exec_idx], sample, event))
         if status is not None:
-            return MissionOutcome(status, t, rows, state.appended, state.modes, state.events)
+            return MissionOutcome(status, t, rows, state.appended, state.modes, state.reasons, state.events)
 
         starved = state.exec_idx == len(state.appended) - 1
         if not starved:

@@ -603,7 +603,9 @@ def write_pfm(path, values: np.ndarray) -> None:
 def read_pfm(path) -> np.ndarray:
     """Read a grayscale PFM into a (height, width) float32 array, top row
     first. Raises ValueError on a size line that is not two positive
-    integers and on a payload that is not exactly width x height floats."""
+    integers, on a scale line that is not a finite nonzero number (its sign
+    gives the byte order) and on a payload that is not exactly width x
+    height floats."""
     with open(path, "rb") as f:
         if f.readline().strip() != b"Pf":
             raise ValueError("not a grayscale PFM file")
@@ -611,7 +613,13 @@ def read_pfm(path) -> np.ndarray:
         if len(size) != 2 or not all(v.isdigit() and int(v) > 0 for v in size):
             raise ValueError(f"PFM size line must be two positive integers (width height), got {b' '.join(size)!r}")
         w, h = map(int, size)
-        scale = float(f.readline())
+        # the scale's sign gives the byte order: zero, NaN or no number gives none
+        try:
+            scale = float(scale_line := f.readline().strip())
+        except ValueError:
+            scale = math.nan
+        if not (math.isfinite(scale) and scale != 0.0):
+            raise ValueError(f"PFM scale line must be a finite nonzero number, got {scale_line!r}")
         # what the file holds, never the size line's claim: a bogus size
         # allocates nothing before it is rejected
         payload = f.read()

@@ -1,9 +1,9 @@
 """Field checks used by every configuration type's ``__post_init__``.
 
-Each check returns the value converted (float, int, float array or float
-tuple). A non-number raises TypeError, a non-finite or out-of-range number
-ValueError, with a message that starts ``<field>:`` so that a caller can put
-the section path in front.
+Each check returns the value converted (float, int, float tuple, or a
+read-only float array copy). A non-number raises TypeError, a non-finite or
+out-of-range number ValueError, with a message that starts ``<field>:`` so
+that a caller can put the section path in front.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ def vector(name: str, value, n: int = 3, positive: bool = False) -> np.ndarray:
         ok = False
     if not ok:
         raise TypeError(f"{name}: must be {n} real numbers, got {value!r}")
-    arr = arr.astype(float, copy=False)
+    arr = arr.astype(float)  # a copy: the caller's array can change after the check
+    arr.flags.writeable = False
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: must be finite, got {value!r}")
     if positive and not np.all(arr > 0):

@@ -60,22 +60,22 @@ class TestCheckConfiguration:
 
 
 class TestWaypoints2Collision:
-    """A lookahead is checked from its start sample's successor on; every
-    index refers to the whole lookahead, start sample first."""
+    """A lookahead is checked from its start sample's successor on: the
+    reason at list index i is sample i + 1's, the start sample being 0."""
 
     def test_all_free(self, wall_scene, intr):
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
         lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in (0.0, 2.0, 2.4, 2.8, 3.2, 3.6)]
-        assert waypoints2collision(lookahead, depth, robot) == (Verdict.FREE, None)
+        assert waypoints2collision(lookahead, depth, robot) == ["free"] * 5
 
     def test_first_collision_index(self, wall_scene, intr):
         scene, depth = wall_scene
         robot = RobotModel(rho=0.3)
         zs = [0.0, 2.0, 2.5, 3.0, 4.9, 3.0]
         lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in zs]
-        verdict, idx = waypoints2collision(lookahead, depth, robot)
-        assert (verdict, idx) == (Verdict.COLLISION, 4)
+        reasons = waypoints2collision(lookahead, depth, robot)
+        assert reasons == ["free", "free", "free", "collision", "unchecked"]  # sample 4 decides
         # cross-check against the 3D oracle: only that sample truly intersects
         assert brute_force_collision(scene, lookahead[4], robot.rho)
         assert not any(brute_force_collision(scene, lookahead[i], robot.rho) for i in (0, 1, 2, 3, 5))
@@ -85,36 +85,49 @@ class TestWaypoints2Collision:
         robot = RobotModel(rho=0.3)
         lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in (0.0, 2.0, 2.4, 2.8, 3.2)]
         lookahead.append(camera_to_world([5.0, 0.0, 3.0], Q0))
-        assert waypoints2collision(lookahead, depth, robot) == (Verdict.OUT_OF_VIEW, 5)
+        assert waypoints2collision(lookahead, depth, robot) == ["free"] * 4 + ["out_of_view"]
 
     def test_start_sample_is_never_read(self, wall_scene, intr):
         """The start sample is the end of the trajectory already held: a
-        lookahead starting behind the wall but free after it is FREE."""
+        lookahead starting behind the wall but free after it is all free."""
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
         lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in (5.0, 3.6, 3.2, 2.8)]
         assert check_configuration(lookahead[0], depth, robot) is Verdict.COLLISION
-        assert waypoints2collision(lookahead, depth, robot) == (Verdict.FREE, None)
+        assert waypoints2collision(lookahead, depth, robot) == ["free"] * 3
 
     def test_blind_lookahead_reads_nothing(self, intr, robot):
         """Samples within the blind-zone radius of the camera are skipped,
         even ones whose footprint fits the image and would collide: a
-        lookahead wholly inside it is FREE and casts no ray."""
+        lookahead wholly inside it is all blind and casts no ray."""
         blind = collision._blind_zone_radius(intr, robot)
         box = CountingBox((1.4, -5.0, -5.0), (2.0, 5.0, 5.0))  # fills the view at 1.4 m
         depth = render_scene_depth(Scene((box,)), Q0, intr)
         lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in (0.0, 0.3, 0.6, 0.9, 1.2)]
         assert all(np.linalg.norm(p - Q0.position) <= blind for p in lookahead)
-        assert waypoints2collision(lookahead, depth, robot) == (Verdict.FREE, None)
+        assert waypoints2collision(lookahead, depth, robot) == ["blind"] * 4
         assert box.calls == []
         # the last sample, were it read, would cast the box and collide
         assert check_configuration(lookahead[-1], depth, robot) is Verdict.COLLISION
+        assert box.calls != []
+
+    def test_no_image_leaves_every_sample_unchecked(self, intr, robot):
+        """With no image (an l1 lookahead) no sample is checked and nothing
+        is cast, though the same lookahead collides in an image of the scene."""
+        box = CountingBox((2.0, -5.0, -5.0), (2.5, 5.0, 5.0))  # fills the view at 2 m
+        depth = render_scene_depth(Scene((box,)), Q0, intr)
+        lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)]
+        assert waypoints2collision(lookahead, None, robot) == ["unchecked"] * 5
+        assert box.calls == []
+        assert waypoints2collision(lookahead, depth, robot) == ["blind", "blind", "free", "collision", "unchecked"]
         assert box.calls != []
 
     def test_empty_list_raises(self, wall_scene, intr):
         _, depth = wall_scene
         with pytest.raises(ValueError):
             waypoints2collision(np.empty((0, 3)), depth, RobotModel())
+        with pytest.raises(ValueError):
+            waypoints2collision(np.empty((0, 3)), None, RobotModel())
 
 
 def _gap_scene(gap_lo: float, gap_hi: float):

@@ -6,9 +6,12 @@ A change that alters a shipped trajectory on purpose regenerates them with
 the copied scenario.json) and says why in CHANGES.md.
 
 Seeded clutter missions beyond the shipped scenarios are pinned by one
-digest each, over the mission's outcome and the oracle's verdict.
+digest each, over the mission's outcome and the oracle's verdict. Every
+appended sample of these missions carries the check reason it was appended
+with.
 """
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -25,6 +28,7 @@ from depthnav import (
     Scene,
     Sphere,
     StateVec,
+    load_scenario,
     run_mission,
     verify_mission,
 )
@@ -88,17 +92,34 @@ CLUTTER_DIGESTS = [
 CLUTTER_SCENES = _clutter_scenes(len(CLUTTER_DIGESTS))
 
 
-def _mission_digest(scene: Scene) -> str:
+@functools.cache
+def _mission(name):
+    """A shipped scenario's mission, by name, or clutter scene k's, by index."""
+    if isinstance(name, str):
+        sc = load_scenario(SCENARIO_DIR / f"{name}.json")
+        return run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
     intr = CameraIntrinsics(fsx=96.25, fsy=96.25, cx=80.0, cy=60.0, width=160, height=120)
-    robot = RobotModel()
-    out = run_mission(scene, StateVec.rest([0.0, 0.0, 1.2]), GoalRegion(10.0, 0.0, 1.2),
-                      PlannerConfig(d_l=1.0), intr, robot)
-    report = verify_mission(out.rows, scene, robot.rho)
-    payload = [out.status, out.time, out.rows, out.events, report.violation_count,
-               report.min_clearance.hex()]
-    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+    return run_mission(CLUTTER_SCENES[name], StateVec.rest([0.0, 0.0, 1.2]), GoalRegion(10.0, 0.0, 1.2),
+                       PlannerConfig(d_l=1.0), intr, RobotModel())
 
 
 @pytest.mark.parametrize("k", range(len(CLUTTER_DIGESTS)))
 def test_clutter_mission_matches_digest(k):
-    assert _mission_digest(CLUTTER_SCENES[k]) == CLUTTER_DIGESTS[k]
+    out = _mission(k)
+    report = verify_mission(out.rows, CLUTTER_SCENES[k], RobotModel().rho)
+    payload = [out.status, out.time, out.rows, out.events, report.violation_count,
+               report.min_clearance.hex()]
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16] == CLUTTER_DIGESTS[k]
+
+
+@pytest.mark.parametrize("name", ["corridor", "empty", "sealed", *range(len(CLUTTER_DIGESTS))])
+def test_appended_samples_carry_their_check_reason(name):
+    """One reason per appended sample, "start" first. A lookahead is appended
+    only when no checked sample decided against it, so every l0 sample was
+    read free or skipped in the blind zone, and every l1 sample, checked in
+    no image, is unchecked."""
+    out = _mission(name)
+    assert len(out.reasons) == len(out.modes) == len(out.appended)
+    assert out.reasons[0] == "start"
+    for reason, mode in zip(out.reasons[1:], out.modes[1:]):
+        assert reason in (("unchecked",) if mode == "l1" else ("free", "blind")), (reason, mode)

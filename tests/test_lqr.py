@@ -259,6 +259,21 @@ class TestStateVec:
         x = StateVec.rest([1.0, 2.0, 3.0])
         assert np.array_equal(x.v, np.zeros(3))
 
+    def test_keeps_a_copy_of_the_callers_array(self):
+        """A float array the caller changes after building the state does
+        not move the validated state."""
+        a = np.array([0.0, 0.0, 1.2])
+        x = StateVec(a, np.zeros(3))
+        a[0] = 99.0
+        assert x.p.tolist() == [0.0, 0.0, 1.2]
+
+    def test_arrays_are_read_only(self):
+        x = StateVec(np.array([0.0, 0.0, 1.2]), [0, 0, 0])
+        for arr in (x.p, x.v):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 99.0
+        assert x.p.tolist() == [0.0, 0.0, 1.2] and x.v.tolist() == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("p", [[0, 0, "x"], None], ids=["string", "none"])
     def test_rest_names_a_position_that_is_not_numbers(self, p):
         """rest builds through the validated constructor: a string entry or

@@ -5,6 +5,7 @@ import pytest
 
 from depthnav import (
     Box,
+    Configuration,
     GoalRegion,
     Mode,
     ModeWeights,
@@ -13,13 +14,14 @@ from depthnav import (
     Scene,
     Sphere,
     StateVec,
-    Verdict,
     guard_l1_to_l0,
     load_scenario,
+    render_scene_depth,
     rollout,
     run_mission,
+    waypoints2collision,
 )
-from depthnav import collision, lqr, planner
+from depthnav import lqr, planner
 from depthnav.collision import _blind_zone_radius
 from depthnav.planner import (
     EVENT_PRIORITY,
@@ -62,7 +64,7 @@ def _clutter(rng) -> Scene:
 
 def _start(x0: StateVec) -> PlannerState:
     """A planner state holding only the start sample, at rest input, in l0."""
-    return PlannerState(appended=np.concatenate((x0.p, x0.v, np.zeros(3)))[None], modes=["l0"])
+    return PlannerState(appended=np.concatenate((x0.p, x0.v, np.zeros(3)))[None], modes=["l0"], reasons=["start"])
 
 
 class TestGuards:
@@ -164,37 +166,18 @@ class TestCorridorMission:
         sc, out = corridor
         assert max_junction_mismatch(sc, out) <= 1e-9
 
-    def test_sample_accounting(self, monkeypatch):
-        """Of the 36 executed samples after the start, 17 were read by the
-        image check of the tick that appended them, 10 were skipped by it
-        (inside the blind zone) and 9 are l1 samples, appended unchecked."""
-        read, reading = set(), []
-        check = collision.check_configuration
-        waypoints = planner.waypoints2collision
-
-        def recording_check(p, *args):
-            reading.append(tuple(p.tolist()))
-            return check(p, *args)
-
-        def recording_waypoints(lookahead, *args):
-            reading.clear()
-            with monkeypatch.context() as m:
-                m.setattr(collision, "check_configuration", recording_check)
-                verdict, idx = waypoints(lookahead, *args)
-            if verdict is Verdict.FREE:  # the lookahead is appended
-                read.update(reading)
-            return verdict, idx
-
-        monkeypatch.setattr(planner, "waypoints2collision", recording_waypoints)
-        _, out = _run("corridor")
+    def test_sample_accounting(self, corridor):
+        """Of the 36 executed samples after the start, 17 were read free by
+        the image check of the tick that appended them, 10 were skipped by
+        it (inside the blind zone) and 9 are l1 samples, appended unchecked."""
+        _, out = corridor
         assert out.status == "reached_goal" and out.time == pytest.approx(7.2)
-        counts = {"read": 0, "skipped": 0, "unchecked": 0}
-        for r in out.rows[1:]:
-            if r["mode"] == "l1":
-                counts["unchecked"] += 1
-            else:
-                counts["read" if (r["px"], r["py"], r["pz"]) in read else "skipped"] += 1
-        assert counts == {"read": 17, "skipped": 10, "unchecked": 9}
+        # no starvation: row i executed appended sample i
+        executed = [[r["px"], r["py"], r["pz"]] for r in out.rows]
+        assert executed == out.appended[: len(out.rows), :3].tolist()
+        reasons = out.reasons[1 : len(out.rows)]
+        assert {r: reasons.count(r) for r in set(reasons)} == {"free": 17, "blind": 10, "unchecked": 9}
+        assert all((r == "unchecked") == (m == "l1") for r, m in zip(reasons, out.modes[1:]))
 
     def test_determinism(self):
         _, out1 = _run("corridor")
@@ -289,6 +272,35 @@ class TestStepPlanner:
         assert state.x_esc is not None
         assert state.x_esc[2] > 1.5  # escape found through the gap above
 
+    def test_collision_tick_appends_nothing(self, intr, robot):
+        """The tick that predicts a collision appends no sample, label or
+        reason. Its lookahead, checked again in the tick's image, reads free
+        or blind up to the logged sample, "collision" there, and "unchecked"
+        after it."""
+        scene = Scene((Box((4.0, -8.0, -8.0), (4.4, 8.0, 2.0)), Box((4.0, -8.0, 4.0), (4.4, 8.0, 8.0))))
+        cfg = PlannerConfig(d_l=1.0)
+        goal = GoalRegion(10.0, 0.0, 1.5)
+        state = _start(StateVec([1.2, 0.0, 1.5], [2.0, 0.0, 0.0]))
+        for _ in range(25):
+            before = state.appended.copy(), list(state.modes), list(state.reasons), len(state.events)
+            p_exec = state.appended[state.exec_idx, :3]
+            step_planner(scene, state, cfg, goal, intr, robot)
+            if any(e["event"] == "collision_predicted" for e in state.events[before[3]:]):
+                break
+            if state.exec_idx < len(state.appended) - 1:
+                state.exec_idx += 1
+            state.tick += 1
+        appended, modes, reasons, n_events = before
+        assert state.events[n_events]["event"] == "collision_predicted"
+        assert np.array_equal(state.appended, appended) and state.modes == modes and state.reasons == reasons
+        hit = state.events[n_events]["sample"]
+        la = rollout(appended[-1], goal.reference(), cfg.weights_l0.gain, cfg.horizon_samples, cfg.ts)
+        depth = render_scene_depth(scene, Configuration(*p_exec.tolist()), intr)
+        checked = waypoints2collision(la.samples[:, :3], depth, robot)
+        assert 1 <= hit < cfg.horizon_samples
+        assert set(checked[: hit - 1]) <= {"free", "blind"}
+        assert checked[hit - 1 :] == ["collision"] + ["unchecked"] * (cfg.horizon_samples - hit)
+
     def test_casts_only_for_checked_samples(self, intr, robot):
         """An l0 tick whose lookahead lies wholly inside the blind zone checks
         nothing and casts no ray; the first tick that checks a sample casts
@@ -368,20 +380,20 @@ class TestStepPlanner:
         assert rechecked >= 1
 
     def test_tick_grows_the_trajectory_by_one_horizon(self, intr_small, robot):
-        """A free l0 tick appends exactly one horizon of rows and labels; a
-        tick whose buffer already holds more than a horizon changes neither
-        the trajectory nor the event log. len(state.appended) counts
-        samples, start included."""
+        """A free l0 tick appends exactly one horizon of rows, labels and
+        reasons; a tick whose buffer already holds more than a horizon
+        changes neither the trajectory nor the event log.
+        len(state.appended) counts samples, start included."""
         cfg = PlannerConfig()
         state = _start(StateVec.rest([0.0, 0.0, 1.2]))
         goal = GoalRegion(10.0, 0.0, 1.2)
         for n in (1 + cfg.horizon_samples, 1 + 2 * cfg.horizon_samples):
             step_planner(Scene(()), state, cfg, goal, intr_small, robot)
-            assert len(state.appended) == len(state.modes) == n
+            assert len(state.appended) == len(state.modes) == len(state.reasons) == n
             assert state.modes == ["l0"] * n and not state.events
         full = state.appended
         step_planner(Scene(()), state, cfg, goal, intr_small, robot)
-        assert state.appended is full and len(state.modes) == len(full) and not state.events
+        assert state.appended is full and len(state.modes) == len(state.reasons) == len(full) and not state.events
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_rollout_writes_n_plus_one_rows(self, n):

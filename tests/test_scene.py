@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 
@@ -1037,6 +1038,17 @@ class TestPfm:
         path = tmp_path / "huge.pfm"
         path.write_bytes(b"Pf\n999999999999 999999999999\n-1.0\n" + bytes(64))
         with pytest.raises(ValueError, match=r"holds 64 bytes, expected 3999999999992000000000004 for"):
+            read_pfm(path)
+
+    @pytest.mark.parametrize("scale", [b"nan", b"0.0", b"abcd"])
+    def test_read_rejects_a_bad_scale_line(self, scale, tmp_path):
+        """The scale's sign gives the byte order, so a scale with no sign
+        (zero, NaN) or no number is refused, naming the line, rather than
+        read as big-endian data."""
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(b"Pf\n4 4\n" + scale + b"\n" + np.ones(16, "<f4").tobytes())
+        msg = "PFM scale line must be a finite nonzero number, got " + re.escape(repr(scale)) + "$"
+        with pytest.raises(ValueError, match=msg):
             read_pfm(path)
 
     @pytest.mark.parametrize("size", [b"640", b"640 480 1", b"0 480", b"640 -480", b"a b", b"6.5 4", b""])
