@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .frames import CameraIntrinsics
-from .scene import DepthImage, RobotModel, render_robot_footprint
+from .scene import DepthImage, RobotModel, _norm, render_robot_footprint
 from .validation import integer, real
 
 __all__ = [
@@ -98,7 +98,7 @@ def waypoints2collision(lookahead, depth: DepthImage | None, robot: RobotModel) 
         blind = _blind_zone_radius(depth.intr, robot)
         cam = depth.q.position
         for p in lookahead[1:]:
-            checked = np.linalg.norm(p - cam) > blind
+            checked = _norm((p - cam).tolist()) > blind
             reasons.append(check_configuration(p, depth, robot).value if checked else "blind")
             if reasons[-1] not in (Verdict.FREE.value, "blind"):
                 break

@@ -16,11 +16,11 @@ from enum import Enum
 
 import numpy as np
 
-from .collision import find_escape, waypoints2collision
+from .collision import _blind_zone_radius, find_escape, waypoints2collision
 from .frames import CameraIntrinsics, Configuration
 from .lqr import ModeWeights, StateVec, horizon_steps, rollout
 from .oracle import brute_force_collision
-from .scene import RobotModel, Scene, render_scene_depth
+from .scene import RobotModel, Scene, _norm, render_scene_depth
 from .validation import coerce, integer, real
 
 __all__ = [
@@ -139,7 +139,7 @@ class MissionOutcome:
 
 def guard_l1_to_l0(p: np.ndarray, x_esc: np.ndarray, eps_reach: float) -> bool:
     """Fires once the escape point is physically reached from position p."""
-    return float(np.linalg.norm(p - x_esc)) <= eps_reach
+    return _norm((p - x_esc).tolist()) <= eps_reach
 
 
 def step_planner(
@@ -230,10 +230,15 @@ def run_mission(
 
     The executor moves to the next appended sample every ts of simulated
     time (perfect tracking); if no unexecuted sample exists it holds
-    position and logs starvation.
+    position and logs starvation. Raises ValueError on a start the oracle
+    finds in collision, and on a camera whose blind zone
+    (:func:`_blind_zone_radius`) reaches max_depth: no sample of such a
+    camera could ever be checked free.
     """
     if brute_force_collision(scene, x0.p, robot.rho):
         raise ValueError("initial state is in collision per the 3D oracle")
+    if _blind_zone_radius(intr, robot) >= intr.max_depth:
+        raise ValueError("intrinsics: the blind zone reaches max_depth, so no sample could be checked")
 
     start = np.concatenate((x0.p, x0.v, np.zeros(3)))
     state = PlannerState(appended=start[None], modes=[Mode.GO_TO_GOAL.value], reasons=["start"])

@@ -123,6 +123,9 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     p = x0.p.tolist()
     if not _within(p, p, lo, hi):
         raise ScenarioError("invalid start.p: outside world_bounds")
+    for name, v, a, b in zip(("x_goal", "y_ref", "z_ref"), goal.reference().tolist(), lo, hi):
+        if not a <= v <= b:
+            raise ScenarioError(f"invalid goal.{name}: outside world_bounds")
 
     return ScenarioConfig(
         intrinsics=intr, robot=robot, planner=planner, x0=x0, goal=goal,

@@ -46,7 +46,21 @@ def _dot(a, b) -> float:
 
 
 def _norm(d) -> float:
+    """Euclidean length of a 3-list of floats: the square root of
+    :func:`_dot`, the one distance the oracle, the check and the planner
+    share."""
     return math.sqrt(_dot(d, d))
+
+
+def _first_crossing(t1, t2, hit, z_near) -> np.ndarray:
+    """Per-ray depth of the first surface crossing at or beyond z_near of a
+    ray entering at t1 and leaving at t2: t1 where it reaches z_near, else
+    t2, and inf where hit is false or neither reaches z_near. Written into
+    t2 and hit, and returns t2."""
+    np.copyto(t2, t1, where=t1 >= z_near)
+    hit &= t2 >= z_near
+    np.copyto(t2, np.inf, where=np.logical_not(hit, out=hit))
+    return t2
 
 
 # Primitive protocol (Box, Sphere, Wall): distance(p) for the oracle;
@@ -99,13 +113,7 @@ class Box:
                 else:
                     np.fmax(t_near, slab_near, out=t_near)
                     np.fmin(t_far, slab_far, out=t_far)
-        hit = t_near <= t_far
-        # the first crossing at or beyond z_near: t_near, else t_far
-        first = t_far
-        np.copyto(first, t_near, where=t_near >= z_near)
-        hit &= first >= z_near
-        np.copyto(first, np.inf, where=np.logical_not(hit, out=hit))
-        return first
+        return _first_crossing(t_near, t_far, t_near <= t_far, z_near)
 
     def bounds(self):
         return np.asarray(self.min), np.asarray(self.max)
@@ -153,13 +161,7 @@ class Sphere:
         t1 /= two_a
         t2 = np.add(neg_b, sq, out=neg_b)
         t2 /= two_a
-        # the first crossing at or beyond z_near: t1, else t2
-        first = t2
-        np.copyto(first, t1, where=t1 >= z_near)
-        hit = disc >= 0.0
-        hit &= first >= z_near
-        np.copyto(first, np.inf, where=np.logical_not(hit, out=hit))
-        return first
+        return _first_crossing(t1, t2, disc >= 0.0, z_near)
 
     def bounds(self):
         return self._center - self.radius, self._center + self.radius
@@ -215,8 +217,8 @@ class Wall:
         in_rect = (np.abs(rel @ u) <= self.half_extents[0]) & (
             np.abs(rel @ v) <= self.half_extents[1]
         )
-        ok = (np.abs(denom) > 1e-15) & (t >= z_near) & in_rect
-        return np.where(ok, t, np.inf)
+        # one plane crossing: it enters and leaves at t
+        return _first_crossing(t, t, (np.abs(denom) > 1e-15) & in_rect, z_near)
 
     def bounds(self):
         u, v = self._axes
@@ -258,10 +260,11 @@ class DepthImage:
     """Per-pixel z-depth of the scene seen from pose q through intr,
     row-major float32, meters, ray-cast on demand.
 
-    Nothing is cast on construction, and nothing a query casts is kept:
-    :meth:`farther_than` intersects only the primitives near enough to
-    decide it, over its own rectangle, and ``values`` is one full cast,
-    made on first read. Each primitive is cast only over its pixel box,
+    Nothing is cast on construction, and nothing a query casts is kept.
+    Every read goes through one cast walk (:meth:`_walk`): ``values`` walks
+    the whole frame once, on first read, and :meth:`farther_than` walks
+    only its own rectangle and the primitives near enough to decide it.
+    Each primitive is cast only over its pixel box,
     bounded by its bounds() box and, wholly beyond z_near, by its ball's
     silhouette (:func:`_pixel_boxes`), and a rectangle of more than
     _BAND_RAYS rays is cast in row bands (:func:`_bands`). No ray grid is
@@ -287,13 +290,11 @@ class DepthImage:
         intr = self.intr
         # one buffer, bottom row first as a PFM stores it, read top row first
         values = np.full((intr.height, intr.width), intr.max_depth, np.float32)[::-1]
-        boxes, _ = self._boxes
-        for prim, (y0, y1, x0, x1) in zip(self._scene.primitives, boxes):
-            for a0, a1 in _bands(y0, y1, x0, x1):
-                # float32 rounding is monotone, so rounding each float64 minimum
-                # gives the bits of rounding the minimum over all primitives
-                view = values[a0:a1, x0:x1]
-                np.minimum(view, self._hits(prim, a0, a1, x0, x1), out=view, casting="same_kind")
+        for a0, a1, b0, b1, hits in self._walk(math.inf, 0, intr.height, 0, intr.width):
+            # float32 rounding is monotone, so rounding each float64 minimum
+            # gives the bits of rounding the minimum over all primitives
+            view = values[a0:a1, b0:b1]
+            np.minimum(view, hits, out=view, casting="same_kind")
         return values
 
     def farther_than(self, box, mask_over, z) -> bool:
@@ -307,27 +308,32 @@ class DepthImage:
 
         A pixel with no hit holds max_depth, so z at or beyond it is never
         exceeded. A primitive whose near depth lies more than _NEAR_MARGIN
-        beyond z cannot hit in front of z and is skipped; each other one is
-        intersected over the rectangle inside its pixel box, one row band
-        at a time (:func:`_bands`), and the first band that reaches z
-        decides."""
+        beyond z cannot hit in front of z and is not walked, and the first
+        band that reaches z decides."""
         intr = self.intr
         if not z < np.float32(intr.max_depth):
             return False
-        y0, y1, x0, x1 = box
-        reach = z + _NEAR_MARGIN
+        for a0, a1, b0, b1, hits in self._walk(z + _NEAR_MARGIN, *box):
+            # clamped in float64 before rounding, as the cast rounds each
+            # minimum: the same float32 bits, and no overflow past float32
+            hit = np.minimum(hits[mask_over(a0, a1, b0, b1)], intr.max_depth)
+            if not np.all(z < hit.astype(np.float32)):
+                return False
+        return True
+
+    def _walk(self, reach, y0, y1, x0, x1):
+        """The one cast walk behind every read of the image: for each
+        primitive whose near depth lies within reach, the rectangle
+        [y0, y1) x [x0, x1) clipped to its pixel box, cast one row band at
+        a time (:func:`_bands`), yielding (a0, a1, b0, b1, hits) per band
+        [a0, a1) x [b0, b1) with the primitive's float64 depths there."""
         boxes, nears = self._boxes
         for prim, (by0, by1, bx0, bx1), near in zip(self._scene.primitives, boxes, nears):
             if near > reach:
                 continue
             b0, b1 = max(x0, bx0), min(x1, bx1)
             for a0, a1 in _bands(max(y0, by0), min(y1, by1), b0, b1):
-                # clamped in float64 before rounding, as the cast rounds each
-                # minimum: the same float32 bits, and no overflow past float32
-                hit = np.minimum(self._hits(prim, a0, a1, b0, b1)[mask_over(a0, a1, b0, b1)], intr.max_depth)
-                if not np.all(z < hit.astype(np.float32)):
-                    return False
-        return True
+                yield a0, a1, b0, b1, self._hits(prim, a0, a1, b0, b1)
 
     @functools.cached_property
     def _boxes(self) -> tuple:
@@ -559,7 +565,7 @@ def render_robot_footprint(p, depth: DepthImage, robot: RobotModel) -> RobotFoot
     if zc - rho < intr.z_near:
         return empty
     rx, ry = project(center_s, intr)
-    secant = float(np.linalg.norm(center_s)) / zc
+    secant = _norm(center_s.tolist()) / zc
     pr = max(intr.fsx, intr.fsy) * rho / (zc - rho) * secant
     if not ((rx - pr >= 0.0) and (rx + pr < intr.width) and (ry - pr >= 0.0) and (ry + pr < intr.height)):
         return empty

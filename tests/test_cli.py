@@ -39,6 +39,14 @@ class TestRun:
     def test_stuck_scenario_exit_two(self, tmp_path):
         assert cli(["run", str(SCENARIO_DIR / "sealed.json"), "--out", str(tmp_path / "r")]) == 2
 
+    def test_timed_out_scenario_exit_three(self, tmp_path, capsys):
+        data = json.loads((SCENARIO_DIR / "empty.json").read_text())
+        data["planner"] = {"mission_timeout": 0.2}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        assert cli(["run", str(scenario), "--out", str(tmp_path / "r")]) == 3
+        assert "mission timed_out at t = 0.2 s (2 samples)" in capsys.readouterr().out
+
     def test_missing_scenario_exit_one(self, tmp_path, capsys):
         code = cli(["run", str(tmp_path / "missing.json"), "--out", str(tmp_path / "r")])
         assert code == 1

@@ -39,6 +39,8 @@ FIELDS = [
     *((("start", k, i), SIGNED, f"start.{k}") for k in ("p", "v") for i in range(3)),
     (("start", "p"), ([0.0, 1.2], [[0.0], [0.0, 1.2]]), "start.p"),
     *((("goal", k), SIGNED, f"goal.{k}") for k in ("x_goal", "y_ref", "z_ref")),
+    # outside world_bounds, like a start there (1e300 overflows the regulator)
+    *((("goal", k), (1e300,), f"goal.{k}") for k in ("x_goal", "y_ref", "z_ref")),
     *((("world_bounds", k, 0), SIGNED, f"world_bounds.{k}") for k in ("min", "max")),
     (("scene", 0, "min", 1), SIGNED, "scene[0].min"),
     (("scene", 0, "max", 2), SIGNED, "scene[0].max"),
@@ -47,6 +49,10 @@ FIELDS = [
     (("scene", 2, "point", 2), SIGNED, "scene[2].point"),
     (("scene", 2, "normal", 0), SIGNED, "scene[2].normal"),
     (("scene", 2, "half_extents", 1), ALL, "scene[2].half_extents"),
+    # a section, the scene list or a primitive of the wrong JSON kind
+    (("robot",), (3,), "robot"),
+    (("scene",), ({},), "scene"),
+    (("scene", 0), (3,), "scene[0]"),
 ]
 
 CASES = [
@@ -118,6 +124,34 @@ def test_run_rejects_unflyable_planner(tmp_path, capsys, values, path):
     err = capsys.readouterr().err
     assert err.startswith(f"error: invalid {path}:")
     assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+def test_run_refuses_camera_blind_to_max_depth(tmp_path, capsys):
+    """fsx = fsy = 7000 puts the blind zone at 10.86 m, beyond max_depth
+    10 m: no sample could be checked free, so the mission is refused
+    rather than flown with every sample unchecked."""
+    data = copy.deepcopy(BASE)
+    data["intrinsics"].update(fsx=7000.0, fsy=7000.0)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert cli(["run", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: intrinsics:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_rejects_untyped_primitive(tmp_path, capsys):
+    data = copy.deepcopy(BASE)
+    del data["scene"][1]["type"]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert cli(["run", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: missing required field scene[1].type\n"
     assert not out.exists()
 
 

@@ -25,6 +25,7 @@ from depthnav import lqr, planner
 from depthnav.collision import _blind_zone_radius
 from depthnav.planner import (
     EVENT_PRIORITY,
+    ROW_COLUMNS,
     PlannerState,
     solve_gains,
     step_planner,
@@ -185,6 +186,36 @@ class TestCorridorMission:
         assert out1.rows == out2.rows
         assert out1.events == out2.events
         assert out1.status == out2.status
+
+
+class TestMissionExits:
+    """The two ends of a tick that no shipped scenario reaches: the timeout,
+    and an executor that holds position because nothing was appended."""
+
+    def test_timeout_ends_the_mission(self):
+        sc = load_scenario(SCENARIO_DIR / "empty.json")
+        cfg = dataclasses.replace(sc.planner, mission_timeout=0.2)
+        out = run_mission(sc.scene, sc.x0, sc.goal, cfg, sc.intrinsics, sc.robot)
+        assert (out.status, out.time, len(out.rows)) == ("timed_out", 0.2, 2)
+        assert not out.reached_goal
+
+    def test_starved_executor_repeats_its_sample(self):
+        """A sphere 2.5 m ahead of a start at 2 m/s: tick 0 predicts the
+        collision and finds an escape, appending nothing, so at t = 0.2 the
+        executor repeats the start and logs starvation; the escape leg then
+        moves it on, and the mission reaches the goal with a clean path."""
+        sc = load_scenario(SCENARIO_DIR / "empty.json")
+        scene = Scene((Sphere((2.5, 0.0, 1.2), 0.3),))
+        x0 = StateVec(sc.x0.p, [2.0, 0.0, 0.0])
+        out = run_mission(scene, x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
+        r0, r1, r2 = out.rows[:3]
+        assert r0["event"] == "escape_found"
+        assert (r1["t"], r1["event"]) == (0.2, "starvation")
+        assert [r1[k] for k in ROW_COLUMNS[1:11]] == [r0[k] for k in ROW_COLUMNS[1:11]]
+        assert (r1["px"], r1["vx"]) == (0.0, 2.0)
+        assert r2["px"] > 0.0 and r2["event"] == "none"
+        assert (out.status, out.time) == ("reached_goal", pytest.approx(6.2))
+        assert verify_mission(out.rows, scene, sc.robot.rho).violation_count == 0
 
 
 class TestSealedMission:

@@ -764,7 +764,9 @@ def _bitmap_footprint(p, q, robot, intr):
     if zc - rho < intr.z_near:
         return (0, 0, 0, 0), np.zeros((0, 0), bool), far, False, None, 0.0
     rx, ry = project(center_s, intr)
-    secant = float(np.linalg.norm(center_s)) / zc
+    # the distance summed in axis order, with no BLAS call
+    x, y, z = center_s.tolist()
+    secant = math.sqrt(x * x + y * y + z * z) / zc
     pr = max(intr.fsx, intr.fsy) * rho / (zc - rho) * secant
     in_view = (rx - pr >= 0.0) and (rx + pr < intr.width) and (ry - pr >= 0.0) and (ry + pr < intr.height)
     ix_lo = max(int(np.floor(rx - pr)), 0)
