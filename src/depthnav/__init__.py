@@ -25,7 +25,6 @@ from .lqr import (
 from .oracle import OracleReport, brute_force_collision, verify_mission
 from .planner import (
     GoalRegion,
-    MissionOutcome,
     Mode,
     PlannerConfig,
     guard_l1_to_l0,

@@ -8,6 +8,7 @@ Exit codes: 0 success / goal reached, 1 error or failed verification,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -30,7 +31,8 @@ def _cmd_run(args) -> int:
     outcome = run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    shutil.copy(args.scenario, out / "scenario.json")
+    with contextlib.suppress(shutil.SameFileError):  # a run re-run in place keeps its scenario
+        shutil.copy(args.scenario, out / "scenario.json")
     with open(out / "trajectory.csv", "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
         w.writeheader()

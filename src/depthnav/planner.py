@@ -28,7 +28,6 @@ __all__ = [
     "GoalRegion",
     "PlannerConfig",
     "PlannerState",
-    "MissionOutcome",
     "guard_l1_to_l0",
     "step_planner",
     "run_mission",
@@ -102,7 +101,8 @@ class PlannerState:
     """The appended trajectory, start included, as one row [p | v | u]
     (ROW_COLUMNS[2:11]), one mode label and one check reason per sample
     ("start" first, then what :func:`waypoints2collision` returned), and
-    the executor's place in it."""
+    the executor's place in it. :func:`run_mission` adds one executed row
+    per tick and, on the terminal tick, the status and time."""
 
     appended: np.ndarray  # (N, 9)
     modes: list  # N mode labels
@@ -111,6 +111,9 @@ class PlannerState:
     tick: int = 0
     x_esc: np.ndarray | None = None  # the escape point, set exactly in l1
     events: list = field(default_factory=list)
+    rows: list = field(default_factory=list, init=False)  # executed rows (dicts, one per tick)
+    status: str | None = field(default=None, init=False)  # reached_goal | stuck | timed_out
+    time: float | None = field(default=None, init=False)
 
     @property
     def mode(self) -> Mode:
@@ -118,19 +121,6 @@ class PlannerState:
 
     def log(self, event: str, **info):
         self.events.append({"tick": self.tick, "event": event, "mode": self.mode.value, **info})
-
-
-@dataclass
-class MissionOutcome:
-    """Terminal mission status with the executed trajectory and event log."""
-
-    status: str  # reached_goal | stuck | timed_out
-    time: float
-    rows: list  # executed trajectory rows (dicts, one per tick)
-    appended: np.ndarray  # the appended trajectory's (N, 9) sample rows
-    modes: list  # their N mode labels
-    reasons: list  # their N check reasons
-    events: list
 
     @property
     def reached_goal(self) -> bool:
@@ -225,13 +215,16 @@ def run_mission(
     cfg: PlannerConfig,
     intr: CameraIntrinsics,
     robot: RobotModel,
-) -> MissionOutcome:
-    """Interleave planning ticks with the simulated executor until terminal.
+) -> PlannerState:
+    """Interleave planning ticks with the simulated executor until terminal,
+    and return the state it stepped.
 
     The executor moves to the next appended sample every ts of simulated
     time (perfect tracking); if no unexecuted sample exists it holds
-    position and logs starvation. Raises ValueError on a start the oracle
-    finds in collision, and on a camera whose blind zone
+    position and logs starvation. The state is returned on the terminal
+    tick, before the executor would advance, so ``exec_idx`` is the last
+    executed sample and ``len(rows) == tick + 1``. Raises ValueError on a
+    start the oracle finds in collision, and on a camera whose blind zone
     (:func:`_blind_zone_radius`) reaches max_depth: no sample of such a
     camera could ever be checked free.
     """
@@ -242,7 +235,6 @@ def run_mission(
 
     start = np.concatenate((x0.p, x0.v, np.zeros(3)))
     state = PlannerState(appended=start[None], modes=[Mode.GO_TO_GOAL.value], reasons=["start"])
-    rows: list = []
     starved = False  # the executor could not advance at the end of the last tick
     while True:
         t = state.tick * cfg.ts
@@ -253,19 +245,19 @@ def run_mission(
             tick_events.append("starvation")
         sample = state.appended[state.exec_idx]
 
-        status = None
         if "stuck" in tick_events:
-            status = "stuck"
+            state.status = "stuck"
         elif goal.contains(sample):
             tick_events.append("goal")
-            status = "reached_goal"
+            state.status = "reached_goal"
         elif t >= cfg.mission_timeout:
-            status = "timed_out"
+            state.status = "timed_out"
 
         event = min(tick_events, key=EVENT_PRIORITY.index) if tick_events else "none"
-        rows.append(_row(t, state.modes[state.exec_idx], sample, event))
-        if status is not None:
-            return MissionOutcome(status, t, rows, state.appended, state.modes, state.reasons, state.events)
+        state.rows.append(_row(t, state.modes[state.exec_idx], sample, event))
+        if state.status is not None:
+            state.time = t
+            return state
 
         starved = state.exec_idx == len(state.appended) - 1
         if not starved:

@@ -184,7 +184,7 @@ class Wall:
     def __post_init__(self):
         coerce(self, point, "point", "normal")
         coerce(self, point, "half_extents", n=2, positive=True)
-        if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
+        if abs(_norm(self.normal) - 1.0) > 1e-9:
             raise ValueError(f"normal: must be unit length, got {self.normal!r}")
 
     @functools.cached_property
@@ -192,7 +192,7 @@ class Wall:
         n = np.asarray(self.normal, float)
         ref = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
         u = np.cross(ref, n)
-        u /= np.linalg.norm(u)
+        u /= _norm(u.tolist())
         v = np.cross(n, u)
         return u, v
 

@@ -47,6 +47,14 @@ class TestRun:
         assert cli(["run", str(scenario), "--out", str(tmp_path / "r")]) == 3
         assert "mission timed_out at t = 0.2 s (2 samples)" in capsys.readouterr().out
 
+    def test_rerun_in_place_exit_zero(self, tmp_path):
+        """A run directory's own scenario.json re-runs into that directory:
+        the copy onto itself is skipped and the mission writes the same bytes."""
+        assert cli(["run", str(SCENARIO_DIR / "empty.json"), "--out", str(tmp_path)]) == 0
+        first = [(tmp_path / name).read_bytes() for name in ("trajectory.csv", "outcome.json")]
+        assert cli(["run", str(tmp_path / "scenario.json"), "--out", str(tmp_path)]) == 0
+        assert [(tmp_path / name).read_bytes() for name in ("trajectory.csv", "outcome.json")] == first
+
     def test_missing_scenario_exit_one(self, tmp_path, capsys):
         code = cli(["run", str(tmp_path / "missing.json"), "--out", str(tmp_path / "r")])
         assert code == 1

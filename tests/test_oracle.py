@@ -30,6 +30,19 @@ class TestDistance:
             assert box.distance(p) == _norm(np.clip(p, box._lo, box._hi) - p)
             assert sphere.distance(p) == max(_norm(p - sphere._center) - 0.4, 0.0)
 
+    def test_tilted_wall_axes_are_summed_in_axis_order(self):
+        """A tilted wall's in-plane axis u is cross(ref, n) over its
+        axis-order length, bit for bit, and v is cross(n, u), so the wall's
+        distances do not depend on the host's BLAS kernel either."""
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            raw = rng.normal(size=3)
+            n = raw / _norm(raw)
+            wall = Wall((0.0, 0.0, 0.0), tuple(n.tolist()), (1.0, 1.0))
+            u = np.cross([0.0, 0.0, 1.0] if abs(n[2]) < 0.9 else [1.0, 0.0, 0.0], n)
+            u /= _norm(u)
+            assert [a.tolist() for a in wall._axes] == [u.tolist(), np.cross(n, u).tolist()]
+
     def test_wall_distance_clamps_to_its_rectangle(self):
         # in-plane axes u = -y and v = +z
         wall = Wall((9.0, 2.0, 1.0), (-1.0, 0.0, 0.0), (0.5, 0.5))

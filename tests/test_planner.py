@@ -173,10 +173,10 @@ class TestCorridorMission:
         it (inside the blind zone) and 9 are l1 samples, appended unchecked."""
         _, out = corridor
         assert out.status == "reached_goal" and out.time == pytest.approx(7.2)
-        # no starvation: row i executed appended sample i
+        # no starvation: row i executed appended sample i, the last one exec_idx
         executed = [[r["px"], r["py"], r["pz"]] for r in out.rows]
-        assert executed == out.appended[: len(out.rows), :3].tolist()
-        reasons = out.reasons[1 : len(out.rows)]
+        assert executed == out.appended[: out.exec_idx + 1, :3].tolist()
+        reasons = out.reasons[1 : out.exec_idx + 1]
         assert {r: reasons.count(r) for r in set(reasons)} == {"free": 17, "blind": 10, "unchecked": 9}
         assert all((r == "unchecked") == (m == "l1") for r, m in zip(reasons, out.modes[1:]))
 
@@ -213,6 +213,10 @@ class TestMissionExits:
         assert (r1["t"], r1["event"]) == (0.2, "starvation")
         assert [r1[k] for k in ROW_COLUMNS[1:11]] == [r0[k] for k in ROW_COLUMNS[1:11]]
         assert (r1["px"], r1["vx"]) == (0.0, 2.0)
+        # row i executed appended sample ks[i]: the starved row repeats k = 0
+        ks = [0, *range(out.exec_idx + 1)]
+        assert len(out.rows) == out.tick + 1 == len(ks)
+        assert [[r[c] for c in ROW_COLUMNS[2:11]] for r in out.rows] == out.appended[ks].tolist()
         assert r2["px"] > 0.0 and r2["event"] == "none"
         assert (out.status, out.time) == ("reached_goal", pytest.approx(6.2))
         assert verify_mission(out.rows, scene, sc.robot.rho).violation_count == 0
