@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .validation import coerce, real, vector
+from .validation import coerce, point, real
 
 __all__ = [
     "StateVec",
@@ -28,13 +28,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StateVec:
-    """The vehicle's flat-output state: 3D position and velocity."""
+    """The vehicle's flat-output state: 3D position and velocity, each a
+    read-only float copy of what the caller gave."""
 
     p: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        coerce(self, vector, "p", "v")
+        for name in ("p", "v"):
+            arr = np.array(point(name, getattr(self, name)))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @staticmethod
     def rest(p) -> "StateVec":

@@ -140,6 +140,6 @@ def load_scenario(path) -> ScenarioConfig:
             data = json.load(f)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario file: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8 or an integer past Python's digit limit
         raise ScenarioError(f"scenario parse error: {e}") from e
     return parse_scenario(data)

@@ -1,9 +1,12 @@
 """Field checks used by every configuration type's ``__post_init__``.
 
-Each check returns the value converted (float, int, float tuple, or a
-read-only float array copy). A non-number raises TypeError, a non-finite or
-out-of-range number ValueError, with a message that starts ``<field>:`` so
-that a caller can put the section path in front.
+One rule says what a real number is, for a scalar and for each entry of a
+point alike: a ``numbers.Real`` that is not a ``bool``, read with ``float``.
+An integer beyond float's range reads as infinite, so it is refused as not
+finite. Each check returns the value converted (float, int or float tuple).
+A non-number raises TypeError, a non-finite or out-of-range number
+ValueError, with a message that starts ``<field>:`` so that a caller can put
+the section path in front.
 """
 
 from __future__ import annotations
@@ -13,18 +16,35 @@ import numbers
 
 import numpy as np
 
-__all__ = ["real", "integer", "vector", "point", "coerce"]
+__all__ = ["real", "integer", "point", "coerce"]
+
+
+def _float(v):
+    """v as a float if it is a real number, else None."""
+    if type(v) is float:  # a parsed scenario's numbers, read at no cost
+        return v
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return None
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond float's range, refused as not finite
+        return math.inf
+
+
+def _checked(name: str, xs: list, value, what: str, positive: bool = False, nonnegative: bool = False) -> list:
+    """xs, the entries of value as _float reads them, once each is a real
+    number (not None), finite, and positive or non-negative where asked."""
+    if None in xs:
+        raise TypeError(f"{name}: must be {what}, got {value!r}")
+    if not all(map(math.isfinite, xs)):
+        raise ValueError(f"{name}: must be finite, got {value!r}")
+    if (positive and min(xs) <= 0) or (nonnegative and min(xs) < 0):
+        raise ValueError(f"{name}: must be {'positive' if positive else 'non-negative'}, got {value!r}")
+    return xs
 
 
 def real(name: str, value, positive: bool = False, nonnegative: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name}: must be a real number, got {value!r}")
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{name}: must be finite, got {value!r}")
-    if (positive and x <= 0) or (nonnegative and x < 0):
-        raise ValueError(f"{name}: must be {'positive' if positive else 'non-negative'}, got {value!r}")
-    return x
+    return _checked(name, [_float(value)], value, "a real number", positive, nonnegative)[0]
 
 
 def integer(name: str, value, minimum: int) -> int:
@@ -34,32 +54,13 @@ def integer(name: str, value, minimum: int) -> int:
     return int(x)
 
 
-def vector(name: str, value, n: int = 3, positive: bool = False) -> np.ndarray:
-    try:
-        arr = np.asarray(value)
-        ok = arr.shape == (n,) and arr.dtype.kind in "iuf"
-    except ValueError:  # ragged nesting
-        ok = False
-    if not ok:
-        raise TypeError(f"{name}: must be {n} real numbers, got {value!r}")
-    arr = arr.astype(float)  # a copy: the caller's array can change after the check
-    arr.flags.writeable = False
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: must be finite, got {value!r}")
-    if positive and not np.all(arr > 0):
-        raise ValueError(f"{name}: must be positive, got {value!r}")
-    return arr
-
-
 def point(name: str, value, n: int = 3, positive: bool = False) -> tuple:
-    """``vector`` as a tuple of floats, for frozen, hashable primitives. A
-    list or tuple of n finite floats (positive where asked), as a parsed
-    scenario gives, is taken as it is, without an array."""
-    if type(value) in (list, tuple) and len(value) == n and all(
-        type(v) is float and math.isfinite(v) and (v > 0.0 or not positive) for v in value
-    ):
-        return tuple(value)
-    return tuple(vector(name, value, n, positive).tolist())
+    """A list, tuple or 1-D array of n real numbers as a tuple of floats,
+    for frozen, hashable primitives."""
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(items, (list, tuple)) or len(items) != n:
+        items = [None]  # refused as not n real numbers
+    return tuple(_checked(name, list(map(_float, items)), value, f"{n} real numbers", positive))
 
 
 def coerce(obj, check, *names: str, **kwargs) -> None:

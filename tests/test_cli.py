@@ -60,6 +60,21 @@ class TestRun:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    # file bytes that decode to no scenario: bad JSON, a byte that is not
+    # UTF-8, and an integer past Python's 4,300-digit string conversion limit
+    UNDECODABLE = [b"{not json", b'{"robot": {"rho": 0.35}}\xd8', b'{"robot": {"rho": 1' + b"0" * 4300 + b"}}"]
+
+    @pytest.mark.parametrize("content", UNDECODABLE, ids=["json", "utf8", "digits"])
+    def test_undecodable_scenario_is_a_parse_error(self, tmp_path, capsys, content):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(content)
+        out = tmp_path / "r"
+        assert cli(["run", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario parse error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_out_is_a_file_exit_one(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")

@@ -1,6 +1,6 @@
-"""Every numeric scenario field rejects NaN, infinity, a wrong sign and a
-string: ``depthnav run`` exits 1 and names the field path on stderr, with no
-traceback and no mission run."""
+"""Every numeric scenario field rejects NaN, infinity, a wrong sign, a
+string, a boolean and an integer beyond float's range: ``depthnav run`` exits
+1 and names the field path on stderr, with no traceback and no mission run."""
 
 import copy
 import json
@@ -19,9 +19,17 @@ BASE["scene"] = [
     {"type": "wall", "point": [9.0, 2.0, 1.0], "normal": [-1.0, 0.0, 0.0], "half_extents": [0.5, 0.5]},
 ]
 
-NAN, INF, NEG, STR = float("nan"), float("inf"), -1.0, "x"
-ALL = (NAN, INF, NEG, STR)
-SIGNED = (NAN, INF, STR)  # -1 is a valid value for these fields
+
+class _Huge(int):
+    """10**400, a 401-digit JSON integer beyond float's range, named so in test ids."""
+
+    def __str__(self):
+        return "10**400"
+
+
+NAN, INF, NEG, STR, BOOL, HUGE = float("nan"), float("inf"), -1.0, "x", True, _Huge(10**400)
+ALL = (NAN, INF, NEG, STR, BOOL, HUGE)
+SIGNED = (NAN, INF, STR, BOOL, HUGE)  # -1 is a valid value for these fields
 
 # (key path into the scenario dict, bad values, field path the error must name)
 FIELDS = [

@@ -15,6 +15,7 @@ from depthnav import (
     solve_are_axis,
 )
 from depthnav.lqr import horizon_steps
+from depthnav.validation import real
 
 L0 = ModeWeights(1.0, 0.1, 3.0)
 L1 = ModeWeights(1.0, 0.1, 0.1)
@@ -280,3 +281,13 @@ class TestStateVec:
         None is refused naming p, not by numpy's float conversion."""
         with pytest.raises(TypeError, match=r"^p: must be 3 real numbers, got " + re.escape(repr(p)) + "$"):
             StateVec.rest(p)
+
+    def test_refuses_a_boolean_entry(self):
+        """A boolean is no real number, in a point as in a scalar field."""
+        with pytest.raises(TypeError, match=r"^p: must be 3 real numbers, got \[1, 0, True\]$"):
+            StateVec.rest([1, 0, True])
+
+    def test_reads_a_large_integer_as_real_does(self):
+        """10**20 is past int64 but within float's range: 1e20, as a scalar."""
+        x = StateVec.rest([10**20, 0, 0])
+        assert x.p.tolist() == [1e20, 0.0, 0.0] and x.p[0] == real("x", 10**20)

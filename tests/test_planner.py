@@ -261,6 +261,23 @@ class TestOffCentreCamera:
         assert verify_mission(out.rows, sc.scene, sc.robot.rho).violation_count == 0
 
 
+class TestOneSampleHorizon:
+    @pytest.mark.xfail(strict=True, reason="a horizon inside the blind zone is never checked (ROADMAP item 2)")
+    @pytest.mark.parametrize("res", ["intr_small", "intr"])
+    def test_executed_path_is_oracle_clean(self, request, res):
+        """The corridor flown with tau = 0.2 s, so the horizon is one ts
+        sample, at most 0.69 m ahead at the mission's top speed of 3.43 m/s:
+        inside the 1.21 m blind zone, so all 23 executed samples read
+        "blind". Today the mission reaches the goal at
+        4.6 s with no collision_predicted event and 19 swept violations, the
+        first at row 7 (min clearance -0.35 m). tau = 0.4 and 0.6 stop stuck
+        with a clean sweep."""
+        sc = load_scenario(SCENARIO_DIR / "corridor.json")
+        cfg = dataclasses.replace(sc.planner, tau=0.2)
+        out = run_mission(sc.scene, sc.x0, sc.goal, cfg, request.getfixturevalue(res), sc.robot)
+        assert verify_mission(out.rows, sc.scene, sc.robot.rho).violation_count == 0
+
+
 class TestRiccatiGate:
     def test_large_valid_weights_reach_the_goal(self):
         """qp = r = 1e9 solve to kp = 1 with an absolute residual of about
