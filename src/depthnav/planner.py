@@ -5,14 +5,16 @@ The original two-thread design (generation + execution) is restated as a
 single deterministic timeline: the executor advances one sample every ts of
 simulated time and generation happens instantaneously at tick boundaries.
 Generation keeps at most one full horizon of unexecuted samples buffered
-ahead of the executor; if the buffer empties the executor holds position
-and a starvation event is logged.
+ahead of the executor. A tick that appends no lookahead (it defers or
+predicts a collision) while the executor is on the last appended sample
+appends that lookahead's first sample, with its mode label and check
+reason, and logs starvation, so the executor always has one more sample
+of the closed loop it is on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .scene import RobotModel, Scene, _norm, render_scene_depth
 from .validation import coerce, integer, real
 
 __all__ = [
-    "Mode",
     "GoalRegion",
     "PlannerConfig",
     "PlannerState",
@@ -34,11 +35,6 @@ __all__ = [
     "EVENT_PRIORITY",
     "ROW_COLUMNS",
 ]
-
-
-class Mode(Enum):
-    GO_TO_GOAL = "l0"
-    ESCAPE = "l1"
 
 
 @dataclass(frozen=True)
@@ -101,14 +97,14 @@ class PlannerState:
     """The appended trajectory, start included, as one row [p | v | u]
     (ROW_COLUMNS[2:11]), one mode label and one check reason per sample
     ("start" first, then what :func:`waypoints2collision` returned), and
-    the executor's place in it. :func:`run_mission` adds one executed row
-    per tick and, on the terminal tick, the status and time."""
+    the executor's place in it, which advances one sample per tick.
+    :func:`run_mission` adds one executed row per tick and, on the terminal
+    tick, the status and time."""
 
     appended: np.ndarray  # (N, 9)
     modes: list  # N mode labels
     reasons: list  # N check reasons
     exec_idx: int = 0
-    tick: int = 0
     x_esc: np.ndarray | None = None  # the escape point, set exactly in l1
     events: list = field(default_factory=list)
     rows: list = field(default_factory=list, init=False)  # executed rows (dicts, one per tick)
@@ -116,11 +112,17 @@ class PlannerState:
     time: float | None = field(default=None, init=False)
 
     @property
-    def mode(self) -> Mode:
-        return Mode.GO_TO_GOAL if self.x_esc is None else Mode.ESCAPE
+    def mode(self) -> str:
+        return "l0" if self.x_esc is None else "l1"
+
+    @property
+    def tick(self) -> int:
+        """The tick count, which is exec_idx: one executed sample per tick
+        (an alias kept for perfbench's tick probe, which reads both)."""
+        return self.exec_idx
 
     def log(self, event: str, **info):
-        self.events.append({"tick": self.tick, "event": event, "mode": self.mode.value, **info})
+        self.events.append({"tick": self.exec_idx, "event": event, "mode": self.mode, **info})
 
     @property
     def reached_goal(self) -> bool:
@@ -150,12 +152,15 @@ def step_planner(
     the lookahead is appended with its reasons, one leaving the view
     appends nothing (the next tick regenerates the same lookahead and
     checks it in a fresh image), and a predicted collision starts the
-    escape search.
+    escape search. A tick that appends nothing and does not end stuck,
+    with the executor on the last appended sample, appends the lookahead's
+    first sample with its label and reason and logs starvation: one more
+    ts step of the closed loop the vehicle is on.
     """
     p_exec = state.appended[state.exec_idx, :3]
 
     # l1 -> l0: escape physically reached; resume toward goal from the actual state
-    if state.mode is Mode.ESCAPE and guard_l1_to_l0(p_exec, state.x_esc, cfg.eps_reach):
+    if state.x_esc is not None and guard_l1_to_l0(p_exec, state.x_esc, cfg.eps_reach):
         state.log("escape_reached")
         state.appended = state.appended[: state.exec_idx + 1]
         del state.modes[state.exec_idx + 1 :], state.reasons[state.exec_idx + 1 :]
@@ -168,7 +173,8 @@ def step_planner(
     # escape maneuvers head to an already-verified free point while cutting
     # across the view cone; they get no image, so every sample reads
     # "unchecked" (end-to-end safety is covered by the 3D oracle sweep)
-    if state.mode is Mode.ESCAPE:
+    mode = state.mode
+    if state.x_esc is not None:
         p_ref, w, depth = state.x_esc, cfg.weights_l1, None
     else:
         p_ref, w = goal.reference(), cfg.weights_l0
@@ -180,21 +186,26 @@ def step_planner(
 
     # the check stops at its first sample that is not free, so at most one
     # sample reads "out_of_view" or "collision"; reasons[i] is sample i + 1's
+    n = cfg.horizon_samples  # samples to append
     if "out_of_view" in reasons:
         state.log("deferred", sample=reasons.index("out_of_view") + 1)
+        n = 0
     elif "collision" in reasons:  # collision predicted somewhere in [k*tau, (k+1)*tau]
         hit_idx = reasons.index("collision") + 1
         state.log("collision_predicted", sample=hit_idx)
         esc = find_escape(positions[hit_idx], depth, cfg.d_l, cfg.max_rings, robot)
         if esc.stuck:
             state.log("stuck")
-        else:
-            state.x_esc = esc.position
-            state.log("escape_found", position=[float(v) for v in esc.position])
-    else:
-        state.appended = np.concatenate((state.appended, la.samples[1:]))
-        state.modes += [state.mode.value] * cfg.horizon_samples
-        state.reasons += reasons
+            return state
+        state.x_esc = esc.position
+        state.log("escape_found", position=[float(v) for v in esc.position])
+        n = 0
+    if n == 0 and unexecuted == 0:  # the executor would starve
+        state.log("starvation")
+        n = 1
+    state.appended = np.concatenate((state.appended, la.samples[1 : n + 1]))
+    state.modes += [mode] * n
+    state.reasons += reasons[:n]
     return state
 
 
@@ -220,29 +231,26 @@ def run_mission(
     and return the state it stepped.
 
     The executor moves to the next appended sample every ts of simulated
-    time (perfect tracking); if no unexecuted sample exists it holds
-    position and logs starvation. The state is returned on the terminal
-    tick, before the executor would advance, so ``exec_idx`` is the last
-    executed sample and ``len(rows) == tick + 1``. Raises ValueError on a
-    start the oracle finds in collision, and on a camera whose blind zone
+    time (perfect tracking); :func:`step_planner` leaves it one unless the
+    tick ends stuck. The state is returned on the terminal tick, before the
+    executor would advance, so ``exec_idx`` is the last executed sample and
+    ``len(rows) == exec_idx + 1``. Raises ValueError on a start the oracle
+    finds in collision, and on a camera whose blind zone
     (:func:`_blind_zone_radius`) reaches max_depth: no sample of such a
     camera could ever be checked free.
     """
     if brute_force_collision(scene, x0.p, robot.rho):
-        raise ValueError("initial state is in collision per the 3D oracle")
+        raise ValueError("start.p: initial state is in collision per the 3D oracle")
     if _blind_zone_radius(intr, robot) >= intr.max_depth:
         raise ValueError("intrinsics: the blind zone reaches max_depth, so no sample could be checked")
 
     start = np.concatenate((x0.p, x0.v, np.zeros(3)))
-    state = PlannerState(appended=start[None], modes=[Mode.GO_TO_GOAL.value], reasons=["start"])
-    starved = False  # the executor could not advance at the end of the last tick
+    state = PlannerState(appended=start[None], modes=["l0"], reasons=["start"])
     while True:
-        t = state.tick * cfg.ts
+        t = state.exec_idx * cfg.ts
         n_before = len(state.events)
         step_planner(scene, state, cfg, goal, intr, robot)
         tick_events = [e["event"] for e in state.events[n_before:]]
-        if starved:
-            tick_events.append("starvation")
         sample = state.appended[state.exec_idx]
 
         if "stuck" in tick_events:
@@ -258,8 +266,4 @@ def run_mission(
         if state.status is not None:
             state.time = t
             return state
-
-        starved = state.exec_idx == len(state.appended) - 1
-        if not starved:
-            state.exec_idx += 1
-        state.tick += 1
+        state.exec_idx += 1

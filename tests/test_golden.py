@@ -33,6 +33,7 @@ from depthnav import (
     verify_mission,
 )
 from depthnav.cli import cli
+from depthnav.planner import ROW_COLUMNS
 
 from conftest import SCENARIO_DIR
 
@@ -123,3 +124,14 @@ def test_appended_samples_carry_their_check_reason(name):
     assert out.reasons[0] == "start"
     for reason, mode in zip(out.reasons[1:], out.modes[1:]):
         assert reason in (("unchecked",) if mode == "l1" else ("free", "blind")), (reason, mode)
+
+
+@pytest.mark.parametrize("name", ["corridor", "empty", "sealed", *range(len(CLUTTER_DIGESTS))])
+def test_rows_execute_one_sample_per_tick(name):
+    """One executor index: the executor advances one appended sample per
+    tick, so row k is appended sample k, and the last row is exec_idx's."""
+    out = _mission(name)
+    assert out.tick == out.exec_idx
+    assert len(out.rows) == out.exec_idx + 1
+    for k, row in enumerate(out.rows):
+        assert [row[c] for c in ROW_COLUMNS[2:11]] == out.appended[k].tolist(), k

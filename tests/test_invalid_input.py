@@ -151,6 +151,21 @@ def test_run_refuses_camera_blind_to_max_depth(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_refuses_colliding_start(tmp_path, capsys):
+    """A box around empty.json's start: every field is valid alone, but the
+    oracle finds the start in collision, and the error names start.p."""
+    data = json.loads((SCENARIO_DIR / "empty.json").read_text())
+    data["scene"] = [{"type": "box", "min": [-1.0, -1.0, 0.2], "max": [1.0, 1.0, 2.2]}]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert cli(["run", str(scenario), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: start.p:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_rejects_untyped_primitive(tmp_path, capsys):
     data = copy.deepcopy(BASE)
     del data["scene"][1]["type"]

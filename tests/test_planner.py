@@ -7,7 +7,6 @@ from depthnav import (
     Box,
     Configuration,
     GoalRegion,
-    Mode,
     ModeWeights,
     PlannerConfig,
     RobotModel,
@@ -121,7 +120,7 @@ class TestEmptySceneMission:
 
     def test_no_starvation_or_collisions(self, empty):
         _, out = empty
-        assert all(e["event"] not in ("collision_predicted", "stuck") for e in out.events)
+        assert all(e["event"] not in ("collision_predicted", "starvation", "stuck") for e in out.events)
 
 
 class TestCorridorMission:
@@ -173,7 +172,7 @@ class TestCorridorMission:
         it (inside the blind zone) and 9 are l1 samples, appended unchecked."""
         _, out = corridor
         assert out.status == "reached_goal" and out.time == pytest.approx(7.2)
-        # no starvation: row i executed appended sample i, the last one exec_idx
+        # row i executed appended sample i, the last one exec_idx
         executed = [[r["px"], r["py"], r["pz"]] for r in out.rows]
         assert executed == out.appended[: out.exec_idx + 1, :3].tolist()
         reasons = out.reasons[1 : out.exec_idx + 1]
@@ -190,7 +189,8 @@ class TestCorridorMission:
 
 class TestMissionExits:
     """The two ends of a tick that no shipped scenario reaches: the timeout,
-    and an executor that holds position because nothing was appended."""
+    and a tick that appends no lookahead while the executor is on the last
+    appended sample."""
 
     def test_timeout_ends_the_mission(self):
         sc = load_scenario(SCENARIO_DIR / "empty.json")
@@ -199,27 +199,33 @@ class TestMissionExits:
         assert (out.status, out.time, len(out.rows)) == ("timed_out", 0.2, 2)
         assert not out.reached_goal
 
-    def test_starved_executor_repeats_its_sample(self):
+    def test_starved_executor_keeps_flying(self):
         """A sphere 2.5 m ahead of a start at 2 m/s: tick 0 predicts the
-        collision and finds an escape, appending nothing, so at t = 0.2 the
-        executor repeats the start and logs starvation; the escape leg then
-        moves it on, and the mission reaches the goal with a clean path."""
+        collision and finds an escape, appending no lookahead, so it appends
+        its l0 lookahead's first sample and logs starvation; at t = 0.2 the
+        executor flies that sample, one ts step of the closed loop it is on,
+        the escape leg then moves it on from there, and the mission reaches
+        the goal with a clean path."""
         sc = load_scenario(SCENARIO_DIR / "empty.json")
         scene = Scene((Sphere((2.5, 0.0, 1.2), 0.3),))
         x0 = StateVec(sc.x0.p, [2.0, 0.0, 0.0])
         out = run_mission(scene, x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
         r0, r1, r2 = out.rows[:3]
         assert r0["event"] == "escape_found"
-        assert (r1["t"], r1["event"]) == (0.2, "starvation")
-        assert [r1[k] for k in ROW_COLUMNS[1:11]] == [r0[k] for k in ROW_COLUMNS[1:11]]
-        assert (r1["px"], r1["vx"]) == (0.0, 2.0)
-        # row i executed appended sample ks[i]: the starved row repeats k = 0
-        ks = [0, *range(out.exec_idx + 1)]
-        assert len(out.rows) == out.tick + 1 == len(ks)
-        assert [[r[c] for c in ROW_COLUMNS[2:11]] for r in out.rows] == out.appended[ks].tolist()
-        assert r2["px"] > 0.0 and r2["event"] == "none"
-        assert (out.status, out.time) == ("reached_goal", pytest.approx(6.2))
-        assert verify_mission(out.rows, scene, sc.robot.rho).violation_count == 0
+        assert [(e["tick"], e["event"]) for e in out.events[:3]] == [
+            (0, "collision_predicted"), (0, "escape_found"), (0, "starvation")]
+        assert (r1["t"], r1["mode"], r1["event"]) == (0.2, "l0", "none")
+        assert r1["px"] == pytest.approx(0.4653, abs=1e-4) and r1["vx"] == pytest.approx(2.6218, abs=1e-4)
+        step = rollout(out.appended[0], sc.goal.reference(), sc.planner.weights_l0.gain, 1, sc.planner.ts)
+        assert np.array_equal(out.appended[1], step.samples[1])
+        assert out.reasons[:3] == ["start", "blind", "unchecked"]
+        # row k executed appended sample k
+        assert len(out.rows) == out.exec_idx + 1 == out.tick + 1
+        assert [[r[c] for c in ROW_COLUMNS[2:11]] for r in out.rows] == out.appended[: out.exec_idx + 1].tolist()
+        assert r2["mode"] == "l1" and r2["px"] > r1["px"] and r2["event"] == "none"
+        assert (out.status, out.time, len(out.rows)) == ("reached_goal", pytest.approx(6.4), 33)
+        report = verify_mission(out.rows, scene, sc.robot.rho)
+        assert report.violation_count == 0 and report.min_clearance == pytest.approx(0.0364, abs=1e-4)
 
 
 class TestSealedMission:
@@ -315,20 +321,18 @@ class TestStepPlanner:
         state = _start(StateVec([1.2, 0.0, 1.5], [2.0, 0.0, 0.0]))
         for _ in range(25):
             step_planner(scene, state, cfg, goal, intr, robot)
-            if state.mode is Mode.ESCAPE:
+            if state.mode == "l1":
                 break
-            if state.exec_idx < len(state.appended) - 1:
-                state.exec_idx += 1
-            state.tick += 1
-        assert state.mode is Mode.ESCAPE
+            state.exec_idx += 1
+        assert state.mode == "l1"
         assert state.x_esc is not None
         assert state.x_esc[2] > 1.5  # escape found through the gap above
 
     def test_collision_tick_appends_nothing(self, intr, robot):
-        """The tick that predicts a collision appends no sample, label or
-        reason. Its lookahead, checked again in the tick's image, reads free
-        or blind up to the logged sample, "collision" there, and "unchecked"
-        after it."""
+        """The tick that predicts a collision with samples still buffered
+        ahead of the executor appends no sample, label or reason. Its
+        lookahead, checked again in the tick's image, reads free or blind up
+        to the logged sample, "collision" there, and "unchecked" after it."""
         scene = Scene((Box((4.0, -8.0, -8.0), (4.4, 8.0, 2.0)), Box((4.0, -8.0, 4.0), (4.4, 8.0, 8.0))))
         cfg = PlannerConfig(d_l=1.0)
         goal = GoalRegion(10.0, 0.0, 1.5)
@@ -339,11 +343,10 @@ class TestStepPlanner:
             step_planner(scene, state, cfg, goal, intr, robot)
             if any(e["event"] == "collision_predicted" for e in state.events[before[3]:]):
                 break
-            if state.exec_idx < len(state.appended) - 1:
-                state.exec_idx += 1
-            state.tick += 1
+            state.exec_idx += 1
         appended, modes, reasons, n_events = before
         assert state.events[n_events]["event"] == "collision_predicted"
+        assert state.exec_idx < len(appended) - 1
         assert np.array_equal(state.appended, appended) and state.modes == modes and state.reasons == reasons
         hit = state.events[n_events]["sample"]
         la = rollout(appended[-1], goal.reference(), cfg.weights_l0.gain, cfg.horizon_samples, cfg.ts)
@@ -371,7 +374,7 @@ class TestStepPlanner:
             cam = state.appended[state.exec_idx, :3]
             n_appended = len(state.appended)
             step_planner(scene, state, cfg, goal, intr, robot)
-            assert state.mode is Mode.GO_TO_GOAL and not state.events
+            assert state.mode == "l0" and not state.events
             new = state.appended[n_appended:, :3]
             if len(new) and all(np.linalg.norm(p - cam) <= blind for p in new):
                 assert box.calls == [] and floor.calls == []
@@ -379,9 +382,7 @@ class TestStepPlanner:
             elif len(new):
                 checking = True
                 break
-            if state.exec_idx < len(state.appended) - 1:
-                state.exec_idx += 1
-            state.tick += 1
+            state.exec_idx += 1
         assert blind_ticks >= 1 and checking
         assert box.calls == [] and sum(floor.calls) > 0
 
@@ -402,7 +403,7 @@ class TestStepPlanner:
         for scene, x0, goal, cfg, intr, robot in missions:
             state = _start(x0)
             pending = None  # the trajectory end at a deferral on the previous tick
-            while state.tick * cfg.ts < cfg.mission_timeout:
+            while state.exec_idx * cfg.ts < cfg.mission_timeout:
                 before, n_events = state.appended.copy(), len(state.events)
                 step_planner(scene, state, cfg, goal, intr, robot)
                 events = [e["event"] for e in state.events[n_events:]]
@@ -418,16 +419,16 @@ class TestStepPlanner:
                 pending = None
                 if "deferred" in events:
                     deferrals += 1
-                    assert state.mode is Mode.GO_TO_GOAL and state.events[-1]["mode"] == "l0"
-                    # nothing appended (escape_reached may have dropped unexecuted samples)
-                    assert len(state.appended) <= len(before)
-                    assert np.array_equal(state.appended, before[: len(state.appended)])
+                    assert state.mode == "l0" and state.events[-1]["mode"] == "l0"
+                    # no lookahead appended (escape_reached may have dropped unexecuted
+                    # samples), only its first sample if the executor would starve
+                    kept = len(state.appended) - ("starvation" in events)
+                    assert kept <= len(before)
+                    assert np.array_equal(state.appended[:kept], before[:kept])
                     pending = state.appended[-1]
                 if "stuck" in events or goal.contains(state.appended[state.exec_idx]):
                     break
-                if state.exec_idx < len(state.appended) - 1:
-                    state.exec_idx += 1
-                state.tick += 1
+                state.exec_idx += 1
         assert deferrals >= 2
         assert rechecked >= 1
 
@@ -472,7 +473,7 @@ class TestStepPlanner:
 
     def test_rejects_colliding_start(self, intr, robot):
         scene = Scene((Box((0.0, -1.0, -1.0), (2.0, 1.0, 1.0)),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="start.p"):
             run_mission(
                 scene, StateVec.rest([1.0, 0.0, 0.0]), GoalRegion(10.0), PlannerConfig(), intr, robot
             )
