@@ -14,7 +14,6 @@ from .frames import (
     world_to_camera,
 )
 from .lqr import (
-    AxisGain,
     LookAheadTrajectory,
     ModeWeights,
     StateVec,

@@ -88,7 +88,7 @@ def _cmd_verify(args) -> int:
 def _cmd_gains(args) -> int:
     cfg = load_scenario(args.scenario).planner if args.scenario else PlannerConfig()
     for mode, w in (("l0", cfg.weights_l0), ("l1", cfg.weights_l1)):
-        print(f"mode {mode}: kp = {w.gain.kp:.6f}  kv = {w.gain.kv:.6f}  ARE residual = {w.residual:.3e}")
+        print(f"mode {mode}: kp = {w.kp:.6f}  kv = {w.kv:.6f}  ARE residual = {w.residual:.3e}")
     return 0
 
 

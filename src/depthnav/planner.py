@@ -15,12 +15,13 @@ of the closed loop it is on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 from .collision import _blind_zone_radius, find_escape, waypoints2collision
 from .frames import CameraIntrinsics, Configuration
-from .lqr import ModeWeights, StateVec, horizon_steps, rollout
+from .lqr import ModeWeights, StateVec, rollout
 from .oracle import brute_force_collision
 from .scene import RobotModel, Scene, _norm, render_scene_depth
 from .validation import coerce, integer, real
@@ -69,11 +70,14 @@ class PlannerConfig:
 
     def __post_init__(self):
         coerce(self, real, "tau", "ts", "d_l", "eps_reach", "mission_timeout", positive=True)
+        n = self.tau / self.ts
+        if not math.isfinite(n) or (k := round(n)) < 1 or abs(k * self.ts - self.tau) > 1e-9:
+            raise ValueError(f"tau: must be a positive integral multiple of ts, got tau / ts = {n!r}")
+        object.__setattr__(self, "horizon_samples", k)
         coerce(self, integer, "max_rings", minimum=1)
         for name in ("weights_l0", "weights_l1"):
             if not isinstance(getattr(self, name), ModeWeights):
                 raise TypeError(f"{name}: must be ModeWeights, got {getattr(self, name)!r}")
-        object.__setattr__(self, "horizon_samples", horizon_steps(self.tau, self.ts))
 
 
 # executed-trajectory row fields, in trajectory.csv column order
@@ -145,7 +149,7 @@ def step_planner(
     """One planning tick at the executor's current time.
 
     Generates one lookahead from the end of the appended trajectory with
-    the mode's gain, to a point at rest: the goal in l0, the escape point in
+    the mode's gains, to a point at rest: the goal in l0, the escape point in
     l1. In l0 it renders a depth image from the current configuration; in
     l1 there is none. :func:`waypoints2collision` gives each sample its
     reason, and the first "collision" or "out_of_view" decides: with none
@@ -180,7 +184,7 @@ def step_planner(
         p_ref, w = goal.reference(), cfg.weights_l0
         q_c = Configuration(*p_exec.tolist())  # heading held toward +x: no yaw planning
         depth = render_scene_depth(scene, q_c, intr)
-    la = rollout(state.appended[-1], p_ref, w.gain, cfg.horizon_samples, cfg.ts)
+    la = rollout(state.appended[-1], p_ref, w, cfg.horizon_samples, cfg.ts)
     positions = la.samples[:, :3]
     reasons = waypoints2collision(positions, depth, robot)
 
@@ -215,8 +219,8 @@ def _row(t: float, mode_label: str, sample: np.ndarray, event: str) -> dict:
 
 
 def solve_gains(cfg: PlannerConfig) -> dict:
-    """Per-mode axis gains, as each mode's weights solved and checked them."""
-    return {"l0": cfg.weights_l0.gain, "l1": cfg.weights_l1.gain}
+    """Each mode's weights, which hold the gains they solved and checked."""
+    return {"l0": cfg.weights_l0, "l1": cfg.weights_l1}
 
 
 def run_mission(

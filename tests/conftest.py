@@ -10,12 +10,12 @@ SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def replay_steps(sc, out):
-    """Yield (s0, s1, p_ref, gain, same_leg) for each appended step s0 -> s1,
-    where s0 and s1 are sample rows [p | v | u].
+    """Yield (s0, s1, p_ref, weights, same_leg) for each appended step
+    s0 -> s1, where s0 and s1 are sample rows [p | v | u].
 
-    p_ref and gain are the reference point and the axis gain of the mode
-    that generated s1: the goal point and l0's gain, or the escape point of
-    the matching `escape_found` event and l1's gain. same_leg is true when
+    p_ref and weights are the reference point and the ModeWeights of the
+    mode that generated s1: the goal point and l0's, or the escape point of
+    the matching `escape_found` event and l1's. same_leg is true when
     s0 was generated toward the same reference (the start counts as l0).
     """
     escapes = iter(np.array(e["position"]) for e in out.events if e["event"] == "escape_found")
@@ -24,20 +24,20 @@ def replay_steps(sc, out):
         if label != label0:
             p_ref = next(escapes) if label == "l1" else goal_ref
         w = sc.planner.weights_l1 if label == "l1" else sc.planner.weights_l0
-        yield s0, s1, p_ref, w.gain, label == label0
+        yield s0, s1, p_ref, w, label == label0
 
 
 def max_junction_mismatch(sc, out):
     """Worst position/velocity gap when each appended step is re-integrated
-    from its predecessor with the generating mode's gain and reference.
+    from its predecessor with the generating mode's gains and reference.
 
     Zero (up to float noise) means the chained trajectory is junction-
     continuous: no lookahead boundary introduces a state jump.
     """
     ts = sc.planner.ts
     worst = 0.0
-    for s0, s1, p_ref, g, _ in replay_steps(sc, out):
-        s_pred = rollout(s0, p_ref, g, 1, ts).samples[1]
+    for s0, s1, p_ref, w, _ in replay_steps(sc, out):
+        s_pred = rollout(s0, p_ref, w, 1, ts).samples[1]
         worst = max(
             worst,
             float(np.max(np.abs(s_pred[:3] - s1[:3]))),

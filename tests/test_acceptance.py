@@ -60,11 +60,10 @@ def test_criterion_1_are_correctness():
     t0 = time.perf_counter()
     worst_res, worst_gain = 0.0, 0.0
     for w in (ModeWeights(1.0, 0.1, 3.0), ModeWeights(1.0, 0.1, 0.1)):
-        g = solve_are_axis(w)
-        worst_res = max(worst_res, are_residual(g, w))
+        worst_res = max(worst_res, are_residual(solve_are_axis(w), w))
         S = solve_continuous_are(A, B, np.diag([w.qp, w.qv]), np.array([[w.r]]))
         K = (B.T @ S / w.r).ravel()
-        worst_gain = max(worst_gain, abs(g.kp - K[0]), abs(g.kv - K[1]))
+        worst_gain = max(worst_gain, abs(w.kp - K[0]), abs(w.kv - K[1]))
     elapsed = time.perf_counter() - t0
     ok = worst_res < 1e-9 and worst_gain < 1e-8 and elapsed < 1.0
     _report(
@@ -174,10 +173,11 @@ def test_criterion_5_projection_fidelity(intr):
     )
 
 
-def _lyapunov(s, p_ref, g) -> float:
+def _lyapunov(s, p_ref, w) -> float:
     """V = sum over axes of e^T S e, e = (position error, velocity), at the
-    sample row s."""
-    S = np.array([[g.s11, g.s12], [g.s12, g.s22]])
+    sample row s, with S the Riccati solution of the weights w."""
+    s11, s12, s22 = solve_are_axis(w)
+    S = np.array([[s11, s12], [s12, s22]])
     errors = (np.array([s[ax] - p_ref[ax], s[3 + ax]]) for ax in range(3))
     return sum(float(e @ S @ e) for e in errors)
 
@@ -185,9 +185,9 @@ def _lyapunov(s, p_ref, g) -> float:
 def _lyapunov_violation(sc, out):
     """Largest Lyapunov increase along appended steps sharing one reference."""
     worst = 0.0
-    for s0, s1, p_ref, g, same_leg in replay_steps(sc, out):
+    for s0, s1, p_ref, w, same_leg in replay_steps(sc, out):
         if same_leg:
-            worst = max(worst, _lyapunov(s1, p_ref, g) - _lyapunov(s0, p_ref, g))
+            worst = max(worst, _lyapunov(s1, p_ref, w) - _lyapunov(s0, p_ref, w))
     return worst
 
 
@@ -234,7 +234,7 @@ def test_criterion_7_collision_check_throughput(intr, robot):
 def test_criterion_8_planning_tick_budget(robot):
     """Median full tick (render + check + rollout) within the 33 ms budget."""
     sc = load_scenario(SCENARIO_DIR / "corridor.json")
-    g = sc.planner.weights_l0.gain
+    w = sc.planner.weights_l0
     goal_ref = sc.goal.reference()
     times = []
     for x in np.linspace(0.0, 7.0, 15):
@@ -242,7 +242,7 @@ def test_criterion_8_planning_tick_budget(robot):
         x_start = np.array([float(x), 0.0, 1.2, 2.0, 0.0, 0.0])
         t0 = time.perf_counter()
         depth = render_scene_depth(sc.scene, q_c, sc.intrinsics)
-        la = rollout(x_start, goal_ref, g, sc.planner.horizon_samples, sc.planner.ts)
+        la = rollout(x_start, goal_ref, w, sc.planner.horizon_samples, sc.planner.ts)
         waypoints2collision(la.samples[:, :3], depth, robot)
         times.append(time.perf_counter() - t0)
     median_ms = statistics.median(times) * 1e3

@@ -47,6 +47,35 @@ class TestRun:
         assert cli(["run", str(scenario), "--out", str(tmp_path / "r")]) == 3
         assert "mission timed_out at t = 0.2 s (2 samples)" in capsys.readouterr().out
 
+    def test_world_past_the_size_limit_exit_one(self, tmp_path, capsys):
+        """A wall at x = 5 with 1e50 m half-extents in a 1e51 m world, which
+        the render loses (a mission flies through it): refused naming
+        world_bounds, with no mission run."""
+        data = json.loads((SCENARIO_DIR / "empty.json").read_text())
+        data["world_bounds"] = {"min": [-1e51] * 3, "max": [1e51] * 3}
+        data["scene"] = [{"type": "wall", "point": [5.0, 0.0, 0.0], "normal": [-1.0, 0.0, 0.0],
+                          "half_extents": [1e50, 1e50]}]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        out = tmp_path / "r"
+        assert cli(["run", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid world_bounds.min: each coordinate must lie within 1,000,000 m")
+        assert not out.exists()
+
+    def test_world_at_the_size_limit_is_sound(self, tmp_path, capsys):
+        """A 1 m box at x = 5-6 spanning a +-1e6 m world blocks every way to
+        the goal: the mission ends stuck and the oracle finds no violation."""
+        data = json.loads((SCENARIO_DIR / "empty.json").read_text())
+        data["world_bounds"] = {"min": [-1e6] * 3, "max": [1e6] * 3}
+        data["scene"] = [{"type": "box", "min": [5.0, -1e6, -1e6], "max": [6.0, 1e6, 1e6]}]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        out = tmp_path / "r"
+        assert cli(["run", str(scenario), "--out", str(out)]) == 2
+        assert cli(["verify", str(out)]) == 0
+        assert "violations: 0" in capsys.readouterr().out
+
     def test_rerun_in_place_exit_zero(self, tmp_path):
         """A run directory's own scenario.json re-runs into that directory:
         the copy onto itself is skipped and the mission writes the same bytes."""
@@ -231,15 +260,24 @@ class TestRender:
 
 
 class TestGains:
+    # the default weights' gains and residuals, as `depthnav gains` prints them
+    DEFAULT_GAINS = (
+        "mode l0: kp = 0.577350  kv = 1.089970  ARE residual = 4.441e-16\n"
+        "mode l1: kp = 3.162278  kv = 2.706392  ARE residual = 1.110e-16\n"
+    )
+
     def test_prints_both_modes(self, capsys):
         assert cli(["gains"]) == 0
         out = capsys.readouterr().out
         assert "mode l0" in out and "mode l1" in out
         assert "residual" in out
+        assert out == self.DEFAULT_GAINS
 
     def test_scenario_gains(self, capsys):
         assert cli(["gains", str(SCENARIO_DIR / "corridor.json")]) == 0
-        assert "kp = 0.577350" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "kp = 0.577350" in out
+        assert out == self.DEFAULT_GAINS
 
     def test_weights_with_infinite_gain_exit_one(self, tmp_path, capsys):
         """qp = r = 1e200 solve to kp = inf: refused, not printed."""

@@ -50,6 +50,8 @@ FIELDS = [
     # outside world_bounds, like a start there (1e300 overflows the regulator)
     *((("goal", k), (1e300,), f"goal.{k}") for k in ("x_goal", "y_ref", "z_ref")),
     *((("world_bounds", k, 0), SIGNED, f"world_bounds.{k}") for k in ("min", "max")),
+    # a world larger than 1e6 m, where renders lose faces and radii overflow
+    *((("world_bounds", k, 0), (sign * 2e6,), f"world_bounds.{k}") for k, sign in (("min", -1), ("max", 1))),
     (("scene", 0, "min", 1), SIGNED, "scene[0].min"),
     (("scene", 0, "max", 2), SIGNED, "scene[0].max"),
     (("scene", 1, "center", 0), SIGNED, "scene[1].center"),

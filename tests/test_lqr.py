@@ -7,14 +7,13 @@ from scipy.linalg import solve_continuous_are
 
 from depthnav import lqr
 from depthnav import (
-    AxisGain,
     ModeWeights,
+    PlannerConfig,
     StateVec,
     are_residual,
     rollout,
     solve_are_axis,
 )
-from depthnav.lqr import horizon_steps
 from depthnav.validation import real
 
 L0 = ModeWeights(1.0, 0.1, 3.0)
@@ -32,36 +31,36 @@ def _scipy_gain(w: ModeWeights):
 
 class TestSolveAre:
     def test_l0_gains_match_oracle(self):
-        g = solve_are_axis(L0)
+        s11, s12, s22 = solve_are_axis(L0)
         S, K = _scipy_gain(L0)
-        assert g.kp == pytest.approx(K[0], abs=1e-8)
-        assert g.kv == pytest.approx(K[1], abs=1e-8)
-        assert g.kp == pytest.approx(0.5773502691896257, abs=1e-12)
-        assert g.kv == pytest.approx(1.0899696655011025, abs=1e-12)
-        assert np.allclose([[g.s11, g.s12], [g.s12, g.s22]], S, atol=1e-8)
+        assert L0.kp == pytest.approx(K[0], abs=1e-8)
+        assert L0.kv == pytest.approx(K[1], abs=1e-8)
+        assert L0.kp == pytest.approx(0.5773502691896257, abs=1e-12)
+        assert L0.kv == pytest.approx(1.0899696655011025, abs=1e-12)
+        assert np.allclose([[s11, s12], [s12, s22]], S, atol=1e-8)
 
     def test_l1_gains_match_oracle(self):
-        g = solve_are_axis(L1)
         _, K = _scipy_gain(L1)
-        assert g.kp == pytest.approx(K[0], abs=1e-8)
-        assert g.kv == pytest.approx(K[1], abs=1e-8)
-        assert g.kp == pytest.approx(3.1622776601683795, abs=1e-12)
-        assert g.kv == pytest.approx(2.7063915681838724, abs=1e-12)
+        assert L1.kp == pytest.approx(K[0], abs=1e-8)
+        assert L1.kv == pytest.approx(K[1], abs=1e-8)
+        assert L1.kp == pytest.approx(3.1622776601683795, abs=1e-12)
+        assert L1.kv == pytest.approx(2.7063915681838724, abs=1e-12)
 
     def test_hand_solvable_weights(self):
-        g = solve_are_axis(ModeWeights(1.0, 0.0, 1.0))
-        assert g.s12 == pytest.approx(1.0, abs=1e-15)
-        assert g.s22 == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        assert g.kp == pytest.approx(1.0, abs=1e-15)
-        assert g.kv == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        w = ModeWeights(1.0, 0.0, 1.0)
+        _, s12, s22 = solve_are_axis(w)
+        assert s12 == pytest.approx(1.0, abs=1e-15)
+        assert s22 == pytest.approx(math.sqrt(2.0), abs=1e-15)
+        assert w.kp == pytest.approx(1.0, abs=1e-15)
+        assert w.kv == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
     def test_solution_positive_definite(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             w = ModeWeights(rng.uniform(0.1, 5), rng.uniform(0, 2), rng.uniform(0.05, 5))
-            g = solve_are_axis(w)
-            assert g.s11 > 0 and g.s22 > 0 and g.s12 > 0
-            assert g.s11 * g.s22 - g.s12**2 > 0
+            s11, s12, s22 = solve_are_axis(w)
+            assert s11 > 0 and s22 > 0 and s12 > 0
+            assert s11 * s22 - s12**2 > 0
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
@@ -76,15 +75,29 @@ class TestAreResidual:
     def test_residual_tiny_at_solution(self):
         assert are_residual(solve_are_axis(L0), L0) < 1e-9
         assert are_residual(solve_are_axis(L1), L1) < 1e-9
+        assert L0.residual == are_residual(solve_are_axis(L0), L0)
 
     def test_residual_detects_perturbation(self):
-        g = solve_are_axis(L0)
-        bad = AxisGain(g.s11, g.s12 + 0.1, g.s22, g.kp, g.kv)
-        assert are_residual(bad, L0) > 1e-3
+        s11, s12, s22 = solve_are_axis(L0)
+        assert are_residual((s11, s12 + 0.1, s22), L0) > 1e-3
 
     def test_exact_arithmetic_case(self):
         w = ModeWeights(1.0, 0.0, 1.0)
         assert are_residual(solve_are_axis(w), w) < 1e-12
+
+    def test_scalar_residual_matches_the_matrix_equation(self):
+        """The three scalar entries agree with S A + A^T S + Q - S B R^-1 B^T S
+        built as matrices, within 1e-15 of the equation's largest term, at
+        the solution and at a perturbed one."""
+        rng = np.random.default_rng(27)
+        for _ in range(30):
+            w = ModeWeights(rng.uniform(0.01, 100), rng.uniform(0, 10), rng.uniform(0.01, 100))
+            s11, s12, s22 = solve_are_axis(w)
+            for s in ((s11, s12, s22), (s11 * 1.01, s12 - 0.05, s22 + 0.02)):
+                S = np.array([[s[0], s[1]], [s[1], s[2]]])
+                res = S @ A + A.T @ S + np.diag([w.qp, w.qv]) - S @ B @ B.T @ S / w.r
+                largest = max(1.0, w.qp, w.qv, s[0], s[1] * s[1] / w.r, s[2] * s[2] / w.r)
+                assert abs(are_residual(s, w) - float(np.abs(res).max())) <= 1e-15 * largest
 
 
 def _state(p, v=(0.0, 0.0, 0.0)) -> np.ndarray:
@@ -92,74 +105,67 @@ def _state(p, v=(0.0, 0.0, 0.0)) -> np.ndarray:
     return np.array([*p, *v], dtype=float)
 
 
-def _control(x, p_ref, g) -> np.ndarray:
+def _control(x, p_ref, w) -> np.ndarray:
     """The control law's command at x: the input of a rollout's first sample."""
-    return rollout(x, p_ref, g, 1, 0.2).samples[0, 6:]
+    return rollout(x, p_ref, w, 1, 0.2).samples[0, 6:]
 
 
 class TestControl:
     def test_zero_at_equilibrium(self):
         """At rest at the reference point the command is exactly zero."""
-        g = solve_are_axis(L0)
         x = _state([1.0, 2.0, 3.0])
-        assert np.array_equal(_control(x, x[:3], g), np.zeros(3))
+        assert np.array_equal(_control(x, x[:3], L0), np.zeros(3))
 
     def test_unit_position_error(self):
-        g = solve_are_axis(L0)
         x = _state([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        u = _control(x, np.zeros(3), g)
+        u = _control(x, np.zeros(3), L0)
         assert np.allclose(u, [-0.5773502691896257, 0.0, 0.0], atol=1e-12)
 
     def test_linearity(self):
-        g = solve_are_axis(L1)
         ref = np.zeros(3)
         x1 = _state([0.5, -0.2, 0.1], [0.3, 0.0, -0.4])
         x2 = 2 * x1
-        assert np.allclose(2 * _control(x1, ref, g), _control(x2, ref, g), atol=1e-12)
+        assert np.allclose(2 * _control(x1, ref, L1), _control(x2, ref, L1), atol=1e-12)
 
 
 class TestRollout:
     def test_equilibrium_rollout(self):
-        g = solve_are_axis(L0)
         x = _state([1.0, 2.0, 3.0])
-        la = rollout(x, x[:3], g, 4, 0.2)
+        la = rollout(x, x[:3], L0, 4, 0.2)
         assert len(la.samples) == 5
         for s in la.samples:
             assert np.allclose(s[:3], x[:3]) and np.allclose(s[3:6], 0.0)
             assert np.allclose(s[6:], 0.0)
 
     def test_monotone_approach_to_reference(self):
-        g = solve_are_axis(L0)
-        la = rollout(_state([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), g, 4, 0.2)
+        la = rollout(_state([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), L0, 4, 0.2)
         xs = la.samples[:, 0].tolist()
         assert len(xs) == 5
         assert all(b > a for a, b in zip(xs, xs[1:]))
 
     def test_first_sample_is_exactly_x0(self):
-        g = solve_are_axis(L1)
         x0 = _state([0.3, -0.2, 1.1], [0.5, 0.1, -0.7])
-        la = rollout(x0, np.array([2.0, 0.0, 1.0]), g, 4, 0.2)
+        la = rollout(x0, np.array([2.0, 0.0, 1.0]), L1, 4, 0.2)
         assert np.array_equal(la.samples[0, :6], x0)
 
     def test_matches_fine_reference_integration(self):
         """RK4 at ts/10 agrees with a 1e-4 s substep reference within 1e-6 m."""
         for w in (L0, L1):
-            g = solve_are_axis(w)
             x0 = _state([0.0, 0.5, -0.3], [1.0, -0.5, 0.2])
             ref = np.array([3.0, 0.0, 1.0])
-            la = rollout(x0, ref, g, 4, 0.2)
+            la = rollout(x0, ref, w, 4, 0.2)
             p, v = x0[:3].copy(), x0[3:].copy()
             h = 1e-4
             fine = [(p.copy(), v.copy())]
             for k in range(4):
                 for _ in range(2000):
-                    k1p, k1v = v, -g.kp * (p - ref) - g.kv * v
+                    k1p, k1v = v, -w.kp * (p - ref) - w.kv * v
                     p2, v2 = p + 0.5 * h * k1p, v + 0.5 * h * k1v
-                    k2p, k2v = v2, -g.kp * (p2 - ref) - g.kv * v2
+                    k2p, k2v = v2, -w.kp * (p2 - ref) - w.kv * v2
                     p3, v3 = p + 0.5 * h * k2p, v + 0.5 * h * k2v
-                    k3p, k3v = v3, -g.kp * (p3 - ref) - g.kv * v3
+                    k3p, k3v = v3, -w.kp * (p3 - ref) - w.kv * v3
                     p4, v4 = p + h * k3p, v + h * k3v
-                    k4p, k4v = v4, -g.kp * (p4 - ref) - g.kv * v4
+                    k4p, k4v = v4, -w.kp * (p4 - ref) - w.kv * v4
                     p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
                     v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
                 fine.append((p.copy(), v.copy()))
@@ -169,10 +175,10 @@ class TestRollout:
 
     def test_lyapunov_non_increasing(self):
         for w in (L0, L1):
-            g = solve_are_axis(w)
-            S = np.array([[g.s11, g.s12], [g.s12, g.s22]])
+            s11, s12, s22 = solve_are_axis(w)
+            S = np.array([[s11, s12], [s12, s22]])
             ref = np.array([2.0, -1.0, 0.5])
-            la = rollout(_state([0.0, 0.0, 0.0], [1.5, -0.5, 0.0]), ref, g, 4, 0.2)
+            la = rollout(_state([0.0, 0.0, 0.0], [1.5, -0.5, 0.0]), ref, w, 4, 0.2)
             values = []
             for s in la.samples:
                 V = 0.0
@@ -183,8 +189,7 @@ class TestRollout:
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_axis_decoupling(self):
-        g = solve_are_axis(L0)
-        la = rollout(_state([1.0, 0.0, 0.0]), np.zeros(3), g, 4, 0.2)
+        la = rollout(_state([1.0, 0.0, 0.0]), np.zeros(3), L0, 4, 0.2)
         for s in la.samples:
             assert s[7] == 0.0 and s[8] == 0.0
             assert s[1] == 0.0 and s[2] == 0.0
@@ -200,55 +205,54 @@ class TestRollout:
 
         original = lqr._law
         monkeypatch.setattr(lqr, "_law", counting_law)
-        la = rollout(_state([0, 0, 0]), np.array([1.0, 0.0, 0.0]), solve_are_axis(L0), 4, 0.2)
+        la = rollout(_state([0, 0, 0]), np.array([1.0, 0.0, 0.0]), L0, 4, 0.2)
         assert len(la.samples) == 5
         assert len(calls) == 1 + 4 * (10 * 4 + 1)
 
     def test_a_trajectory_row_is_a_start(self):
         """Any array whose first six entries are [p | v] starts a rollout:
         from a sample row it continues the rollout that wrote the row."""
-        g = solve_are_axis(L1)
-        la = rollout(_state([0.3, -0.2, 1.1], [0.5, 0.1, -0.7]), np.array([2.0, 0.0, 1.0]), g, 4, 0.2)
-        assert np.array_equal(rollout(la.samples[2], np.array([2.0, 0.0, 1.0]), g, 2, 0.2).samples, la.samples[2:])
+        la = rollout(_state([0.3, -0.2, 1.1], [0.5, 0.1, -0.7]), np.array([2.0, 0.0, 1.0]), L1, 4, 0.2)
+        assert np.array_equal(rollout(la.samples[2], np.array([2.0, 0.0, 1.0]), L1, 2, 0.2).samples, la.samples[2:])
 
 
 class TestHorizonSteps:
+    """PlannerConfig derives the horizon's sample count tau / ts once."""
+
     def test_rejects_non_integral_horizon(self):
         with pytest.raises(ValueError):
-            horizon_steps(0.7, 0.2)
+            PlannerConfig(tau=0.7, ts=0.2)
 
     def test_rejects_overflowing_horizon(self):
         """tau / ts overflows to infinity: a ValueError, not an OverflowError."""
         with pytest.raises(ValueError, match="tau"):
-            horizon_steps(1e300, 1e-300)
+            PlannerConfig(tau=1e300, ts=1e-300)
 
     def test_rejects_non_positive_step(self):
         """ts = 0 names ts: a ValueError, not a ZeroDivisionError."""
         with pytest.raises(ValueError, match="^ts: must be positive"):
-            horizon_steps(0.8, 0.0)
+            PlannerConfig(tau=0.8, ts=0.0)
 
     def test_rejects_negative_horizon(self):
         """Two negative times divide to a positive ratio; tau is refused first."""
         with pytest.raises(ValueError, match="^tau: must be positive"):
-            horizon_steps(-0.8, -0.2)
+            PlannerConfig(tau=-0.8, ts=-0.2)
 
     def test_rejects_non_finite_times(self):
         for tau, ts, field in ((math.inf, 0.2, "tau"), (0.8, math.nan, "ts")):
             with pytest.raises(ValueError, match=f"^{field}: must be finite"):
-                horizon_steps(tau, ts)
+                PlannerConfig(tau=tau, ts=ts)
 
 
 class TestClosedLoopProperties:
     def test_stable_eigenvalues_both_modes(self):
         for w in (L0, L1):
-            g = solve_are_axis(w)
-            eig = np.linalg.eigvals(np.array([[0.0, 1.0], [-g.kp, -g.kv]]))
+            eig = np.linalg.eigvals(np.array([[0.0, 1.0], [-w.kp, -w.kv]]))
             assert np.all(eig.real < 0)
 
     def test_escape_mode_is_more_aggressive(self):
-        g0, g1 = solve_are_axis(L0), solve_are_axis(L1)
-        assert g1.kp > g0.kp
-        assert g1.kv > g0.kv
+        assert L1.kp > L0.kp
+        assert L1.kv > L0.kv
 
 
 class TestStateVec:

@@ -20,7 +20,7 @@ from depthnav import (
     run_mission,
     waypoints2collision,
 )
-from depthnav import lqr, planner
+from depthnav import lqr
 from depthnav.collision import _blind_zone_radius
 from depthnav.planner import (
     EVENT_PRIORITY,
@@ -91,7 +91,7 @@ class TestPlannerConfig:
 
     def test_solve_gains_reads_the_weights(self):
         cfg = PlannerConfig()
-        assert solve_gains(cfg) == {"l0": cfg.weights_l0.gain, "l1": cfg.weights_l1.gain}
+        assert solve_gains(cfg) == {"l0": cfg.weights_l0, "l1": cfg.weights_l1}
 
     def test_rejects_weights_of_another_type(self):
         with pytest.raises(TypeError, match="^weights_l0: must be ModeWeights"):
@@ -216,7 +216,7 @@ class TestMissionExits:
             (0, "collision_predicted"), (0, "escape_found"), (0, "starvation")]
         assert (r1["t"], r1["mode"], r1["event"]) == (0.2, "l0", "none")
         assert r1["px"] == pytest.approx(0.4653, abs=1e-4) and r1["vx"] == pytest.approx(2.6218, abs=1e-4)
-        step = rollout(out.appended[0], sc.goal.reference(), sc.planner.weights_l0.gain, 1, sc.planner.ts)
+        step = rollout(out.appended[0], sc.goal.reference(), sc.planner.weights_l0, 1, sc.planner.ts)
         assert np.array_equal(out.appended[1], step.samples[1])
         assert out.reasons[:3] == ["start", "blind", "unchecked"]
         # row k executed appended sample k
@@ -299,8 +299,8 @@ class TestRiccatiGate:
         solve = lqr.solve_are_axis
 
         def perturbed(w):
-            g = solve(w)
-            return dataclasses.replace(g, s11=g.s11 * 1.001)
+            s11, s12, s22 = solve(w)
+            return s11 * 1.001, s12, s22
 
         monkeypatch.setattr(lqr, "solve_are_axis", perturbed)
         with pytest.raises(ValueError, match="^qp: .* Riccati residual"):
@@ -349,7 +349,7 @@ class TestStepPlanner:
         assert state.exec_idx < len(appended) - 1
         assert np.array_equal(state.appended, appended) and state.modes == modes and state.reasons == reasons
         hit = state.events[n_events]["sample"]
-        la = rollout(appended[-1], goal.reference(), cfg.weights_l0.gain, cfg.horizon_samples, cfg.ts)
+        la = rollout(appended[-1], goal.reference(), cfg.weights_l0, cfg.horizon_samples, cfg.ts)
         depth = render_scene_depth(scene, Configuration(*p_exec.tolist()), intr)
         checked = waypoints2collision(la.samples[:, :3], depth, robot)
         assert 1 <= hit < cfg.horizon_samples
@@ -411,7 +411,7 @@ class TestStepPlanner:
                 if pending is not None:
                     assert events or len(new)
                     if len(new):
-                        la = rollout(pending, goal.reference(), cfg.weights_l0.gain, cfg.horizon_samples, cfg.ts)
+                        la = rollout(pending, goal.reference(), cfg.weights_l0, cfg.horizon_samples, cfg.ts)
                         assert len(new) == len(la.samples) - 1
                         assert state.modes[len(before):] == ["l0"] * len(new)
                         assert np.array_equal(new, la.samples[1:])
@@ -450,14 +450,15 @@ class TestStepPlanner:
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_rollout_writes_n_plus_one_rows(self, n):
-        la = rollout(np.zeros(6), np.array([1.0, 0.0, 0.0]), PlannerConfig().weights_l0.gain, n, 0.2)
+        la = rollout(np.zeros(6), np.array([1.0, 0.0, 0.0]), PlannerConfig().weights_l0, n, 0.2)
         assert la.samples.shape == (n + 1, 9)
 
     def test_mission_validates_only_its_inputs(self, monkeypatch):
-        """Once the scenario is built, a mission builds no StateVec and
-        re-derives no horizon: its samples are the program's own arithmetic."""
+        """Once the scenario is built, a mission builds no StateVec, re-derives
+        no horizon and re-solves no gains: its samples are the program's own
+        arithmetic."""
         sc = load_scenario(SCENARIO_DIR / "corridor.json")
-        calls = {"StateVec": 0, "horizon_steps": 0}
+        calls = {"StateVec": 0, "PlannerConfig": 0, "ModeWeights": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -465,11 +466,11 @@ class TestStepPlanner:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(StateVec, "__post_init__", counted("StateVec", StateVec.__post_init__))
-        monkeypatch.setattr(planner, "horizon_steps", counted("horizon_steps", planner.horizon_steps))
+        for cls in (StateVec, PlannerConfig, ModeWeights):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
         out = run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
         assert out.status == "reached_goal"
-        assert calls == {"StateVec": 0, "horizon_steps": 0}
+        assert calls == {"StateVec": 0, "PlannerConfig": 0, "ModeWeights": 0}
 
     def test_rejects_colliding_start(self, intr, robot):
         scene = Scene((Box((0.0, -1.0, -1.0), (2.0, 1.0, 1.0)),))
