@@ -4,7 +4,8 @@ validation errors.
 All units are SI, all angles radians. Unspecified sections fall back to
 defaults: the 640x480 camera below, and the library types' own defaults
 (camera range 0.3-10 m, rho = 0.35 m sphere, planner timings tau = 0.8 s /
-ts = 0.2 s). Every world_bounds coordinate lies within 1e6 m of the origin.
+ts = 0.2 s). Every world_bounds coordinate lies within 1e6 m of the origin,
+the limit every primitive keeps.
 A section's keys are its type's init fields, and each type validates its own
 fields; parsing only adds the section path.
 """
@@ -39,10 +40,6 @@ class ScenarioConfig:
 
 _DEFAULT_INTR = dict(fsx=385.0, fsy=385.0, cx=320.0, cy=240.0, width=640, height=480)
 _DEFAULT_BOUNDS = {"min": [-50, -50, -50], "max": [50, 50, 50]}
-# the largest |coordinate| of world_bounds, in metres, and so of every
-# primitive, the start and the goal: a 1e36 m box face loses half the frame
-# to the pixel-box cull, and a 1e160 m sphere overflows its squared radius
-_WORLD_LIMIT = 1e6
 _SECTIONS = ("intrinsics", "robot", "planner", "start", "goal", "world_bounds", "scene")
 _PRIMITIVES = {"box": Box, "sphere": Sphere, "wall": Wall}  # JSON type name -> type
 
@@ -103,12 +100,10 @@ def parse_scenario(data: dict) -> ScenarioConfig:
     planner = _build("planner", PlannerConfig, data.get("planner", {}))
     x0 = _build("start", StateVec, data.get("start", {}), v=[0.0, 0.0, 0.0])
     goal = _build("goal", GoalRegion, data.get("goal", {}), y_ref=x0.p[1], z_ref=x0.p[2])
+    # a Box, so within the world limit every primitive keeps; the start and
+    # the goal must lie inside it
     bounds = _build("world_bounds", Box, data.get("world_bounds", _DEFAULT_BOUNDS))
     lo, hi = bounds.min, bounds.max
-    for name, corner in (("min", lo), ("max", hi)):
-        if max(map(abs, corner)) > _WORLD_LIMIT:
-            raise ScenarioError(f"invalid world_bounds.{name}: each coordinate must lie within "
-                                f"{_WORLD_LIMIT:,.0f} m of the origin, got {corner}")
 
     scene_d = data.get("scene", [])
     if not isinstance(scene_d, list):

@@ -63,6 +63,21 @@ def _first_crossing(t1, t2, hit, z_near) -> np.ndarray:
     return t2
 
 
+# The largest |coordinate| of any primitive, in metres: past about 1e35 m a
+# box face loses half the frame to the pixel-box cull, and past about
+# 1e154 m a sphere's squared radius overflows. Each primitive refuses to be
+# built beyond it, whoever builds it.
+_WORLD_LIMIT = 1e6
+
+
+def _within_world(name: str, coords, value) -> None:
+    """Raise ValueError naming field name, whose value is given, unless
+    every one of coords lies within _WORLD_LIMIT of 0."""
+    if max(map(abs, coords)) > _WORLD_LIMIT:
+        raise ValueError(f"{name}: each coordinate must lie within {_WORLD_LIMIT:,.0f} m of the origin, "
+                         f"got {value!r}")
+
+
 # Primitive protocol (Box, Sphere, Wall): distance(p) for the oracle;
 # intersect(origin, dirs, z_near), the per-ray depth of the nearest surface
 # crossing at or beyond z_near (inf where none, never NaN) over the rays of
@@ -80,6 +95,8 @@ class Box:
 
     def __post_init__(self):
         coerce(self, point, "min", "max")
+        _within_world("min", self.min, self.min)
+        _within_world("max", self.max, self.max)
         if not all(lo < hi for lo, hi in zip(self.min, self.max)):
             raise ValueError("min: must be strictly below max")
 
@@ -132,6 +149,8 @@ class Sphere:
     def __post_init__(self):
         coerce(self, point, "center")
         coerce(self, real, "radius", positive=True)
+        _within_world("center", self.center, self.center)
+        _within_world("radius", np.concatenate(self.bounds()).tolist(), self.radius)
 
     @functools.cached_property
     def _center(self) -> np.ndarray:
@@ -186,6 +205,9 @@ class Wall:
         coerce(self, point, "half_extents", n=2, positive=True)
         if abs(_norm(self.normal) - 1.0) > 1e-9:
             raise ValueError(f"normal: must be unit length, got {self.normal!r}")
+        _within_world("point", self.point, self.point)
+        with np.errstate(over="ignore"):  # corners past float's range are inf, and refused
+            _within_world("half_extents", np.concatenate(self.bounds()).tolist(), self.half_extents)
 
     @functools.cached_property
     def _axes(self):
@@ -241,7 +263,7 @@ class Scene:
     def _points(self) -> tuple:
         """The world-frame corners of every primitive's bounds() box followed
         by its ball() centre, (P, 9, 3), and its ball radius, (P,), stacked
-        once per scene for :func:`_pixel_boxes`."""
+        once per scene for every image's near depths and pixel boxes."""
         bounds = np.array([prim.bounds() for prim in self.primitives], float).reshape(-1, 2, 3)
         balls = [prim.ball() for prim in self.primitives]
         centres = np.array([c for c, _ in balls], float).reshape(-1, 1, 3)
@@ -264,15 +286,21 @@ class DepthImage:
     Every read goes through one cast walk (:meth:`_walk`): ``values`` walks
     the whole frame once, on first read, and :meth:`farther_than` walks
     only its own rectangle and the primitives near enough to decide it.
-    Each primitive is cast only over its pixel box,
-    bounded by its bounds() box and, wholly beyond z_near, by its ball's
-    silhouette (:func:`_pixel_boxes`), and a rectangle of more than
-    _BAND_RAYS rays is cast in row bands (:func:`_bands`). No ray grid is
-    kept: each cast slices the rays of its own rectangle from the image's
-    1-D column and row offsets (:func:`_pixel_rays`). R_ws is the rotation
-    taking world coordinates into the image's camera frame, computed once
-    per image: the rays, the pixel boxes and the footprints checked
-    against the image all use it.
+    Which primitives a query walks (:meth:`reach`) is decided first by
+    each primitive's camera-frame box (its near depth, :func:`_near_depths`,
+    and the span of its corners; computed once per image), compared
+    against the rays of any number of queries at once, and then by its
+    pixel box: bounded by its bounds() box and, wholly beyond z_near, by its
+    ball's silhouette (:func:`_pixel_boxes`), computed only for a primitive
+    some query's rays can reach and kept with the image, so an image whose
+    queries reach no primitive computes no box. Each primitive is cast
+    only over its pixel box. A rectangle of more
+    than _BAND_RAYS rays is cast in row bands (:func:`_bands`). No ray grid
+    is kept: each cast slices the rays of its own rectangle from the
+    image's 1-D column and row offsets (:func:`_pixel_rays`). R_ws is the
+    rotation taking world coordinates into the image's camera frame,
+    computed once per image: the rays, the pixel boxes, the near depths and
+    the footprints checked against the image all use it.
 
     ``values`` is stored in PFM row order, bottom row first, and read top
     row first through a reversed view, so :func:`write_pfm` writes its
@@ -284,20 +312,62 @@ class DepthImage:
         self.intr = intr
         self._scene = scene
         self.R_ws = world_to_camera_rotation(q)
+        self._kept_boxes = {}  # primitive index -> pixel box, once a query reaches it
 
     @functools.cached_property
     def values(self) -> np.ndarray:
         intr = self.intr
         # one buffer, bottom row first as a PFM stores it, read top row first
         values = np.full((intr.height, intr.width), intr.max_depth, np.float32)[::-1]
-        for a0, a1, b0, b1, hits in self._walk(math.inf, 0, intr.height, 0, intr.width):
+        every = range(len(self._scene.primitives))
+        for a0, a1, b0, b1, hits in self._walk(every, 0, intr.height, 0, intr.width):
             # float32 rounding is monotone, so rounding each float64 minimum
             # gives the bits of rounding the minimum over all primitives
             view = values[a0:a1, b0:b1]
             np.minimum(view, hits, out=view, casting="same_kind")
         return values
 
-    def farther_than(self, box, mask_over, z) -> bool:
+    def reach(self, z, boxes) -> list:
+        """The primitives each of M queries must walk, as lists of indices
+        in scene order. Query i, at depth z[i] over the half-open pixel
+        rectangle boxes[i] = (y0, y1, x0, x1), can be decided only by a hit
+        in front of z[i] on a ray through the rectangle: it walks the
+        primitives whose camera-frame box (:attr:`_extents`) meets the box
+        of those rays from z_near to _NEAR_MARGIN beyond z[i]
+        (:meth:`_ray_box`), which one (M, P) comparison tests for every
+        pair, and whose pixel box meets its rectangle. Pixel boxes are
+        computed only for the primitives the comparison keeps, all at once."""
+        rays = np.array([self._ray_box(zi, box) for zi, box in zip(z, boxes)]).reshape(-1, 1, 6)
+        rows = [[j for j, m in enumerate(row) if m] for row in (self._extents <= rays).all(axis=-1).tolist()]
+        need = sorted(set().union(*rows))
+        if not need:
+            return rows
+        pixel_boxes = dict(zip(need, self._boxes(need)))
+        return [[j for j in row if _meets(box, pixel_boxes[j])] for row, box in zip(rows, boxes)]
+
+    def _ray_box(self, z, box) -> tuple:
+        """The camera-frame box holding every point at depth z_near to
+        z + _NEAR_MARGIN on the rays through the pixel centres of the
+        half-open rectangle box = (y0, y1, x0, x1), widened by _NEAR_MARGIN
+        across the rays, which covers the rounding of any hit on them;
+        empty for an empty rectangle. A ray's x and y are its x / z and
+        y / z times its depth, and x / z and y / z grow with the pixel index,
+        so the extremes lie on the first and last columns and rows at z_near
+        or at the far depth. Given as the upper bounds
+        then the negated lower bounds, (x_hi, y_hi, z_hi, -x_lo, -y_lo,
+        -z_lo), so that one comparison against :attr:`_extents` tests
+        both sides."""
+        y0, y1, x0, x1 = box
+        if not (y0 < y1 and x0 < x1):
+            return (-math.inf,) * 6
+        intr, near, far = self.intr, self.intr.z_near, z + _NEAR_MARGIN
+        # the x / z of the first and last columns' rays, and y / z of the rows'
+        u0, u1 = (x0 + 0.5 - intr.cx) / intr.fsx, (x1 - 0.5 - intr.cx) / intr.fsx
+        v0, v1 = (y0 + 0.5 - intr.cy) / intr.fsy, (y1 - 0.5 - intr.cy) / intr.fsy
+        return (max(u1 * near, u1 * far) + _NEAR_MARGIN, max(v1 * near, v1 * far) + _NEAR_MARGIN, far,
+                _NEAR_MARGIN - min(u0 * near, u0 * far), _NEAR_MARGIN - min(v0 * near, v0 * far), math.inf)
+
+    def farther_than(self, box, mask_over, z, prims=None) -> bool:
         """Whether the scene lies strictly beyond depth z at every pixel of
         a nonempty mask over the half-open pixel rectangle
         box = (y0, y1, x0, x1): ``np.all(z < values[y0:y1, x0:x1][mask])``,
@@ -307,13 +377,15 @@ class DepthImage:
         box, and is asked only for the rectangles the query casts.
 
         A pixel with no hit holds max_depth, so z at or beyond it is never
-        exceeded. A primitive whose near depth lies more than _NEAR_MARGIN
-        beyond z cannot hit in front of z and is not walked, and the first
+        exceeded. Only the primitives in :meth:`reach` are walked (prims
+        lists them when the caller has found them already), and the first
         band that reaches z decides."""
         intr = self.intr
         if not z < np.float32(intr.max_depth):
             return False
-        for a0, a1, b0, b1, hits in self._walk(z + _NEAR_MARGIN, *box):
+        if prims is None:
+            prims = self.reach([z], [box])[0]
+        for a0, a1, b0, b1, hits in self._walk(prims, *box):
             # clamped in float64 before rounding, as the cast rounds each
             # minimum: the same float32 bits, and no overflow past float32
             hit = np.minimum(hits[mask_over(a0, a1, b0, b1)], intr.max_depth)
@@ -321,23 +393,45 @@ class DepthImage:
                 return False
         return True
 
-    def _walk(self, reach, y0, y1, x0, x1):
+    def _walk(self, prims, y0, y1, x0, x1):
         """The one cast walk behind every read of the image: for each
-        primitive whose near depth lies within reach, the rectangle
+        primitive listed in prims (by index, in scene order), the rectangle
         [y0, y1) x [x0, x1) clipped to its pixel box, cast one row band at
         a time (:func:`_bands`), yielding (a0, a1, b0, b1, hits) per band
         [a0, a1) x [b0, b1) with the primitive's float64 depths there."""
-        boxes, nears = self._boxes
-        for prim, (by0, by1, bx0, bx1), near in zip(self._scene.primitives, boxes, nears):
-            if near > reach:
-                continue
+        for i, (by0, by1, bx0, bx1) in zip(prims, self._boxes(prims)):
             b0, b1 = max(x0, bx0), min(x1, bx1)
             for a0, a1 in _bands(max(y0, by0), min(y1, by1), b0, b1):
-                yield a0, a1, b0, b1, self._hits(prim, a0, a1, b0, b1)
+                yield a0, a1, b0, b1, self._hits(self._scene.primitives[i], a0, a1, b0, b1)
+
+    def _boxes(self, prims) -> list:
+        """The pixel boxes of the primitives listed in prims, each computed
+        in one pass with the others not yet known and kept."""
+        kept = self._kept_boxes
+        new = [i for i in prims if i not in kept]
+        if new:
+            kept.update(zip(new, _pixel_boxes(self._camera_points[new], self._scene._points[1][new], self.intr)))
+        return [kept[i] for i in prims]
 
     @functools.cached_property
-    def _boxes(self) -> tuple:
-        return _pixel_boxes(self._scene, self.q.position, self.R_ws, self.intr)
+    def _extents(self) -> np.ndarray:
+        """Each primitive's camera-frame box, which holds every hit of it:
+        in x and y the span of its bounds() corners, in z from its near
+        depth (:func:`_near_depths`) on. Given as the lower bounds then the
+        negated upper bounds, (x_lo, y_lo, z_lo, -x_hi, -y_hi, -z_hi), (P, 6),
+        as :meth:`_ray_box` gives the reverse."""
+        cam = self._camera_points
+        lo, hi = cam[:, :8].min(axis=1), cam[:, :8].max(axis=1)
+        lo[:, 2] = _near_depths(lo[:, 2], hi[:, 2], cam[:, 8, 2] - self._scene._points[1], self.intr.z_near)
+        hi[:, 2] = np.inf
+        return np.concatenate([lo, -hi], axis=1)
+
+    @functools.cached_property
+    def _camera_points(self) -> np.ndarray:
+        """Every primitive's bounds() corners and ball() centre in the
+        camera frame, (P, 9, 3): one stacked product gives each primitive
+        the bits of its own."""
+        return (self._scene._points[0] - self.q.position) @ self.R_ws.T
 
     @functools.cached_property
     def _offsets(self) -> tuple:
@@ -431,6 +525,11 @@ def _pixel_rays(offsets, y0, y1, x0, x1) -> np.ndarray:
 _BAND_RAYS = 8192
 
 
+def _meets(a, b) -> bool:
+    """Whether two half-open pixel rectangles (y0, y1, x0, x1) share a pixel."""
+    return max(a[0], b[0]) < min(a[1], b[1]) and max(a[2], b[2]) < min(a[3], b[3])
+
+
 def _bands(y0, y1, x0, x1):
     """The row bands [a0, a1) in which the pixel rectangle [y0, y1) x
     [x0, x1) is cast, top to bottom, each of at most _BAND_RAYS rays or one
@@ -454,25 +553,32 @@ _CLAMP_LO = np.array([0.0, -np.inf, 0.0, -np.inf])
 _ROOTS = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
-def _pixel_boxes(scene: Scene, origin, R_ws, intr: CameraIntrinsics) -> tuple:
-    """Half-open pixel rectangles (y0, y1, x0, x1), one per primitive, each
-    holding every pixel whose ray can meet it at depth >= z_near, padded by
-    a pixel for rounding; empty when the whole bounds() box lies before
-    z_near. A rectangle bounds the projection of the bounds() box clipped
-    at z = z_near: a box that straddles z_near projects its corners at or
-    beyond z_near and the points where its edges cross z_near, the vertices
-    of the clipped box, which holds every such hit. Where the primitive's
-    ball() lies wholly beyond z_near, the rectangle is also bounded by the
-    ball's silhouette, whose extremes are exact in closed form. Also each
-    primitive's near depth, below which it has no hit: the smallest camera
-    z of those vertices (inf when the box is empty), or the ball's nearest
-    depth where that lies farther. All primitives are boxed in one array
-    pass over the scene's stacked corners and balls."""
-    points, radii = scene._points
-    # one product for the corners and the centre: a stacked product gives
-    # each primitive the bits of its own
-    points = (points - origin) @ R_ws.T  # (P, 9, 3)
-    cam, ball = points[:, :8], points[:, 8]
+def _near_depths(z_lo, z_hi, ball_near, z_near) -> np.ndarray:
+    """Each primitive's near depth, below which it has no hit, from the
+    lowest and highest camera z of its bounds() corners and the nearest
+    depth of its ball(): the smallest camera z of its bounds() box clipped
+    at z = z_near, which is its nearest corner when the box lies wholly at
+    or beyond z_near, z_near itself when the box straddles it (an edge
+    crosses there) and inf when the box lies wholly before it; or the
+    ball's nearest depth where that lies farther."""
+    nears = np.where(z_lo >= z_near, z_lo, np.where(z_hi >= z_near, z_near, np.inf))
+    return np.maximum(nears, ball_near, out=nears)
+
+
+def _pixel_boxes(cam, radii, intr: CameraIntrinsics) -> list:
+    """Half-open pixel rectangles (y0, y1, x0, x1), one per primitive given
+    by its camera-frame bounds() corners and ball() centre, cam (P, 9, 3),
+    and its ball radius, each holding every pixel whose ray can meet it at
+    depth >= z_near, padded by a pixel for rounding; empty when the whole
+    bounds() box lies before z_near. A rectangle bounds the projection of
+    the bounds() box clipped at z = z_near: a box that straddles z_near
+    projects its corners at or beyond z_near and the points where its edges
+    cross z_near, the vertices of the clipped box, which holds every such
+    hit. Where the primitive's ball() lies wholly beyond z_near, the
+    rectangle is also bounded by the ball's silhouette, whose extremes are
+    exact in closed form. The primitives are boxed in one array pass, and
+    each box depends only on its own primitive's rows."""
+    cam, ball = cam[:, :8], cam[:, 8]
     near = intr.z_near
     pts, keep = cam, cam[..., 2] >= near
     ends = keep[:, _EDGES]  # (P, 12, 2): each edge end at or beyond z_near
@@ -496,28 +602,25 @@ def _pixel_boxes(scene: Scene, origin, R_ws, intr: CameraIntrinsics) -> tuple:
     ext = np.full(keep.shape + (4,), np.inf)
     np.divide(pts[..., [1, 1, 0, 0]] * (fy, -fy, fx, -fx), pts[..., 2:], out=ext, where=keep[..., None])
     ext = ext.min(axis=1)
-    nears = np.where(keep, pts[..., 2], np.inf).min(axis=1)
     # a ball (x, y, z) of radius r wholly beyond z_near: x / z over it spans
     # the two tangent planes through the camera centre,
     # u = (x z -+ r sqrt(x^2 + z^2 - r^2)) / (z^2 - r^2), and y / z likewise;
     # the tighter of each extreme is kept, as a maximum of (v_min, -v_max,
     # u_min, -u_max)
-    ball_near = ball[:, 2] - radii
-    beyond = ball_near > near
+    beyond = ball[:, 2] - radii > near
     if beyond.any():
         c, r = ball[beyond], radii[beyond, None]
         xy, z = c[:, [1, 1, 0, 0]], c[:, 2:]
         d = z * z - r * r
         tangent = (xy * z + r * np.sqrt(xy * xy + d) * _ROOTS) * (fy, -fy, fx, -fx) / d
         ext[beyond] = np.maximum(ext[beyond], tangent)
-        np.maximum(nears, ball_near, out=nears)
     ext += (cy, -cy, cx, -cx)
     # floor(v_min) - 1 and ceil(v_max) + 2 = 2 - floor(-v_max), likewise for u
     boxes = np.floor(ext, out=ext) * _SIGNS + _PADS  # (y0, y1, x0, x1)
     np.maximum(boxes, _CLAMP_LO, out=boxes)
     np.minimum(boxes, (np.inf, intr.height, np.inf, intr.width), out=boxes)
     boxes[np.isinf(boxes[:, 0])] = 0  # nothing kept: wholly before z_near
-    return list(map(tuple, boxes.astype(int).tolist())), nears.tolist()
+    return list(map(tuple, boxes.astype(int).tolist()))
 
 
 def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -> DepthImage:
@@ -531,10 +634,10 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
     beyond the near plane), so a primitive the camera is passing casts only
     the frame edge it reaches and a sphere only the rays near its disc,
     with the same bits as an unculled cast. A depth-bounded query
-    (:meth:`DepthImage.farther_than`) further skips every primitive whose
-    near depth lies beyond its depth and casts only its own rectangle,
-    stopping at the first row band that decides; ``values`` casts the whole
-    frame once. Deterministic.
+    (:meth:`DepthImage.farther_than`) further skips every primitive that
+    its rays cannot reach in front of its depth (:meth:`DepthImage.reach`)
+    and casts only its own rectangle, stopping at the first row band that
+    decides; ``values`` casts the whole frame once. Deterministic.
     """
     return DepthImage(scene, q, intr)
 
@@ -542,36 +645,54 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
 def render_robot_footprint(p, depth: DepthImage, robot: RobotModel) -> RobotFootprint:
     """Conservative pixel disc of the robot bounding sphere centered at p,
     seen from the pose of the depth image it is checked against, through
-    the image's own rotation.
+    the image's own rotation (:func:`_disc`, then :func:`_footprint`)."""
+    center_s = (np.asarray(p, dtype=float) - depth.q.position) @ depth.R_ws.T
+    return _footprint(*_disc(center_s.tolist(), depth.intr, robot.rho))
+
+
+def _disc(center_s: list, intr: CameraIntrinsics, rho: float) -> tuple:
+    """The footprint disc of a robot sphere of radius rho centred at the
+    camera-frame point center_s (3 floats), in scalar arithmetic, as
+    (far, box, disc): its farthest depth; the half-open pixel rectangle
+    (y0, y1, x0, x1) of the pixels whose centres the disc's bounding square
+    can hold, which holds the footprint's tight box; and disc = (rx, ry,
+    pr), its pixel centre and radius. The empty footprint has box
+    (0, 0, 0, 0) and disc None.
 
     The disc radius divides by (zc - rho), the nearest sphere depth, and is
-    scaled by the view-ray secant so that every sphere surface point projects
-    inside the disc even off-axis. farthest depth is zc + rho for all pixels.
-    A sphere reaching before z_near, or a disc not wholly inside the image,
-    gets the empty footprint; only a disc in view is built. It holds the
-    pixels whose centers lie within the radius, kept as 1-D squared
-    offsets, and its tight box is found from them in O(rows + cols): a row
-    holds a covered pixel exactly when its offset plus the smallest column
-    offset is within the radius (float addition is monotone), and likewise
-    a column; no mask is built here. A sub-pixel disc keeps the pixel
-    holding its center.
+    scaled by the view-ray secant so that every sphere surface point
+    projects inside the disc even off-axis. farthest depth is zc + rho for
+    all pixels. A sphere reaching before z_near, or a disc not wholly inside
+    the image, gets the empty footprint.
     """
-    intr = depth.intr
-    center_s = (np.asarray(p, dtype=float) - depth.q.position) @ depth.R_ws.T
-    zc = float(center_s[2])
-    rho = robot.rho
+    zc = center_s[2]
     far = zc + rho
-    empty = RobotFootprint((0, 0, 0, 0), np.empty(0), np.empty(0), 0.0, far)
     if zc - rho < intr.z_near:
-        return empty
+        return far, (0, 0, 0, 0), None
     rx, ry = project(center_s, intr)
-    secant = _norm(center_s.tolist()) / zc
+    secant = _norm(center_s) / zc
     pr = max(intr.fsx, intr.fsy) * rho / (zc - rho) * secant
     if not ((rx - pr >= 0.0) and (rx + pr < intr.width) and (ry - pr >= 0.0) and (ry + pr < intr.height)):
-        return empty
-    ix_lo, iy_lo = int(np.floor(rx - pr)), int(np.floor(ry - pr))
-    dx2 = (np.arange(ix_lo, int(np.ceil(rx + pr)) + 1) + 0.5 - rx) ** 2
-    dy2 = (np.arange(iy_lo, int(np.ceil(ry + pr)) + 1) + 0.5 - ry) ** 2
+        return far, (0, 0, 0, 0), None
+    box = (math.floor(ry - pr), math.ceil(ry + pr) + 1, math.floor(rx - pr), math.ceil(rx + pr) + 1)
+    return far, box, (rx, ry, pr)
+
+
+def _footprint(far: float, box: tuple, disc) -> RobotFootprint:
+    """The footprint of a disc from :func:`_disc`. It holds the pixels of box
+    whose centers lie within the radius, kept as 1-D squared offsets, and
+    its tight box is found from them in O(rows + cols): a row holds a
+    covered pixel exactly when its offset plus the smallest column offset
+    is within the radius (float addition is monotone), and likewise a
+    column; no mask is built here. A sub-pixel disc keeps the pixel holding
+    its center.
+    """
+    if disc is None:
+        return RobotFootprint(box, np.empty(0), np.empty(0), 0.0, far)
+    rx, ry, pr = disc
+    iy_lo, iy_hi, ix_lo, ix_hi = box
+    dx2 = (np.arange(ix_lo, ix_hi) + 0.5 - rx) ** 2
+    dy2 = (np.arange(iy_lo, iy_hi) + 0.5 - ry) ** 2
     r2 = pr * pr
     rows = np.flatnonzero(dy2 + dx2.min() <= r2)
     if rows.size == 0:

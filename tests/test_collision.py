@@ -21,12 +21,12 @@ from depthnav import (
     waypoints2collision,
     world_to_camera,
 )
-from depthnav import collision
+from depthnav import collision, load_scenario, planner, run_mission, scene
 from depthnav.frames import world_to_camera_rotation
 from depthnav.oracle import brute_force_collision
-from depthnav.scene import _pixel_rays, _ray_offsets
+from depthnav.scene import _norm, _pixel_rays, _ray_offsets
 
-from conftest import CountingBox
+from conftest import SCENARIO_DIR, CountingBox
 
 Q0 = Configuration(0.0, 0.0, 0.0)
 
@@ -155,15 +155,18 @@ class TestFindEscape:
 
     def test_search_starts_at_ring_one(self, intr, robot, monkeypatch):
         """The hit point is known to collide, so the first check is the first
-        ring-1 candidate, and here that one is free and returned."""
+        ring-1 candidate, and here that one is free and returned: the ring's
+        footprint query reads no verdict after it."""
         depth = render_scene_depth(_gap_scene(0.5, 1.5), Q0, intr)
         checked = []
+        verdicts = collision._verdicts
 
-        def counting_check(p, *args):
-            checked.append(np.array(p, dtype=float))
-            return check_configuration(p, *args)
+        def counting_verdicts(points, *args):
+            for p, v in zip(points, verdicts(points, *args)):
+                checked.append(np.array(p, dtype=float))
+                yield v
 
-        monkeypatch.setattr(collision, "check_configuration", counting_check)
+        monkeypatch.setattr(collision, "_verdicts", counting_verdicts)
         res = find_escape(np.array([4.0, 0.0, 0.0]), depth, 1.0, 20, robot)
         assert len(checked) == 1
         assert np.array_equal(checked[0], res.position)
@@ -383,10 +386,16 @@ class TestBoundedCheck:
     def test_grazing_hit_beyond_float32_warns_nothing(self):
         """Horizon rays graze a floor far below the camera and hit it at a
         float64 depth past the float32 range; the check clamps before it
-        rounds, as the cast does, and raises no RuntimeWarning."""
+        rounds, as the cast does, and raises no RuntimeWarning. The floor
+        lies past the world limit a Box refuses, so it is built without
+        Box's checks: the clamp holds whatever the hit's source."""
         intr = CameraIntrinsics(fsx=96.25, fsy=96.25, cx=80.0, cy=60.5, width=160, height=120)
         robot = RobotModel(rho=0.35)
-        floor = Box((-1.0, -1e45, -1e45), (1e45, 1e45, -1e21))
+        with pytest.raises(ValueError, match="^min: "):
+            Box((-1.0, -1e45, -1e45), (1e45, 1e45, -1e21))
+        floor = object.__new__(Box)
+        object.__setattr__(floor, "min", (-1.0, -1e45, -1e45))
+        object.__setattr__(floor, "max", (1e45, 1e45, -1e21))
         p = camera_to_world([0.0, 0.0, 3.0], Q0)
         fp = render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr), robot)
         y0, y1, x0, x1 = fp.box
@@ -399,3 +408,212 @@ class TestBoundedCheck:
             got = check_configuration(p, depth, robot)
             assert got is _full_cast_verdict(p, depth, robot)
         assert got is Verdict.FREE
+
+
+def _reference_reasons(lookahead, depth, robot):
+    """The per-sample loop the lookahead query replaced: the blind test by
+    _norm, then check_configuration per sample, stopping at the first
+    sample that is not free."""
+    blind = collision._blind_zone_radius(depth.intr, robot)
+    reasons = []
+    for p in lookahead[1:]:
+        if _norm((p - depth.q.position).tolist()) <= blind:
+            reasons.append("blind")
+            continue
+        reasons.append(check_configuration(p, depth, robot).value)
+        if reasons[-1] != "free":
+            break
+    return reasons + ["unchecked"] * (len(lookahead) - 1 - len(reasons))
+
+
+def _reference_escape(p_hit, depth, d_l, max_rings, robot):
+    """The per-candidate ring loop the escape query replaced: the free
+    candidate's position, or None when stuck."""
+    live = list(collision._DIRECTIONS @ depth.R_ws)
+    for k in range(1, max_rings + 1):
+        kept = []
+        for d in live:
+            cand = p_hit + k * d_l * d
+            v = check_configuration(cand, depth, robot)
+            if v is Verdict.FREE:
+                return cand
+            if v is not Verdict.OUT_OF_VIEW:
+                kept.append(d)
+        live = kept
+        if not live:
+            break
+    return None
+
+
+def _seeded_scene(rng, q):
+    """2-6 boxes, spheres and walls placed in the camera frame of pose q."""
+    prims = []
+    for _ in range(int(rng.integers(2, 7))):
+        c = camera_to_world([rng.uniform(-2.5, 2.5), rng.uniform(-1.8, 1.8), rng.uniform(1.0, 8.0)], q)
+        kind = rng.integers(3)
+        if kind == 0:
+            half = rng.uniform(0.1, 1.0, 3)
+            prims.append(Box(tuple(c - half), tuple(c + half)))
+        elif kind == 1:
+            prims.append(Sphere(tuple(c), float(rng.uniform(0.1, 0.9))))
+        else:
+            n = rng.normal(size=3)
+            prims.append(Wall(tuple(c), tuple(n / np.linalg.norm(n)), tuple(rng.uniform(0.2, 2.0, 2))))
+    return Scene(tuple(prims))
+
+
+def _seeded_lookahead(rng, q, n):
+    """n + 1 samples along a straight camera-frame path from near the camera:
+    some start in the blind zone, some leave the view sideways."""
+    start = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(0.0, 2.0)])
+    step = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4), rng.uniform(0.2, 1.2)])
+    return np.array([camera_to_world(start + k * step, q) for k in range(n + 1)])
+
+
+def _near_sample(rng, q, centre, near, robot):
+    """A lookahead from the camera of pose q whose sample 1 lies on the ray
+    towards the world point centre, its farthest depth within _NEAR_MARGIN
+    of depth near."""
+    c = world_to_camera(centre, q)
+    c = c / c[2] * (near - robot.rho + rng.uniform(-1.0, 1.0) * scene._NEAR_MARGIN)
+    return np.array([camera_to_world(c * f, q) for f in (0.0, 1.0, 1.1)])
+
+
+def _at_near_depth(rng, depth, robot):
+    """A lookahead whose sample 1 has its farthest depth within _NEAR_MARGIN
+    of a primitive's near depth, on the ray towards that primitive's ball."""
+    nears = depth._extents[:, 2]
+    j = int(rng.choice(np.flatnonzero(np.isfinite(nears))))
+    return _near_sample(rng, depth.q, depth._scene.primitives[j].ball()[0], nears[j], robot)
+
+
+class TestFootprintQuery:
+    @pytest.mark.parametrize("camera, n_scenes", [("intr_small", 120), ("intr", 30)])
+    def test_query_matches_the_per_sample_loop(self, camera, n_scenes, request, robot):
+        """Over seeded 6-DoF scenes, waypoints2collision returns the reasons
+        of the per-sample loop, bit for bit, and find_escape from each
+        predicted collision returns that loop's position bits; each checked
+        sample's verdict equals the one read from a full cast. Lookaheads
+        read blind, free, out_of_view, collision and unchecked, and some
+        footprints reach within _NEAR_MARGIN of a primitive's near depth,
+        on both sides of a face they meet."""
+        intr = request.getfixturevalue(camera)
+        rng = np.random.default_rng(83)
+        reasons_seen = set()
+        escapes = {"found": 0, "stuck": 0}
+        at_near = {"free": 0, "collision": 0}
+        for i in range(n_scenes):
+            # every third camera is level, so its boxes face it square and a
+            # footprint at a box's near depth meets its face there
+            q = Configuration(*rng.uniform(-3.0, 3.0, 3), *rng.uniform(-np.pi, np.pi, 3) * (i % 3 > 0))
+            scene_ = _seeded_scene(rng, q)
+            depth = render_scene_depth(scene_, q, intr)
+            lookaheads = [_seeded_lookahead(rng, q, int(rng.integers(3, 9))) for _ in range(6)]
+            lookaheads += [_at_near_depth(rng, depth, robot) for _ in range(2)]
+            cases = [(depth, la) for la in lookaheads]
+            # a level camera facing one box square, with samples whose
+            # farthest depths straddle its face by less than _NEAR_MARGIN
+            q = Configuration(*rng.uniform(-3.0, 3.0, 3))
+            c = camera_to_world([rng.uniform(-0.5, 0.5), rng.uniform(-0.4, 0.4), rng.uniform(2.0, 6.0)], q)
+            half = rng.uniform(0.5, 1.0, 3)
+            face = render_scene_depth(Scene((Box(tuple(c - half), tuple(c + half)),)), q, intr)
+            near = float(world_to_camera(c - half, q)[2])  # the face's depth, found apart from the image
+            cases += [(face, _near_sample(rng, q, c, near, robot)) for _ in range(4)]
+            for depth, la in cases:
+                want = _reference_reasons(la, depth, robot)
+                assert waypoints2collision(la, depth, robot) == want
+                reasons_seen.update(want)
+                for p, reason in zip(la[1:], want):
+                    if reason in ("free", "collision"):
+                        assert _full_cast_verdict(p, depth, robot).value == reason
+                        far = render_robot_footprint(p, depth, robot).farthest_depth
+                        if np.any(np.abs(depth._extents[:, 2] - far) <= scene._NEAR_MARGIN):
+                            at_near[reason] += 1
+                if "collision" in want:
+                    p_hit = la[want.index("collision") + 1]
+                    d_l, rings = float(rng.uniform(0.2, 1.0)), int(rng.integers(1, 6))
+                    ref = _reference_escape(p_hit, depth, d_l, rings, robot)
+                    got = find_escape(p_hit, depth, d_l, rings, robot)
+                    assert got.stuck == (ref is None)
+                    assert got.stuck or got.position.tobytes() == ref.tobytes()
+                    escapes["stuck" if got.stuck else "found"] += 1
+        assert reasons_seen == {"blind", "free", "out_of_view", "collision", "unchecked"}, reasons_seen
+        assert all(escapes.values()) and all(at_near.values()), (escapes, at_near)
+
+
+def _counting(calls, key, fn):
+    def wrapped(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+class TestQueryWork:
+    def test_near_depths_once_per_image(self, intr, robot, monkeypatch):
+        """A lookahead query, the escape search after it and single checks
+        against the same image compute its near depths once."""
+        calls = {"near": 0}
+        monkeypatch.setattr(scene, "_near_depths", _counting(calls, "near", scene._near_depths))
+        depth = render_scene_depth(_gap_scene(0.5, 1.5), Q0, intr)
+        lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in (0.0, 1.5, 2.5, 3.5, 4.0, 4.5)]
+        reasons = waypoints2collision(lookahead, depth, robot)
+        assert "collision" in reasons and calls["near"] == 1
+        p_hit = lookahead[reasons.index("collision") + 1]
+        assert not find_escape(p_hit, depth, 1.0, 20, robot).stuck
+        check_configuration(lookahead[2], depth, robot)
+        assert calls["near"] == 1
+
+    def test_pixel_boxes_only_for_primitives_cast(self, intr, robot, monkeypatch):
+        """A lookahead that collides with the box in its path computes the
+        pixel box of that box alone: a box beyond the footprints' farthest
+        depths and a box beside every footprint ray are neither boxed nor
+        cast."""
+        boxed = []
+
+        def pixel_boxes(cam, *args, _f=scene._pixel_boxes):
+            boxed.append(len(cam))
+            return _f(cam, *args)
+
+        monkeypatch.setattr(scene, "_pixel_boxes", pixel_boxes)
+        path = CountingBox((3.0, -0.5, 0.5), (3.5, 0.5, 1.9))
+        beyond = CountingBox((9.0, -0.5, 0.5), (9.5, 0.5, 1.9))
+        beside = CountingBox((2.0, 3.0, 0.5), (2.5, 3.5, 1.9))
+        q = Configuration(0.0, 0.0, 1.2)
+        depth = render_scene_depth(Scene((beside, path, beyond)), q, intr)
+        lookahead = [np.array([x, 0.0, 1.2]) for x in (0.0, 1.0, 1.8, 2.6, 3.4)]
+        assert waypoints2collision(lookahead, depth, robot) == ["blind", "free", "free", "collision"]
+        assert boxed == [1] and path.calls != []
+        assert beyond.calls == [] and beside.calls == []
+
+    def test_corridor_image_that_casts_nothing_builds_no_pixel_box(self, monkeypatch):
+        """Over the shipped corridor mission, an image whose checks intersect
+        no primitive computes no pixel box, and an image that does cast
+        computes them in one pass; both kinds of image occur."""
+        images = []
+        box_passes = {}
+
+        def render(*args, _f=planner.render_scene_depth):
+            images.append(_f(*args))
+            box_passes[id(images[-1])] = 0
+            return images[-1]
+
+        def pixel_boxes(*args, _f=scene._pixel_boxes):
+            box_passes[id(images[-1])] += 1
+            return _f(*args)
+
+        casts = {}
+        for cls in (Box, Sphere):
+            def counted(self, origin, dirs, z_near, _intersect=cls.intersect):
+                casts[id(images[-1])] = casts.get(id(images[-1]), 0) + 1
+                return _intersect(self, origin, dirs, z_near)
+
+            monkeypatch.setattr(cls, "intersect", counted)
+        monkeypatch.setattr(planner, "render_scene_depth", render)
+        monkeypatch.setattr(scene, "_pixel_boxes", pixel_boxes)
+        sc = load_scenario(SCENARIO_DIR / "corridor.json")
+        assert run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot).reached_goal
+        silent = [i for i in box_passes if i not in casts]
+        assert silent and casts, (box_passes, casts)
+        assert all(box_passes[i] == 0 for i in silent), box_passes
+        assert all(box_passes[i] >= 1 for i in casts), (box_passes, casts)

@@ -21,6 +21,7 @@ from depthnav import (
     waypoints2collision,
 )
 from depthnav import lqr
+from depthnav import scene as scene_module
 from depthnav.collision import _blind_zone_radius
 from depthnav.planner import (
     EVENT_PRIORITY,
@@ -356,11 +357,16 @@ class TestStepPlanner:
         assert set(checked[: hit - 1]) <= {"free", "blind"}
         assert checked[hit - 1 :] == ["collision"] + ["unchecked"] * (cfg.horizon_samples - hit)
 
-    def test_casts_only_for_checked_samples(self, intr, robot):
+    def test_casts_only_for_checked_samples(self, intr, robot, monkeypatch):
         """An l0 tick whose lookahead lies wholly inside the blind zone checks
-        nothing and casts no ray; the first tick that checks a sample casts
-        the floor, which reaches in front of its footprints, and not the
-        box, which lies beyond them."""
+        nothing, casts no ray and reads nothing of the scene; the first tick
+        that checks a sample compares its footprints against the scene
+        (the image's near depths), and casts neither the box, which lies
+        beyond them, nor the floor, which reaches in front of them but
+        below every footprint ray there."""
+        near_depths = []
+        monkeypatch.setattr(scene_module, "_near_depths",
+                            lambda *args, f=scene_module._near_depths: near_depths.append(1) or f(*args))
         box = CountingBox((6.0, -2.0, 0.0), (6.5, 2.0, 3.0))
         floor = CountingBox((-5.0, -5.0, -1.0), (20.0, 5.0, 0.0))
         scene = Scene((box, floor))
@@ -377,14 +383,14 @@ class TestStepPlanner:
             assert state.mode == "l0" and not state.events
             new = state.appended[n_appended:, :3]
             if len(new) and all(np.linalg.norm(p - cam) <= blind for p in new):
-                assert box.calls == [] and floor.calls == []
+                assert box.calls == [] and floor.calls == [] and near_depths == []
                 blind_ticks += 1
             elif len(new):
                 checking = True
                 break
             state.exec_idx += 1
         assert blind_ticks >= 1 and checking
-        assert box.calls == [] and sum(floor.calls) > 0
+        assert box.calls == [] and floor.calls == [] and near_depths == [1]
 
     def test_deferral_rechecks_the_same_lookahead(self, intr_small):
         """A deferred tick appends nothing and stays in l0; the next tick

@@ -30,7 +30,6 @@ from depthnav.scene import (
     _EDGES,
     RobotFootprint,
     RobotModel,
-    _pixel_boxes,
     _pixel_rays,
     _ray_offsets,
 )
@@ -54,6 +53,31 @@ class TestPrimitives:
     def test_wall_rejects_non_unit_normal(self):
         with pytest.raises(ValueError):
             Wall((0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Box((-2e6, 0.0, 0.0), (1.0, 1.0, 1.0)), "min"),
+        (lambda: Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.5e6)), "max"),
+        (lambda: Sphere((0.0, -1.1e6, 0.0), 1.0), "center"),
+        (lambda: Sphere((9e5, 0.0, 0.0), 2e5), "radius"),
+        (lambda: Sphere((1e160, 0.0, 1.2), 1e160), "center"),
+        (lambda: Wall((0.0, 0.0, 2e6), (-1.0, 0.0, 0.0), (1.0, 1.0)), "point"),
+        # a library mission used to fly through this wall at x = 5: the
+        # render loses its face, and run_mission reported reached_goal
+        (lambda: Wall((5.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1e50, 1e50)), "half_extents"),
+        # corners past float's range, refused with no overflow warning
+        (lambda: Wall((0.0, 0.0, 0.0), (3 ** -0.5,) * 3, (1.7e308, 1.7e308)), "half_extents"),
+    ])
+    def test_primitive_past_the_world_limit_is_refused(self, build, field):
+        """A primitive any of whose bounds() coordinates lies more than
+        1e6 m from the origin is refused when it is built, naming the field,
+        so a library scene is held to the limit a scenario file is."""
+        with pytest.raises(ValueError, match=rf"^{field}: each coordinate must lie within 1,000,000 m of the origin"):
+            build()
+
+    def test_primitive_at_the_world_limit_is_built(self):
+        Box((5.0, -1e6, -1e6), (6.0, 1e6, 1e6))
+        Sphere((0.0, 0.0, 9e5), 1e5)
+        Wall((5.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1e5, 1e5))
 
     def test_box_distance(self):
         box = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
@@ -253,7 +277,7 @@ def _random_pose(rng):
 
 def _pixel_box(prim, origin, R_ws, intr, ball=True):
     """One primitive's pixel box and near depth, computed on its own: the
-    reference for _pixel_boxes, which boxes every primitive of an image in
+    reference for _pixel_boxes, which boxes any primitives of an image in
     one pass. The projection of its bounds() box clipped at z_near, bounded
     further (unless ball is False) by the silhouette of its ball() where the
     ball lies wholly beyond z_near, each extreme taken as the tighter of the
@@ -297,6 +321,13 @@ def _pixel_box(prim, origin, R_ws, intr, ball=True):
     return box, near
 
 
+def _image_boxes(scene, q, intr):
+    """Every primitive's pixel box and near depth as the image of scene from
+    q computes them, the boxes in one pass."""
+    depth = render_scene_depth(scene, q, intr)
+    return depth._boxes(range(len(scene.primitives))), depth._extents[:, 2].tolist()
+
+
 def _box_kind(box, prim, q, intr):
     y0, y1, x0, x1 = box
     if y0 >= y1 or x0 >= x1:
@@ -331,7 +362,7 @@ class TestOnDemandCast:
             R_ws = world_to_camera_rotation(q)
             scene = _camera_frame_scene(rng, q, intr_small, int(rng.integers(4, 10)))
             ref = _reference_depth(scene, q, intr_small)
-            boxes, nears = _pixel_boxes(scene, q.position, R_ws, intr_small)
+            boxes, nears = _image_boxes(scene, q, intr_small)
             kinds.update(_box_kind(box, prim, q, intr_small) for box, prim in zip(boxes, scene.primitives))
             dirs = _frame_rays(intr_small) @ R_ws
             for prim, near in zip(scene.primitives, nears):
@@ -377,7 +408,7 @@ class TestOnDemandCast:
             dirs = _frame_rays(intr_small) @ R_ws
             near = _camera_frame_places(rng, intr_small)[1]
             prims = [_primitive_at(rng, camera_to_world(np.asarray(near()), q)) for _ in range(5)]
-            boxes, _ = _pixel_boxes(Scene(tuple(prims)), q.position, R_ws, intr_small)
+            boxes, _ = _image_boxes(Scene(tuple(prims)), q, intr_small)
             for prim, (y0, y1, x0, x1) in zip(prims, boxes):
                 if not _straddles_near_plane(prim, q, intr_small):
                     continue
@@ -393,8 +424,8 @@ class TestOnDemandCast:
         equal one by one the boxes computed for each primitive on its own,
         over seeded 6-DoF poses with boxes, spheres and walls in front of,
         straddling z_near, behind and beside the camera; so do their near
-        depths. Scenes with and without a primitive to clip must both
-        occur."""
+        depths, and so do the boxes computed one primitive at a time. Scenes
+        with and without a primitive to clip must both occur."""
         intr = request.getfixturevalue(camera)
         rng = np.random.default_rng(61)
         kinds = set()
@@ -403,14 +434,17 @@ class TestOnDemandCast:
             q = _random_pose(rng)
             R_ws = world_to_camera_rotation(q)
             scene = _camera_frame_scene(rng, q, intr, int(rng.integers(1, 25)))
-            boxes, nears = _pixel_boxes(scene, q.position, R_ws, intr)
+            boxes, nears = _image_boxes(scene, q, intr)
             ref = [_pixel_box(prim, q.position, R_ws, intr) for prim in scene.primitives]
             assert boxes == [box for box, _ in ref]
             assert nears == [near for _, near in ref]
+            # a box depends only on its own primitive: boxed alone, in reverse order
+            depth = render_scene_depth(scene, q, intr)
+            assert [depth._boxes([i])[0] for i in reversed(range(len(boxes)))] == boxes[::-1]
             scene_kinds = {_box_kind(box, prim, q, intr) for box, prim in zip(boxes, scene.primitives)}
             unclipped_scenes += "clipped" not in scene_kinds
             kinds |= scene_kinds
-        assert _pixel_boxes(Scene(), Q0.position, world_to_camera_rotation(Q0), intr) == ([], [])
+        assert _image_boxes(Scene(), Q0, intr) == ([], [])
         assert kinds == {"culled", "full frame", "box", "clipped"}
         assert 0 < unclipped_scenes < 200, unclipped_scenes
 
@@ -494,7 +528,14 @@ class TestOnDemandCast:
             if name.split(".")[0] == "depthnav" and hasattr(module, "world_to_camera_rotation"):
                 monkeypatch.setattr(module, "world_to_camera_rotation", rotation)
         monkeypatch.setattr(planner, "render_scene_depth", counting("renders", planner.render_scene_depth))
-        monkeypatch.setattr(collision, "check_configuration", counting("checks", collision.check_configuration))
+        verdicts = collision._verdicts
+
+        def counted_verdicts(points, *args):  # one count per sample the footprint queries classify
+            for v in verdicts(points, *args):
+                counts["checks"] += 1
+                yield v
+
+        monkeypatch.setattr(collision, "_verdicts", counted_verdicts)
         sc = load_scenario(SCENARIO_DIR / "corridor.json")
         run_mission(sc.scene, sc.x0, sc.goal, sc.planner, sc.intrinsics, sc.robot)
         assert counts["checks"] > counts["renders"] > 0, counts
@@ -509,7 +550,7 @@ class TestOnDemandCast:
         wall = CountingBox((3.0, -5.0, -5.0), (4.0, 5.0, 5.0))  # fills the view at 3 m
         post = CountingBox((1.5, -0.2, -0.2), (1.6, 0.2, 0.2))  # a small box nearer, at the centre
         depth = render_scene_depth(Scene((wall, post)), Q0, intr_small)
-        (_, post_box), _ = _pixel_boxes(Scene((wall, post)), Q0.position, world_to_camera_rotation(Q0), intr_small)
+        (_, post_box), _ = _image_boxes(Scene((wall, post)), Q0, intr_small)
         assert wall.calls == [] and post.calls == []
         corner, centre = (10, 13, 20, 26), (55, 65, 70, 100)
         assert depth.farther_than(corner, _mask_over(corner, np.ones((3, 6), bool)), 2.9)  # the wall is beyond reach
@@ -604,7 +645,7 @@ class TestOnDemandCast:
             for k, place in enumerate(drawn):
                 c = camera_to_world(np.asarray(place()), q)
                 prims.append(Sphere(tuple(c), float(rng.uniform(0.1, 0.8))) if k < len(places) else _primitive_at(rng, c))
-            boxes, _ = _pixel_boxes(Scene(tuple(prims)), q.position, R_ws, intr_small)
+            boxes, _ = _image_boxes(Scene(tuple(prims)), q, intr_small)
             for place, prim, box in zip(drawn, prims, boxes):
                 y0, y1, x0, x1 = box
                 iy, ix = np.nonzero(np.isfinite(prim.intersect(q.position, dirs, intr_small.z_near)))
@@ -649,7 +690,7 @@ class TestOnDemandCast:
                 y0, y1, x0, x1 = _pixel_box(prim, q.position, R_ws, intr, ball=False)[0]
                 aabb[type(prim)] += max(y1 - y0, 0) * max(x1 - x0, 0)
             depth = render_scene_depth(scene, q, intr)
-            for prim, (y0, y1, x0, x1) in zip(prims, depth._boxes[0]):
+            for prim, (y0, y1, x0, x1) in zip(prims, depth._boxes(range(len(prims)))):
                 cast[type(prim)] += max(y1 - y0, 0) * max(x1 - x0, 0)
         assert cast[Sphere] <= 0.6 * aabb[Sphere], (cast, aabb)
         assert cast[Box] <= aabb[Box], (cast, aabb)
