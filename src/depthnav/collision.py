@@ -12,9 +12,9 @@ footprint's disc, compares every footprint's rays up to its farthest
 depth against every primitive at once, and casts only a footprint that
 some primitive can reach, over the footprint's pixel box, building the
 disc mask only over the rectangles it casts. :func:`check_configuration`
-checks one position the same way and is the reference the query is
-tested against. The image keeps its near depths and the pixel boxes of
-the primitives a query reached for the next query; no cast depth is kept.
+is that query over one position. The image keeps its near depths and the
+pixel boxes of the primitives a query reached for the next query; no cast
+depth is kept.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .frames import CameraIntrinsics
+# render_robot_footprint is kept for the scene.footprint probe, which patches it here (ROADMAP item 17)
 from .scene import DepthImage, RobotModel, _disc, _dot, _footprint, render_robot_footprint
 from .validation import integer, real
 
@@ -55,7 +56,9 @@ class EscapeResult:
 
 
 def check_configuration(p, depth: DepthImage, robot: RobotModel) -> Verdict:
-    """Classify a hallucinated robot position against a scene depth image.
+    """Classify a hallucinated robot position against a scene depth image:
+    the one-row footprint query (:func:`_verdicts`), the path a lookahead
+    and an escape ring run.
 
     A footprint is the whole disc in view or empty; an empty one (the disc
     leaves the image, or the sphere reaches before z_near) is OUT_OF_VIEW,
@@ -63,20 +66,8 @@ def check_configuration(p, depth: DepthImage, robot: RobotModel) -> Verdict:
     farthest depth, seen from the image's pose through the image's
     rotation, to be strictly less than the scene depth at every covered
     pixel: the footprint's disc over its tight pixel box.
-    The image answers that as one depth-bounded query
-    (:meth:`DepthImage.farther_than`), which intersects only the primitives
-    that can lie in front of the farthest depth, over the box, and asks the
-    footprint for its disc mask (``mask_over``) only over the rectangles it
-    casts. A check that casts nothing builds no mask. It gives the verdict
-    of the one-row footprint query (:func:`_verdicts`), which a lookahead
-    and an escape ring use.
     """
-    fp = render_robot_footprint(p, depth, robot)
-    if not fp.fully_in_view:
-        return Verdict.OUT_OF_VIEW
-    if depth.farther_than(fp.box, fp.mask_over, fp.farthest_depth):
-        return Verdict.FREE
-    return Verdict.COLLISION
+    return next(_verdicts(np.asarray(p, dtype=float)[None], depth, robot))
 
 
 def _verdicts(points, depth: DepthImage, robot: RobotModel):

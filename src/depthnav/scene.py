@@ -367,7 +367,7 @@ class DepthImage:
         return (max(u1 * near, u1 * far) + _NEAR_MARGIN, max(v1 * near, v1 * far) + _NEAR_MARGIN, far,
                 _NEAR_MARGIN - min(u0 * near, u0 * far), _NEAR_MARGIN - min(v0 * near, v0 * far), math.inf)
 
-    def farther_than(self, box, mask_over, z, prims=None) -> bool:
+    def farther_than(self, box, mask_over, z, prims) -> bool:
         """Whether the scene lies strictly beyond depth z at every pixel of
         a nonempty mask over the half-open pixel rectangle
         box = (y0, y1, x0, x1): ``np.all(z < values[y0:y1, x0:x1][mask])``,
@@ -377,14 +377,12 @@ class DepthImage:
         box, and is asked only for the rectangles the query casts.
 
         A pixel with no hit holds max_depth, so z at or beyond it is never
-        exceeded. Only the primitives in :meth:`reach` are walked (prims
-        lists them when the caller has found them already), and the first
-        band that reaches z decides."""
+        exceeded. Only the primitives listed in prims are walked: those the
+        caller found in :meth:`reach` for a depth at least z over a
+        rectangle holding box. The first band that reaches z decides."""
         intr = self.intr
         if not z < np.float32(intr.max_depth):
             return False
-        if prims is None:
-            prims = self.reach([z], [box])[0]
         for a0, a1, b0, b1, hits in self._walk(prims, *box):
             # clamped in float64 before rounding, as the cast rounds each
             # minimum: the same float32 bits, and no overflow past float32
@@ -466,10 +464,10 @@ class RobotFootprint:
     radius r2: pixel (iy, ix) is covered when dy2[iy - y0] + dx2[ix - x0]
     <= r2. :meth:`mask_over` builds that bool mask over any rectangle inside
     box, so a check builds it only where it casts:
-    ``farther_than(box, mask_over, farthest_depth)`` asks whether the scene
-    lies beyond the farthest depth under the disc. Every covered pixel
-    carries the same farthest-depth value (sphere model). ``pixels`` lists
-    the whole disc, built on read from ``mask_over(*box)``.
+    ``farther_than(box, mask_over, farthest_depth, prims)`` asks whether
+    the scene lies beyond the farthest depth under the disc. Every covered
+    pixel carries the same farthest-depth value (sphere model). ``pixels``
+    lists the whole disc, built on read from ``mask_over(*box)``.
     """
 
     box: tuple

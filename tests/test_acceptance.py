@@ -227,8 +227,9 @@ def test_criterion_7_collision_check_throughput(intr, robot):
             check_configuration(p, depth, robot)
         rates.append(len(positions) / (time.perf_counter() - t0))
     ok = min(rates) >= 1000.0
-    _report(7, ok, f"{statistics.median(rates):.0f} single-configuration checks/s at 640x480, median of "
-                   f"{len(rates)} passes (slowest {min(rates):.0f}, need >= 1000)")
+    _report(7, ok, f"{statistics.median(rates):.0f} single-configuration checks/s at 640x480 (the one-row "
+                   f"footprint query, the path missions run), median of {len(rates)} passes "
+                   f"(slowest {min(rates):.0f}, need >= 1000)")
 
 
 def test_criterion_8_planning_tick_budget(robot):

@@ -412,29 +412,31 @@ class TestBoundedCheck:
 
 def _reference_reasons(lookahead, depth, robot):
     """The per-sample loop the lookahead query replaced: the blind test by
-    _norm, then check_configuration per sample, stopping at the first
-    sample that is not free."""
+    _norm, then each sample's verdict read from the image's full cast
+    (:func:`_full_cast_verdict`), stopping at the first sample that is not
+    free."""
     blind = collision._blind_zone_radius(depth.intr, robot)
     reasons = []
     for p in lookahead[1:]:
         if _norm((p - depth.q.position).tolist()) <= blind:
             reasons.append("blind")
             continue
-        reasons.append(check_configuration(p, depth, robot).value)
+        reasons.append(_full_cast_verdict(p, depth, robot).value)
         if reasons[-1] != "free":
             break
     return reasons + ["unchecked"] * (len(lookahead) - 1 - len(reasons))
 
 
 def _reference_escape(p_hit, depth, d_l, max_rings, robot):
-    """The per-candidate ring loop the escape query replaced: the free
+    """The per-candidate ring loop the escape query replaced, each
+    candidate's verdict read from the image's full cast: the free
     candidate's position, or None when stuck."""
     live = list(collision._DIRECTIONS @ depth.R_ws)
     for k in range(1, max_rings + 1):
         kept = []
         for d in live:
             cand = p_hit + k * d_l * d
-            v = check_configuration(cand, depth, robot)
+            v = _full_cast_verdict(cand, depth, robot)
             if v is Verdict.FREE:
                 return cand
             if v is not Verdict.OUT_OF_VIEW:
@@ -492,8 +494,9 @@ class TestFootprintQuery:
     def test_query_matches_the_per_sample_loop(self, camera, n_scenes, request, robot):
         """Over seeded 6-DoF scenes, waypoints2collision returns the reasons
         of the per-sample loop, bit for bit, and find_escape from each
-        predicted collision returns that loop's position bits; each checked
-        sample's verdict equals the one read from a full cast. Lookaheads
+        predicted collision returns that loop's position bits; that loop
+        reads each verdict from a full cast, apart from the query, and
+        check_configuration gives each checked sample's verdict. Lookaheads
         read blind, free, out_of_view, collision and unchecked, and some
         footprints reach within _NEAR_MARGIN of a primitive's near depth,
         on both sides of a face they meet."""
@@ -524,6 +527,8 @@ class TestFootprintQuery:
                 assert waypoints2collision(la, depth, robot) == want
                 reasons_seen.update(want)
                 for p, reason in zip(la[1:], want):
+                    if reason in ("free", "collision", "out_of_view"):
+                        assert check_configuration(p, depth, robot).value == reason
                     if reason in ("free", "collision"):
                         assert _full_cast_verdict(p, depth, robot).value == reason
                         far = render_robot_footprint(p, depth, robot).farthest_depth

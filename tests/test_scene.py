@@ -344,6 +344,12 @@ def _mask_over(box, mask):
     return lambda a0, a1, b0, b1: mask[a0 - y0 : a1 - y0, b0 - x0 : b1 - x0]
 
 
+def _farther_than(depth, box, mask_over, z):
+    """depth.farther_than over the primitives depth.reach finds for box at
+    depth z, as the footprint query asks it."""
+    return depth.farther_than(box, mask_over, z, depth.reach([z], [box])[0])
+
+
 class TestOnDemandCast:
     def test_reads_match_an_unculled_full_cast(self, intr_small):
         """Depth-bounded queries over arbitrary overlapping rectangles and
@@ -385,7 +391,7 @@ class TestOnDemandCast:
                     rng.uniform(intr_small.z_near, intr_small.max_depth),
                 ):
                     want = bool(np.all(z < under))
-                    assert depth.farther_than((y0, y1, x0, x1), _mask_over((y0, y1, x0, x1), mask), z) is want, z
+                    assert _farther_than(depth, (y0, y1, x0, x1), _mask_over((y0, y1, x0, x1), mask), z) is want, z
                     answers[want] += 1
             assert np.array_equal(depth.values.view(np.uint32), ref.view(np.uint32))
             fresh = render_scene_depth(scene, q, intr_small)
@@ -467,7 +473,7 @@ class TestOnDemandCast:
         depth = render_scene_depth(Scene((wall,)), Q0, intr_small)
         cy, cx = intr_small.height // 2, intr_small.width // 2
         pixel = (cy, cy + 1, cx, cx + 1)
-        assert depth.farther_than(pixel, _mask_over(pixel, np.ones((1, 1), bool)), 9.0)
+        assert _farther_than(depth, pixel, _mask_over(pixel, np.ones((1, 1), bool)), 9.0)
         assert wall.calls == []
         assert np.any(depth.values < intr_small.max_depth)
         assert 0 < sum(wall.calls) < intr_small.width * intr_small.height // 2
@@ -553,18 +559,18 @@ class TestOnDemandCast:
         (_, post_box), _ = _image_boxes(Scene((wall, post)), Q0, intr_small)
         assert wall.calls == [] and post.calls == []
         corner, centre = (10, 13, 20, 26), (55, 65, 70, 100)
-        assert depth.farther_than(corner, _mask_over(corner, np.ones((3, 6), bool)), 2.9)  # the wall is beyond reach
+        assert _farther_than(depth, corner, _mask_over(corner, np.ones((3, 6), bool)), 2.9)  # the wall is beyond reach
         assert wall.calls == [] and post.calls == []
-        assert not depth.farther_than(corner, _mask_over(corner, np.ones((3, 6), bool)), 3.5)
+        assert not _farther_than(depth, corner, _mask_over(corner, np.ones((3, 6), bool)), 3.5)
         assert wall.calls == [3 * 6] and post.calls == []  # the corner lies outside the post's box
-        assert not depth.farther_than(centre, _mask_over(centre, np.ones((10, 30), bool)), 2.9)
+        assert not _farther_than(depth, centre, _mask_over(centre, np.ones((10, 30), bool)), 2.9)
         y0, y1, x0, x1 = post_box
         overlap = (min(65, y1) - max(55, y0)) * (min(100, x1) - max(70, x0))
         assert 0 < overlap < 10 * 30
         assert wall.calls == [3 * 6] and post.calls == [overlap]
-        assert not depth.farther_than(centre, _mask_over(centre, np.ones((10, 30), bool)), 3.5)  # the wall decides first
+        assert not _farther_than(depth, centre, _mask_over(centre, np.ones((10, 30), bool)), 3.5)  # the wall decides first
         assert wall.calls == [3 * 6, 10 * 30] and post.calls == [overlap]
-        assert not depth.farther_than(corner, _mask_over(corner, np.ones((3, 6), bool)), 3.5)  # nothing was kept
+        assert not _farther_than(depth, corner, _mask_over(corner, np.ones((3, 6), bool)), 3.5)  # nothing was kept
         assert wall.calls == [3 * 6, 10 * 30, 3 * 6]
         del wall.calls[:], post.calls[:]
         depth.values
@@ -591,10 +597,10 @@ class TestOnDemandCast:
         depth = render_scene_depth(Scene((wall,)), Q0, intr_small)
         frame = (0, h, 0, w)
         everywhere = _mask_over(frame, np.ones((h, w), bool))
-        assert not depth.farther_than(frame, everywhere, 3.5)
+        assert not _farther_than(depth, frame, everywhere, 3.5)
         assert wall.calls == [rows * w]  # the first band decides
         del wall.calls[:]
-        assert depth.farther_than(frame, everywhere, 2.9995)  # within reach of the wall, never beyond it
+        assert _farther_than(depth, frame, everywhere, 2.9995)  # within reach of the wall, never beyond it
         assert wall.calls == [min(rows, h - a) * w for a in range(0, h, rows)]
 
         rng = np.random.default_rng(71)
@@ -612,7 +618,7 @@ class TestOnDemandCast:
                 for z in (float(under.min()), float(np.nextafter(under.min(), np.float32(0.0))),
                           float(under[rng.integers(under.size)])):
                     want = bool(np.all(z < under))
-                    assert depth.farther_than(box, _mask_over(box, mask), z) is want, z
+                    assert _farther_than(depth, box, _mask_over(box, mask), z) is want, z
                     answers[want] += 1
         assert all(answers.values()), answers
 
