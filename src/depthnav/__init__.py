@@ -3,7 +3,7 @@ synthetic depth rendering, hallucinated-configuration collision checks,
 escape search, and switched-LQR look-ahead trajectory generation.
 """
 
-from .collision import EscapeResult, Verdict, check_configuration, find_escape, waypoints2collision
+from .collision import EscapeResult, check_configuration, find_escape, render_robot_footprint, waypoints2collision
 from .frames import (
     CameraIntrinsics,
     Configuration,
@@ -38,7 +38,6 @@ from .scene import (
     Sphere,
     Wall,
     read_pfm,
-    render_robot_footprint,
     render_scene_depth,
     write_pfm,
 )

@@ -1,5 +1,5 @@
-"""Analytic scene primitives, the synthetic depth camera, and the
-hallucinated-robot footprint renderer.
+"""Analytic scene primitives, the synthetic depth camera (its pixel rays
+and its PFM files), and the robot's bounding sphere.
 
 Depth semantics: every stored value is the z-coordinate of the nearest
 surface in the camera frame (stereo-camera convention), not the Euclidean
@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import (
-    CameraIntrinsics,
-    Configuration,
-    project,
-    world_to_camera_rotation,
-)
+from .frames import CameraIntrinsics, Configuration, world_to_camera_rotation
 from .validation import coerce, point, real
 
 __all__ = [
@@ -31,9 +26,7 @@ __all__ = [
     "Scene",
     "DepthImage",
     "RobotModel",
-    "RobotFootprint",
     "render_scene_depth",
-    "render_robot_footprint",
     "write_pfm",
     "read_pfm",
 ]
@@ -451,49 +444,6 @@ class RobotModel:
         coerce(self, real, "rho", positive=True)
 
 
-@dataclass
-class RobotFootprint:
-    """Conservative pixel disc of a hallucinated robot plus its farthest depth.
-
-    A footprint is either the whole disc, wholly inside the image, or
-    empty: a robot whose disc leaves the image, or whose sphere reaches
-    before z_near, has the empty box (0, 0, 0, 0) and is not in view.
-    The disc is kept as its 1-D squared pixel-centre offsets from the disc
-    centre, dy2 over the rows and dx2 over the columns of its tight
-    half-open pixel rectangle box = (y0, y1, x0, x1), and its squared
-    radius r2: pixel (iy, ix) is covered when dy2[iy - y0] + dx2[ix - x0]
-    <= r2. :meth:`mask_over` builds that bool mask over any rectangle inside
-    box, so a check builds it only where it casts:
-    ``farther_than(box, mask_over, farthest_depth, prims)`` asks whether
-    the scene lies beyond the farthest depth under the disc. Every covered
-    pixel carries the same farthest-depth value (sphere model). ``pixels``
-    lists the whole disc, built on read from ``mask_over(*box)``.
-    """
-
-    box: tuple
-    dy2: np.ndarray
-    dx2: np.ndarray
-    r2: float
-    farthest_depth: float
-
-    @property
-    def fully_in_view(self) -> bool:
-        """Whether the disc lies wholly inside the image: its box is nonempty."""
-        return self.box[0] < self.box[1]
-
-    def mask_over(self, y0, y1, x0, x1) -> np.ndarray:
-        """The disc's bool mask over the pixel rectangle [y0, y1) x [x0, x1),
-        which lies inside box."""
-        by, bx = self.box[0], self.box[2]
-        return self.dy2[y0 - by : y1 - by, None] + self.dx2[None, x0 - bx : x1 - bx] <= self.r2
-
-    @property
-    def pixels(self) -> np.ndarray:
-        """The covered pixels as an (N, 2) int array of (ix, iy), row-major."""
-        iy, ix = np.nonzero(self.mask_over(*self.box))
-        return np.stack([ix + self.box[2], iy + self.box[0]], axis=-1)
-
-
 def _ray_offsets(intr: CameraIntrinsics) -> tuple:
     """The 1-D camera-frame offsets of the pixel-centre rays: x over the
     columns and y over the rows of the frame."""
@@ -638,70 +588,6 @@ def render_scene_depth(scene: Scene, q: Configuration, intr: CameraIntrinsics) -
     decides; ``values`` casts the whole frame once. Deterministic.
     """
     return DepthImage(scene, q, intr)
-
-
-def render_robot_footprint(p, depth: DepthImage, robot: RobotModel) -> RobotFootprint:
-    """Conservative pixel disc of the robot bounding sphere centered at p,
-    seen from the pose of the depth image it is checked against, through
-    the image's own rotation (:func:`_disc`, then :func:`_footprint`)."""
-    center_s = (np.asarray(p, dtype=float) - depth.q.position) @ depth.R_ws.T
-    return _footprint(*_disc(center_s.tolist(), depth.intr, robot.rho))
-
-
-def _disc(center_s: list, intr: CameraIntrinsics, rho: float) -> tuple:
-    """The footprint disc of a robot sphere of radius rho centred at the
-    camera-frame point center_s (3 floats), in scalar arithmetic, as
-    (far, box, disc): its farthest depth; the half-open pixel rectangle
-    (y0, y1, x0, x1) of the pixels whose centres the disc's bounding square
-    can hold, which holds the footprint's tight box; and disc = (rx, ry,
-    pr), its pixel centre and radius. The empty footprint has box
-    (0, 0, 0, 0) and disc None.
-
-    The disc radius divides by (zc - rho), the nearest sphere depth, and is
-    scaled by the view-ray secant so that every sphere surface point
-    projects inside the disc even off-axis. farthest depth is zc + rho for
-    all pixels. A sphere reaching before z_near, or a disc not wholly inside
-    the image, gets the empty footprint.
-    """
-    zc = center_s[2]
-    far = zc + rho
-    if zc - rho < intr.z_near:
-        return far, (0, 0, 0, 0), None
-    rx, ry = project(center_s, intr)
-    secant = _norm(center_s) / zc
-    pr = max(intr.fsx, intr.fsy) * rho / (zc - rho) * secant
-    if not ((rx - pr >= 0.0) and (rx + pr < intr.width) and (ry - pr >= 0.0) and (ry + pr < intr.height)):
-        return far, (0, 0, 0, 0), None
-    box = (math.floor(ry - pr), math.ceil(ry + pr) + 1, math.floor(rx - pr), math.ceil(rx + pr) + 1)
-    return far, box, (rx, ry, pr)
-
-
-def _footprint(far: float, box: tuple, disc) -> RobotFootprint:
-    """The footprint of a disc from :func:`_disc`. It holds the pixels of box
-    whose centers lie within the radius, kept as 1-D squared offsets, and
-    its tight box is found from them in O(rows + cols): a row holds a
-    covered pixel exactly when its offset plus the smallest column offset
-    is within the radius (float addition is monotone), and likewise a
-    column; no mask is built here. A sub-pixel disc keeps the pixel holding
-    its center.
-    """
-    if disc is None:
-        return RobotFootprint(box, np.empty(0), np.empty(0), 0.0, far)
-    rx, ry, pr = disc
-    iy_lo, iy_hi, ix_lo, ix_hi = box
-    dx2 = (np.arange(ix_lo, ix_hi) + 0.5 - rx) ** 2
-    dy2 = (np.arange(iy_lo, iy_hi) + 0.5 - ry) ** 2
-    r2 = pr * pr
-    rows = np.flatnonzero(dy2 + dx2.min() <= r2)
-    if rows.size == 0:
-        # sub-pixel disc: keep the pixel containing the center
-        box, dy2, dx2 = (int(ry), int(ry) + 1, int(rx), int(rx) + 1), np.zeros(1), np.zeros(1)
-    else:
-        cols = np.flatnonzero(dx2 + dy2.min() <= r2)
-        y0, y1, x0, x1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
-        box = (iy_lo + y0, iy_lo + y1, ix_lo + x0, ix_lo + x1)
-        dy2, dx2 = dy2[y0:y1], dx2[x0:x1]
-    return RobotFootprint(box, dy2, dx2, r2, far)
 
 
 def write_pfm(path, values: np.ndarray) -> None:

@@ -16,7 +16,6 @@ from depthnav import (
     Configuration,
     ModeWeights,
     Scene,
-    Verdict,
     Wall,
     are_residual,
     camera_to_world,
@@ -105,7 +104,7 @@ def test_criterion_3_classifier_soundness(intr_small):
         depth = render_scene_depth(scene, Q0, intr_small)
         p = np.array([rng.uniform(1.5, 7.0), rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8)])
         if (
-            check_configuration(p, depth, robot) is Verdict.FREE
+            check_configuration(p, depth, robot) == "free"
             and brute_force_collision(scene, p, robot.rho)
         ):
             violations += 1

@@ -9,7 +9,6 @@ from depthnav import (
     Configuration,
     RobotModel,
     Scene,
-    Verdict,
     Wall,
     Sphere,
     camera_to_world,
@@ -44,19 +43,19 @@ class TestCheckConfiguration:
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
         p = camera_to_world([0.0, 0.0, 3.0], Q0)  # farthest 3.3 < 5.0
-        assert check_configuration(p, depth, robot) is Verdict.FREE
+        assert check_configuration(p, depth, robot) == "free"
 
     def test_collision_behind_wall_surface(self, wall_scene, intr):
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
         p = camera_to_world([0.0, 0.0, 5.0], Q0)  # farthest 5.3 > 5.0
-        assert check_configuration(p, depth, robot) is Verdict.COLLISION
+        assert check_configuration(p, depth, robot) == "collision"
 
     def test_out_of_view(self, wall_scene, intr):
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
         p = camera_to_world([5.0, 0.0, 3.0], Q0)  # projects far outside the image
-        assert check_configuration(p, depth, robot) is Verdict.OUT_OF_VIEW
+        assert check_configuration(p, depth, robot) == "out_of_view"
 
 
 class TestWaypoints2Collision:
@@ -93,7 +92,7 @@ class TestWaypoints2Collision:
         _, depth = wall_scene
         robot = RobotModel(rho=0.3)
         lookahead = [camera_to_world([0.0, 0.0, z], Q0) for z in (5.0, 3.6, 3.2, 2.8)]
-        assert check_configuration(lookahead[0], depth, robot) is Verdict.COLLISION
+        assert check_configuration(lookahead[0], depth, robot) == "collision"
         assert waypoints2collision(lookahead, depth, robot) == ["free"] * 3
 
     def test_blind_lookahead_reads_nothing(self, intr, robot):
@@ -108,7 +107,7 @@ class TestWaypoints2Collision:
         assert waypoints2collision(lookahead, depth, robot) == ["blind"] * 4
         assert box.calls == []
         # the last sample, were it read, would cast the box and collide
-        assert check_configuration(lookahead[-1], depth, robot) is Verdict.COLLISION
+        assert check_configuration(lookahead[-1], depth, robot) == "collision"
         assert box.calls != []
 
     def test_no_image_leaves_every_sample_unchecked(self, intr, robot):
@@ -186,7 +185,7 @@ class TestFindEscape:
         for k in range(1, 21):
             for d in _DIRECTIONS:
                 cand = p_hit + k * 1.0 * (R_sw @ d)
-                if check_configuration(cand, depth, robot) is Verdict.FREE:
+                if check_configuration(cand, depth, robot) == "free":
                     free_ks.append(k)
         assert returned_k == min(free_ks)
 
@@ -225,7 +224,7 @@ class TestSoundness:
             scene = Scene(tuple(prims))
             depth = render_scene_depth(scene, q, intr_small)
             p = camera_to_world([rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8), rng.uniform(1.5, 7.0)], q)
-            if check_configuration(p, depth, robot) is Verdict.FREE:
+            if check_configuration(p, depth, robot) == "free":
                 free += 1
                 violations += brute_force_collision(scene, p, robot.rho)
         assert violations == 0
@@ -296,7 +295,7 @@ class TestMaskWindow:
         intr = request.getfixturevalue(camera)
         rng = np.random.default_rng(77)
         robots = [RobotModel(rho) for rho in (0.002, 0.05, 0.35)]
-        verdicts = {v: 0 for v in Verdict}
+        verdicts = {v: 0 for v in ("free", "collision", "out_of_view")}
         kinds = {"near plane": 0, "out of view": 0, "sub-pixel": 0, "disc": 0, "touching": 0}
         for _ in range(12):
             q = Configuration(*rng.uniform(-3.0, 3.0, 3), *rng.uniform(-np.pi, np.pi, 3))
@@ -324,11 +323,11 @@ class TestMaskWindow:
                 p = camera_to_world(c_s, q)
                 pix, far, in_view, kind = _pixel_list_footprint(p, q, robot, intr)
                 if not in_view:
-                    want = Verdict.OUT_OF_VIEW
+                    want = "out_of_view"
                 elif np.all(far < values[pix[:, 1], pix[:, 0]]):
-                    want = Verdict.FREE
+                    want = "free"
                 else:
-                    want = Verdict.COLLISION
+                    want = "collision"
                 assert check_configuration(p, depth, robot) is want, (c_s, robot.rho)
                 fp = render_robot_footprint(p, depth, robot)
                 assert fp.pixels.shape == pix.shape and np.array_equal(fp.pixels, pix)
@@ -347,9 +346,9 @@ def _full_cast_verdict(p, depth, robot):
     """The verdict read from the image's full cast, as the check reads it."""
     fp = render_robot_footprint(p, depth, robot)
     if not fp.fully_in_view:
-        return Verdict.OUT_OF_VIEW
+        return "out_of_view"
     y0, y1, x0, x1 = fp.box
-    return Verdict.FREE if np.all(fp.farthest_depth < depth.values[y0:y1, x0:x1][fp.mask_over(*fp.box)]) else Verdict.COLLISION
+    return "free" if np.all(fp.farthest_depth < depth.values[y0:y1, x0:x1][fp.mask_over(*fp.box)]) else "collision"
 
 
 class TestBoundedCheck:
@@ -366,8 +365,8 @@ class TestBoundedCheck:
         face = far + 1e-8
         assert far < face and np.float32(far) == np.float32(face)
         depth = render_scene_depth(Scene((Box((face, -50.0, -50.0), (face + 1.0, 50.0, 50.0)),)), Q0, intr_small)
-        assert check_configuration(p, depth, robot) is Verdict.COLLISION
-        assert _full_cast_verdict(p, depth, robot) is Verdict.COLLISION
+        assert check_configuration(p, depth, robot) == "collision"
+        assert _full_cast_verdict(p, depth, robot) == "collision"
 
     def test_empty_scene_footprint_reaching_max_depth_is_not_free(self, intr_small):
         """With nothing to hit, a fully-in-view footprint is free only when
@@ -380,8 +379,8 @@ class TestBoundedCheck:
             p = camera_to_world([0.0, 0.0, zc], Q0)
             assert render_robot_footprint(p, render_scene_depth(Scene(), Q0, intr_small), robot).fully_in_view
             verdicts.append(check_configuration(p, depth, robot))
-            assert verdicts[-1] is _full_cast_verdict(p, depth, robot)
-        assert verdicts == [Verdict.FREE] + [Verdict.COLLISION] * 3
+            assert verdicts[-1] == _full_cast_verdict(p, depth, robot)
+        assert verdicts == ["free"] + ["collision"] * 3
 
     def test_grazing_hit_beyond_float32_warns_nothing(self):
         """Horizon rays graze a floor far below the camera and hit it at a
@@ -406,8 +405,8 @@ class TestBoundedCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = check_configuration(p, depth, robot)
-            assert got is _full_cast_verdict(p, depth, robot)
-        assert got is Verdict.FREE
+            assert got == _full_cast_verdict(p, depth, robot)
+        assert got == "free"
 
 
 def _reference_reasons(lookahead, depth, robot):
@@ -421,7 +420,7 @@ def _reference_reasons(lookahead, depth, robot):
         if _norm((p - depth.q.position).tolist()) <= blind:
             reasons.append("blind")
             continue
-        reasons.append(_full_cast_verdict(p, depth, robot).value)
+        reasons.append(_full_cast_verdict(p, depth, robot))
         if reasons[-1] != "free":
             break
     return reasons + ["unchecked"] * (len(lookahead) - 1 - len(reasons))
@@ -437,9 +436,9 @@ def _reference_escape(p_hit, depth, d_l, max_rings, robot):
         for d in live:
             cand = p_hit + k * d_l * d
             v = _full_cast_verdict(cand, depth, robot)
-            if v is Verdict.FREE:
+            if v == "free":
                 return cand
-            if v is not Verdict.OUT_OF_VIEW:
+            if v != "out_of_view":
                 kept.append(d)
         live = kept
         if not live:
@@ -528,9 +527,9 @@ class TestFootprintQuery:
                 reasons_seen.update(want)
                 for p, reason in zip(la[1:], want):
                     if reason in ("free", "collision", "out_of_view"):
-                        assert check_configuration(p, depth, robot).value == reason
+                        assert check_configuration(p, depth, robot) == reason
                     if reason in ("free", "collision"):
-                        assert _full_cast_verdict(p, depth, robot).value == reason
+                        assert _full_cast_verdict(p, depth, robot) == reason
                         far = render_robot_footprint(p, depth, robot).farthest_depth
                         if np.any(np.abs(depth._extents[:, 2] - far) <= scene._NEAR_MARGIN):
                             at_near[reason] += 1

@@ -24,11 +24,11 @@ from depthnav import (
     write_pfm,
 )
 from depthnav import collision, frames, planner
+from depthnav.collision import RobotFootprint
 from depthnav.scene import (
     _BAND_RAYS,
     _CORNERS,
     _EDGES,
-    RobotFootprint,
     RobotModel,
     _pixel_rays,
     _ray_offsets,
@@ -936,7 +936,7 @@ class TestRobotFootprint:
         """A disc wholly in view, kept as 1-D offsets, has the box and, bit
         for bit, the mask of the whole disc bitmap trimmed to its tight box,
         and the same depth and squared radius; any other footprint is empty
-        and OUT_OF_VIEW, with the same depth. Over a seeded sweep of
+        and "out_of_view", with the same depth. Over a seeded sweep of
         centred, in-view, border-clipped, off-image, sub-pixel and
         before-z_near footprints."""
         intr = request.getfixturevalue(camera)
@@ -951,7 +951,7 @@ class TestRobotFootprint:
                 assert np.array_equal(fp.pixels, np.stack([ix + box[2], iy + box[0]], axis=-1))
             else:
                 assert fp.box == (0, 0, 0, 0) and fp.pixels.shape == (0, 2), kind
-                assert verdict is collision.Verdict.OUT_OF_VIEW, kind
+                assert verdict == "out_of_view", kind
             kinds[kind] = kinds.get(kind, 0) + 1
         assert set(kinds) >= {"centred", "in view", "border-clipped", "off image", "sub-pixel", "near plane"}, kinds
 
